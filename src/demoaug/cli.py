@@ -10,6 +10,7 @@ input, 2 partial result.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from . import __version__, sim, tasks
 from .dataset import canonical_json, read_manifest, write_dataset
-from .ensemble import EnsembleConfig, EnsembleMode, K_CONST_DEFAULT, K_CUTOFF_DEFAULT
+from .ensemble import EnsembleConfig, EnsembleMode
 from .evaluation import (EvalReport, closed_loop_eval, format_report, report_to_dict)
 from .policy import DisturbanceConfig
 from .trajectory import ParseError, SegmentMismatch, ValidationError, load_demo
@@ -25,17 +26,10 @@ from .trajectory import ParseError, SegmentMismatch, ValidationError, load_demo
 OUT_ROOT_ENV = "DEMOAUG_OUT_ROOT"
 REPORT_FORMAT_VERSION = 1
 
-_DEFAULTS = {
-    "workspace": {"side": 0.70, "pick_goal_z": [0.0, 0.20]},
-    "controller": {"gain": 5.0, "max_speed": 0.5, "max_gripper_speed": 0.2, "dt": 0.05,
-                   "waypoint_advance_radius": 0.01, "waypoint_timeout": 2.0,
-                   "settle_time": 0.5},
-    "success": {"push": 0.05, "pick_place": 0.05, "stack": 0.04},
-    "ensemble": {"k_const": K_CONST_DEFAULT, "k_cutoff": K_CUTOFF_DEFAULT,
-                 "chunk_len": 20, "replay_n": None, "warmup_steps": 5,
-                 "clear_after_suspend": True},
-    "disturbance": {"latency": 0, "bimodal_period": 0, "bimodal_gap": 3, "noise": 0.0},
-}
+
+def _defaults(cls, *skip: str) -> dict:
+    """A config dataclass's field defaults, minus fields the run config omits."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
 
 
 class CliError(Exception):
@@ -74,16 +68,23 @@ def _resolve_out(out) -> Path:
 
 
 def _build_sections(args, config_file: dict) -> dict:
+    defaults = {
+        "workspace": _defaults(tasks.Workspace),
+        "controller": _defaults(sim.ControllerConfig),
+        "success": _defaults(tasks.SuccessSpec),
+        "ensemble": _defaults(EnsembleConfig, "mode", "beta", "g_max"),
+        "disturbance": _defaults(DisturbanceConfig, "seed"),
+    }
     overrides = {
         "workspace": {"side": getattr(args, "side", None)},
-        "controller": {k: getattr(args, k, None) for k in _DEFAULTS["controller"]},
+        "controller": {k: getattr(args, k, None) for k in defaults["controller"]},
         "ensemble": {k: getattr(args, k, None) for k in
                      ("k_const", "k_cutoff", "chunk_len", "replay_n", "warmup_steps")},
-        "disturbance": {k: getattr(args, k, None) for k in _DEFAULTS["disturbance"]},
+        "disturbance": {k: getattr(args, k, None) for k in defaults["disturbance"]},
     }
     if getattr(args, "no_clear_after_suspend", False):
         overrides["ensemble"]["clear_after_suspend"] = False
-    merged = _deep_merge(_DEFAULTS, config_file)
+    merged = _deep_merge(defaults, config_file)
     return _deep_merge(merged, overrides)
 
 
@@ -158,13 +159,10 @@ def cmd_augment(args) -> int:
     out = _resolve_out(args.out)
     partial = None
     try:
-        # --jobs is a scheduling knob, deliberately not part of the embedded
-        # run config: the dataset bytes are identical for any value
         ds = sim.run_campaign(
             demo, rc["task"], rc["count"],
             ws=_workspace(rc), cfg=_controller(rc), rng_seed=rc["seed"],
-            spec=_success_spec(rc), attempt_cap=rc.get("attempt_cap"),
-            jobs=getattr(args, "jobs", 1) or 1)
+            spec=_success_spec(rc), attempt_cap=rc.get("attempt_cap"))
     except SegmentMismatch as e:
         raise CliError(str(e)) from e
     except sim.AttemptCapExceeded as e:
@@ -402,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--attempt-cap", dest="attempt_cap", type=int,
                    help="max replay attempts (default 20x count)")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent replays")
     p.add_argument("--from-manifest", dest="from_manifest",
                    help="re-execute the run_config stored in a dataset manifest")
     _add_common_overrides(p)

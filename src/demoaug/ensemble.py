@@ -92,6 +92,9 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not self.k_const >= 0:
+            # a negative temperature would weigh older predictions more
+            raise ValueError(f"k_const must be >= 0, got {self.k_const}")
         if self.k_cutoff <= 0:
             raise ValueError(f"k_cutoff must be positive, got {self.k_cutoff}")
         if self.chunk_len < 1:
@@ -141,12 +144,13 @@ class ChunkBuffer:
         return self._chunks[-1]
 
 
-def candidates(buffer: ChunkBuffer, t: int) -> list[Action]:
-    """Every stored prediction for step t, oldest chunk first."""
+def candidates(buffer: ChunkBuffer, t: int) -> tuple[list[Action], list[int]]:
+    """Every stored prediction for step t and its age in steps, oldest chunk first."""
     chunks = buffer.covering(t)
     if not chunks:
         raise EmptyBuffer(f"no chunk covers step {t}")
-    return [c.actions[t - c.emitted_at] for c in chunks]
+    ages = [t - c.emitted_at for c in chunks]
+    return [c.actions[age] for c, age in zip(chunks, ages)], ages
 
 
 def _spread(values: np.ndarray) -> np.ndarray:
@@ -299,11 +303,7 @@ def ensemble_action(state: EnsembleState, t: int, cfg: EnsembleConfig) -> Ensemb
     if state.suspension is not None:
         return _suspended_output(state, t, cfg)
 
-    chunks = state.buffer.covering(t)
-    if not chunks:
-        raise EmptyBuffer(f"no chunk covers step {t}")
-    cands = [c.actions[t - c.emitted_at] for c in chunks]
-    ages = [t - c.emitted_at for c in chunks]
+    cands, ages = candidates(state.buffer, t)
     n = len(cands)
 
     warm = state.epoch_step < cfg.warmup_steps

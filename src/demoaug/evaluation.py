@@ -111,7 +111,7 @@ def run_closed_loop_episode(task, demo: DemoTrajectory, seed: int, cfg: Ensemble
     es = EnsembleState.for_config(cfg)
 
     horizon = STEPS_PER_WAYPOINT * len(aug.waypoints) + HORIZON_SLACK
-    settle_steps = max(1, round(ctrl.settle_time / ctrl.dt))
+    settle_steps = ctrl.settle_steps
     settled = 0
     for t in range(horizon):
         es.submit(policy.predict(state.ee_pos, t))

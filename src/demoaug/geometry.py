@@ -70,18 +70,6 @@ def frame_with_up(v, *, up: np.ndarray = Z_AXIS,
     return np.column_stack([vhat, u, np.cross(vhat, u)])
 
 
-def rotation_from_anchors(r_delta, g_delta) -> np.ndarray:
-    """Rotation taking the recorded displacement direction onto the
-    generated one while preserving the direction of the vertical's
-    projection onto the plane normal to ``g_delta``.
-
-    Built as F(g_delta) @ F(r_delta).T with F = :func:`frame_with_up`; the
-    two constraints follow because the vertical lies in the span of each
-    frame's first two columns.
-    """
-    return frame_with_up(g_delta) @ frame_with_up(r_delta).T
-
-
 def scale_from_anchors(r_delta, g_delta, *, eps_len: float = EPS_LEN) -> float:
     """Uniform scale: ratio of generated to recorded displacement length."""
     rn = float(np.linalg.norm(_as_vec3(r_delta)))
@@ -141,12 +129,6 @@ class AffineTransform:
         return scale_block @ rot_block
 
 
-def compose_transform(s: float, rotation: np.ndarray, translation) -> AffineTransform:
-    """Bundle the three synthesized pieces, validating their invariants."""
-    return AffineTransform(scale=float(s), rotation=np.asarray(rotation, dtype=float),
-                           translation=translation)
-
-
 def _frame_allowing_vertical(v) -> tuple[np.ndarray, bool]:
     """Frame for ``v``; falls back to an x-axis up reference near +/-z.
 
@@ -163,7 +145,11 @@ def transform_from_anchors(r_s, r_g, g_s, g_g) -> AffineTransform:
     """Synthesize the full warp for one anchor pair.
 
     Maps r_s to g_s and r_g to g_g exactly; scales all distances by
-    |g_g - g_s| / |r_g - r_s|.
+    |g_g - g_s| / |r_g - r_s|.  The rotation F(g_delta) @ F(r_delta).T,
+    with F = :func:`frame_with_up`, takes the recorded displacement
+    direction onto the generated one and keeps the direction of the
+    vertical's projection onto the plane normal to ``g_delta``, because the
+    vertical lies in the span of each frame's first two columns.
     """
     r_s, r_g = _as_vec3(r_s), _as_vec3(r_g)
     g_s, g_g = _as_vec3(g_s), _as_vec3(g_g)

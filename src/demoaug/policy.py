@@ -3,11 +3,14 @@
 Stands in for a learned chunk-predicting policy so the ensembler can be
 exercised closed-loop without any training.  The predictor carries a cursor
 over the reference trajectory, anchored at the waypoint nearest the first
-observation and advanced by the same arrive-or-timeout rule the replay
-controller uses.  Each query simulates that controller for chunk_len
-control steps from the current (possibly stale) observation and emits the
-targets it would issue.  Rolling the controller forward, rather than
-slicing raw waypoints, keeps predictions made on consecutive steps
+observation and moved on by the replay controller's arrive-or-timeout rule
+(``sim.advance``), with one difference: the cursor holds a waypoint it has
+not reached for T + 1 queries, where replay and rollout hold it for T
+control steps (T = ``ControllerConfig.timeout_steps``).  Each query
+simulates the replay controller (``sim.servo`` and ``sim.advance``) for
+chunk_len control steps from the current (possibly stale) observation and
+emits the targets it would issue.  Rolling the controller forward, rather
+than slicing raw waypoints, keeps predictions made on consecutive steps
 time-consistent, so with no disturbances every chunk agrees exactly and the
 candidate spread is zero — the same property a well-fit policy trained on
 replay logs would have.
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import Action, ActionChunk
-from .sim import ControllerConfig
+from .sim import ControllerConfig, advance, servo
 from .trajectory import DemoTrajectory
 
 
@@ -62,7 +65,7 @@ class ScriptedPolicy:
         self._positions = reference.positions()
         self._grippers = reference.grippers()
         self._last = len(self._positions) - 1
-        self._timeout_steps = max(1, round(ctrl.waypoint_timeout / ctrl.dt))
+        self._timeout_steps = ctrl.timeout_steps
         self._obs_history: list[np.ndarray] = []
         self._emissions = 0
         self._cursor: int | None = None
@@ -82,13 +85,12 @@ class ScriptedPolicy:
         if self._cursor is None:
             self._cursor = int(np.argmin(np.linalg.norm(self._positions - obs, axis=1)))
             return
-        arrived = float(np.linalg.norm(obs - self._positions[self._cursor])) \
-            <= self.ctrl.waypoint_advance_radius
-        if (arrived or self._steps_on_cursor >= self._timeout_steps) and self._cursor < self._last:
-            self._cursor += 1
-            self._steps_on_cursor = 0
-        else:
-            self._steps_on_cursor += 1
+        # timeout T + 1, not T: the cursor holds an unreached waypoint one
+        # query longer than replay and rollout hold it, and the pinned
+        # closed-loop outcomes depend on that schedule
+        self._cursor, self._steps_on_cursor = advance(
+            self._cursor, self._steps_on_cursor, obs, self._positions[self._cursor],
+            self._last, self._timeout_steps + 1, self.ctrl.waypoint_advance_radius)
 
     def _hypothesis_offset(self) -> int:
         d = self.disturbances
@@ -98,26 +100,18 @@ class ScriptedPolicy:
 
     def _rollout(self, obs: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
         """Simulate the tracking servo for chunk_len steps; return its targets."""
-        ctrl = self.ctrl
-        v = obs.copy()
-        k = min(start, self._last)
+        ctrl, positions, last = self.ctrl, self._positions, self._last
+        timeout_steps, radius = self._timeout_steps, ctrl.waypoint_advance_radius
+        v = obs
+        k = min(start, last)
         s_on = self._steps_on_cursor
         idx = np.empty(self.chunk_len, dtype=int)
         for i in range(self.chunk_len):
             idx[i] = k
-            target = self._positions[k]
-            vel = ctrl.gain * (target - v)
-            speed = float(np.linalg.norm(vel))
-            if speed > ctrl.max_speed:
-                vel *= ctrl.max_speed / speed
-            v = v + vel * ctrl.dt
-            s_on += 1
-            if k < self._last and (
-                    float(np.linalg.norm(v - target)) <= ctrl.waypoint_advance_radius
-                    or s_on >= self._timeout_steps):
-                k += 1
-                s_on = 0
-        return self._positions[idx].copy(), self._grippers[idx]
+            target = positions[k]
+            v = servo(v, target, ctrl)
+            k, s_on = advance(k, s_on, v, target, last, timeout_steps, radius)
+        return positions[idx].copy(), self._grippers[idx]
 
     def predict(self, ee_pos, t: int) -> ActionChunk:
         """Predicted action chunk for control steps t, t+1, ..."""
@@ -139,8 +133,3 @@ class ScriptedPolicy:
             return False
         gap = float(np.linalg.norm(np.asarray(ee_pos, dtype=float) - self._positions[self._last]))
         return gap <= 2 * self.ctrl.waypoint_advance_radius
-
-
-def scripted_chunk(policy: ScriptedPolicy, obs, t: int) -> ActionChunk:
-    """Query the scripted predictor for the chunk starting at step t."""
-    return policy.predict(obs, t)

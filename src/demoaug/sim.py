@@ -1,12 +1,14 @@
 """Kinematic surrogate simulator and trajectory replay.
 
 No contact dynamics: the end effector is a velocity-clamped proportional
-servo, grasping is an attach/detach rule keyed to the gripper width
-crossing the block width, and released blocks drop straight down onto the
-nearest support (table or another block).  This keeps the parts of the task
-that augmentation quality and ensembling actually influence — grasp timing
-and placement accuracy — while staying cheap enough to replay thousands of
-trajectories.
+servo (:func:`servo`) that tracks one waypoint at a time and moves past it
+by the arrive-or-timeout rule of :func:`advance`; the scripted predictor in
+``policy`` rolls the same two functions forward.  Grasping is an
+attach/detach rule keyed to the gripper width crossing the block width, and
+released blocks drop straight down onto the nearest support (table or
+another block).  This keeps the parts of the task that augmentation quality
+and ensembling actually influence — grasp timing and placement accuracy —
+while staying cheap enough to replay thousands of trajectories.
 """
 
 from __future__ import annotations
@@ -52,6 +54,16 @@ class ControllerConfig:
         if self.gain * self.dt >= 2.0:
             raise ValueError(f"gain*dt = {self.gain * self.dt} >= 2 is unstable")
 
+    @property
+    def timeout_steps(self) -> int:
+        """Control steps on one waypoint before the advance is forced."""
+        return max(1, round(self.waypoint_timeout / self.dt))
+
+    @property
+    def settle_steps(self) -> int:
+        """Control steps spent holding the final waypoint."""
+        return max(1, round(self.settle_time / self.dt))
+
 
 @dataclass(frozen=True)
 class GraspModel:
@@ -64,14 +76,6 @@ class GraspModel:
     capture_radius_xy: float = 0.02
     capture_radius_z: float = 0.02
     block_size: float = tasks.BLOCK_SIZE
-
-    @property
-    def close_threshold(self) -> float:
-        return self.block_size
-
-    @property
-    def release_threshold(self) -> float:
-        return self.block_size
 
 
 @dataclass(frozen=True)
@@ -156,23 +160,46 @@ def _settle(blocks: list[BlockState], size: float) -> list[BlockState]:
     return out
 
 
+def servo(pos: np.ndarray, target: np.ndarray, ctrl: ControllerConfig) -> np.ndarray:
+    """End-effector position after one control period toward ``target``.
+
+    Velocity is gain * error, scaled down to max_speed when faster.
+    """
+    vel = ctrl.gain * (target - pos)
+    speed = math.sqrt(vel @ vel)
+    if speed > ctrl.max_speed:
+        vel *= ctrl.max_speed / speed
+    return pos + vel * ctrl.dt
+
+
+def advance(k: int, steps_on: int, pos: np.ndarray, target: np.ndarray, last: int,
+            timeout_steps: int, radius: float) -> tuple[int, int]:
+    """Count one more step on waypoint ``k``; move past it on arrival or timeout.
+
+    ``k`` moves on only while ``k < last``: when ``steps_on`` reaches
+    ``timeout_steps`` or ``pos`` is within ``radius`` of ``target``.
+    Returns the new ``(k, steps_on)``; the count restarts at 0 on a move.
+    """
+    steps_on += 1
+    if k < last:
+        if steps_on >= timeout_steps:
+            return k + 1, 0
+        d = pos - target
+        if math.sqrt(d @ d) <= radius:
+            return k + 1, 0
+    return k, steps_on
+
+
 def step(state: SimState, action, cfg: ControllerConfig, grasp: GraspModel = GraspModel()) -> SimState:
     """Advance one control period toward (target position, target gripper).
 
-    End-effector velocity is gain * error clamped to max_speed; the gripper
-    slews at most max_gripper_speed.  Grasp binding happens on the step
-    where the closing width crosses the block width, release on the step
-    where opening crosses back.
+    The end effector moves by :func:`servo`; the gripper slews at most
+    max_gripper_speed.  Grasp binding happens on the step where the closing
+    width crosses the block width, release on the step where opening
+    crosses back.
     """
     target_pos, target_gripper = action
-    target_pos = np.asarray(target_pos, dtype=float)
-
-    delta = target_pos - state.ee_pos
-    vel = cfg.gain * delta
-    speed = float(np.linalg.norm(vel))
-    if speed > cfg.max_speed:
-        vel *= cfg.max_speed / speed
-    ee = state.ee_pos + vel * cfg.dt
+    ee = servo(state.ee_pos, np.asarray(target_pos, dtype=float), cfg)
 
     g_step = float(np.clip(target_gripper - state.gripper,
                            -cfg.max_gripper_speed * cfg.dt, cfg.max_gripper_speed * cfg.dt))
@@ -181,8 +208,8 @@ def step(state: SimState, action, cfg: ControllerConfig, grasp: GraspModel = Gra
     blocks = list(state.blocks)
     held_idx = next((i for i, b in enumerate(blocks) if b.held), None)
 
-    closing = state.gripper >= grasp.close_threshold > gripper
-    opening = state.gripper < grasp.release_threshold <= gripper
+    closing = state.gripper >= grasp.block_size > gripper
+    opening = state.gripper < grasp.block_size <= gripper
 
     if closing and held_idx is None:
         best, best_dist = None, math.inf
@@ -230,22 +257,20 @@ def _record(state: SimState, action_pos: np.ndarray, action_gripper: float) -> S
 
 
 def replay(aug: DemoTrajectory, scene: Scene, cfg: ControllerConfig = ControllerConfig(),
-           grasp: GraspModel | None = None, spec: SuccessSpec = SuccessSpec(),
-           provenance: dict | None = None) -> EpisodeRecord:
+           spec: SuccessSpec = SuccessSpec(), provenance: dict | None = None) -> EpisodeRecord:
     """Drive the servo through the trajectory's waypoints and grade the result.
 
     The active waypoint is the recorded action at every step.  It advances
-    when the end effector comes within the advance radius or after the
-    per-waypoint timeout, whichever is first; after the final waypoint the
-    controller holds it for the settle time.  Failures are recorded in the
-    success flag, never raised.
+    by :func:`advance`: when the end effector comes within the advance
+    radius or after the per-waypoint timeout, whichever is first; after the
+    final waypoint the controller holds it for the settle time.  Failures
+    are recorded in the success flag, never raised.
     """
-    grasp = grasp or GraspModel(block_size=scene.block_size)
+    grasp = GraspModel(block_size=scene.block_size)
     positions = aug.positions()
     grippers = aug.grippers()
     n = len(positions)
-    timeout_steps = max(1, round(cfg.waypoint_timeout / cfg.dt))
-    settle_steps = max(1, round(cfg.settle_time / cfg.dt))
+    timeout_steps = cfg.timeout_steps
 
     state = initial_state(aug, scene)
     records = []
@@ -254,12 +279,9 @@ def replay(aug: DemoTrajectory, scene: Scene, cfg: ControllerConfig = Controller
     while k < n:
         records.append(_record(state, positions[k], grippers[k]))
         state = step(state, (positions[k], grippers[k]), cfg, grasp)
-        steps_on_wp += 1
-        reached = float(np.linalg.norm(state.ee_pos - positions[k])) <= cfg.waypoint_advance_radius
-        if reached or steps_on_wp >= timeout_steps:
-            k += 1
-            steps_on_wp = 0
-    for _ in range(settle_steps):
+        k, steps_on_wp = advance(k, steps_on_wp, state.ee_pos, positions[k], n,
+                                 timeout_steps, cfg.waypoint_advance_radius)
+    for _ in range(cfg.settle_steps):
         records.append(_record(state, positions[-1], grippers[-1]))
         state = step(state, (positions[-1], grippers[-1]), cfg, grasp)
 
@@ -274,7 +296,7 @@ def scene_seed_for(root_seed: int, attempt: int) -> int:
     return int(np.random.SeedSequence([int(root_seed), int(attempt)]).generate_state(1)[0])
 
 
-def _attempt_episode(demo, task, ws, cfg, grasp, spec, root_seed, attempt):
+def _attempt_episode(demo, task, ws, cfg, spec, root_seed, attempt):
     seed = scene_seed_for(root_seed, attempt)
     scene = sample_scene(task, ws, seed)
     anchors = anchors_for_scene(task, demo, scene)
@@ -289,61 +311,34 @@ def _attempt_episode(demo, task, ws, cfg, grasp, spec, root_seed, attempt):
                         "translation": t.translation.tolist(),
                         "vertical_fallback": t.vertical_fallback} for t in transforms],
     }
-    return replay(aug, scene, cfg, grasp, spec, provenance=provenance)
+    return replay(aug, scene, cfg, spec, provenance=provenance)
 
 
 def run_campaign(demo: DemoTrajectory, task, count: int,
                  ws: tasks.Workspace = tasks.Workspace(),
                  cfg: ControllerConfig = ControllerConfig(),
                  rng_seed: int = 0, *,
-                 grasp: GraspModel | None = None,
                  spec: SuccessSpec = SuccessSpec(),
-                 attempt_cap: int | None = None,
-                 jobs: int = 1) -> Dataset:
+                 attempt_cap: int | None = None) -> Dataset:
     """Generate augmented demonstrations until ``count`` replays succeed.
 
     Scenes are sampled from per-attempt seeds derived from ``rng_seed``;
-    failed replays are discarded.  Episodes are kept in attempt order, so
-    the result is identical for any ``jobs`` value.  Raises
-    AttemptCapExceeded (carrying the partial dataset) if the cap — default
-    20x ``count`` — is reached first.
+    failed replays are discarded and kept episodes stay in attempt order.
+    Raises AttemptCapExceeded (carrying the partial dataset) if the cap —
+    default 20x ``count`` — is reached first.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     task = as_task(task)
     cap = attempt_cap if attempt_cap is not None else 20 * count
-    grasp = grasp or GraspModel()
 
     episodes: list[EpisodeRecord] = []
     attempts = 0
-
-    def consume(results):
-        nonlocal attempts
-        for attempt_index, ep in results:
-            if len(episodes) >= count:
-                return True
-            attempts = attempt_index + 1
-            if ep.success:
-                episodes.append(ep)
-            if len(episodes) >= count:
-                return True
-        return False
-
-    if jobs <= 1:
-        for attempt in range(cap):
-            ep = _attempt_episode(demo, task, ws, cfg, grasp, spec, rng_seed, attempt)
-            if consume([(attempt, ep)]):
-                break
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for wave_start in range(0, cap, jobs):
-                wave = range(wave_start, min(wave_start + jobs, cap))
-                eps = pool.map(lambda a: _attempt_episode(demo, task, ws, cfg, grasp,
-                                                          spec, rng_seed, a), wave)
-                if consume(list(zip(wave, eps))):
-                    break
+    while attempts < cap and len(episodes) < count:
+        ep = _attempt_episode(demo, task, ws, cfg, spec, rng_seed, attempts)
+        attempts += 1
+        if ep.success:
+            episodes.append(ep)
 
     if len(episodes) < count:
         partial = Dataset(task=task, episodes=tuple(episodes), attempts=attempts,

@@ -90,13 +90,6 @@ class TestAugmentCommand:
                      "--out", str(tmp_path / "b")]) == 0
         assert_trees_identical(tmp_path / "a", tmp_path / "b")
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        assert main(["augment", "--demo", PUSH, "--task", "push", "--count", "4",
-                     "--seed", "9", "--out", str(tmp_path / "serial")]) == 0
-        assert main(["augment", "--demo", PUSH, "--task", "push", "--count", "4",
-                     "--seed", "9", "--jobs", "3", "--out", str(tmp_path / "parallel")]) == 0
-        assert_trees_identical(tmp_path / "serial", tmp_path / "parallel")
-
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DEMOAUG_OUT_ROOT", str(tmp_path))
         assert main(["augment", "--demo", PUSH, "--task", "push", "--count", "1",
@@ -147,6 +140,12 @@ class TestEnsembleEvalCommand:
     def test_bad_mode_rejected(self, tmp_path):
         assert main(["ensemble-eval", "--demo", PUSH, "--task", "push", "--episodes", "1",
                      "--modes", "nonsense"]) == 1
+
+    def test_negative_k_const_rejected(self, tmp_path, capsys):
+        assert main(["ensemble-eval", "--demo", PUSH, "--task", "push", "--episodes", "1",
+                     "--k-const", "-1", "--out", str(tmp_path / "r")]) == 1
+        assert "k_const" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "report.json").exists()
 
 
 class TestStatsCommand:

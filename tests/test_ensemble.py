@@ -40,9 +40,10 @@ class TestCandidates:
     def test_single_chunk_first_action(self):
         buf = ChunkBuffer(L)
         buf.push(const_chunk(5, 1.0))
-        cands = candidates(buf, 5)
+        cands, ages = candidates(buf, 5)
         assert len(cands) == 1
         assert cands[0].pos[0] == 1.0
+        assert ages == [0]
 
     def test_two_chunks_index_mapping(self):
         buf = ChunkBuffer(L)
@@ -50,14 +51,17 @@ class TestCandidates:
         rows_new = [[100.0 + i, 0, 0] for i in range(L)]
         buf.push(chunk_from_rows(4, rows_old))
         buf.push(chunk_from_rows(5, rows_new))
-        cands = candidates(buf, 5)
+        cands, ages = candidates(buf, 5)
         assert [c.pos[0] for c in cands] == [1.0, 100.0]  # older first, index 1 then 0
+        assert ages == [1, 0]
 
     def test_full_buffer(self):
         buf = ChunkBuffer(L)
         for t in range(L):
             buf.push(const_chunk(t, float(t)))
-        assert len(candidates(buf, L - 1)) == L
+        cands, ages = candidates(buf, L - 1)
+        assert len(cands) == L
+        assert ages == list(range(L - 1, -1, -1))
 
     def test_expired_chunks_excluded(self):
         buf = ChunkBuffer(L)
@@ -231,6 +235,14 @@ class TestEnsembleAction:
         _, results = run_stream(cfg, xs)
         assert all(not r.diagnostics.triggered for r in results)
         assert results[-1].diagnostics.mode_used == "baseline"
+
+
+class TestConfig:
+    @pytest.mark.parametrize("k_const", [-1.0, -1e-12, math.nan])
+    def test_negative_or_nan_k_const_rejected(self, k_const):
+        with pytest.raises(ValueError, match="k_const"):
+            EnsembleConfig(k_const=k_const)
+        assert EnsembleConfig(k_const=0.0).k_const == 0.0
 
 
 class TestWeights:

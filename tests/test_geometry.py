@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from demoaug.geometry import (
     AffineTransform, DegenerateLength, DegenerateVertical, GeometryError,
-    compose_transform, frame_with_up, is_rotation, rotation_from_anchors,
-    scale_from_anchors, transform_from_anchors, translation_from_anchors,
+    frame_with_up, is_rotation, scale_from_anchors, transform_from_anchors,
+    translation_from_anchors,
 )
 
 TOL = 1e-9
@@ -20,6 +20,11 @@ def project_onto_plane(v, normal):
     n = n / np.linalg.norm(n)
     v = np.asarray(v, float)
     return v - np.dot(v, n) * n
+
+
+def anchored_rotation(r_delta, g_delta):
+    """Rotation of the warp pinned at the origin with these displacements."""
+    return transform_from_anchors(np.zeros(3), r_delta, np.zeros(3), g_delta).rotation
 
 
 def rot90z():
@@ -55,18 +60,18 @@ class TestFrameWithUp:
 
 class TestRotationFromAnchors:
     def test_planar_quarter_turn(self):
-        r = rotation_from_anchors(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
+        r = anchored_rotation(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
         np.testing.assert_allclose(r, rot90z(), atol=TOL)
         np.testing.assert_allclose(r @ [0, 0, 1], [0, 0, 1], atol=TOL)
 
     def test_identical_vectors_give_identity(self):
         v = np.array([0.3, -0.2, 0.1])
-        np.testing.assert_allclose(rotation_from_anchors(v, v), np.eye(3), atol=TOL)
+        np.testing.assert_allclose(anchored_rotation(v, v), np.eye(3), atol=TOL)
 
     def test_both_constraints_on_tilted_goal(self):
         r_delta = np.array([1.0, 0.0, 0.0])
         g_delta = np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0)
-        rot = rotation_from_anchors(r_delta, g_delta)
+        rot = anchored_rotation(r_delta, g_delta)
         # constraint 1: rotated recorded direction equals generated direction
         np.testing.assert_allclose(rot @ r_delta, g_delta, atol=TOL)
         # constraint 2: projection of rotated vertical onto the plane normal
@@ -103,12 +108,12 @@ class TestScaleAndTranslation:
 
 class TestAffineTransform:
     def test_identity(self):
-        tf = compose_transform(1.0, np.eye(3), [0, 0, 0])
+        tf = AffineTransform(scale=1.0, rotation=np.eye(3), translation=[0, 0, 0])
         p = np.array([0.3, -0.1, 0.7])
         np.testing.assert_allclose(tf.apply(p), p, atol=TOL)
 
     def test_scale_translate(self):
-        tf = compose_transform(2.0, np.eye(3), [1, 0, 0])
+        tf = AffineTransform(scale=2.0, rotation=np.eye(3), translation=[1, 0, 0])
         np.testing.assert_allclose(tf.apply([1, 1, 1]), [3, 2, 2], atol=TOL)
 
     def test_matches_homogeneous_matrix(self):

@@ -6,8 +6,9 @@ import pytest
 
 from demoaug.ensemble import Action, EnsembleConfig, EnsembleMode, compute_k
 from demoaug.evaluation import run_closed_loop_episode
-from demoaug.policy import DisturbanceConfig, ScriptedPolicy, scripted_chunk
-from demoaug.sim import ControllerConfig
+from demoaug.policy import DisturbanceConfig, ScriptedPolicy
+from demoaug.sim import ControllerConfig, replay
+from demoaug.tasks import Scene
 from demoaug.trajectory import DemoTrajectory, Segment, Waypoint
 
 
@@ -48,6 +49,45 @@ class TestTracking:
         for t in range(30):
             policy.predict(end if t > 10 else demo.waypoints[min(t, 9)].position, t)
         assert policy.finished(end)
+
+
+class TestWaypointSchedules:
+    """Which waypoint replay, rollout and cursor target, step by step.
+
+    Waypoints 1 m apart are never reached within a 0.1 s timeout (T = 2
+    control steps), so after the arrival at waypoint 0 every advance is a
+    timeout.  Replay and rollout hold each waypoint T steps; the cursor
+    holds it T + 1 queries.
+    """
+
+    CTRL = ControllerConfig(waypoint_timeout=0.1)
+    N = 8
+
+    def demo(self):
+        assert self.CTRL.timeout_steps == 2
+        return line_demo(1.0, n=self.N)
+
+    def test_replay_holds_each_waypoint_t_steps(self):
+        scene = Scene(block_starts=([0.5, 3.0, 0.02],), block_goals=([1.5, 3.0, 0.02],))
+        ep = replay(self.demo(), scene, self.CTRL)
+        targets = [round(s.action_pos[0]) for s in ep.steps]
+        held = [k for k in range(1, self.N) for _ in range(2)]
+        assert targets == [0] + held + [self.N - 1] * self.CTRL.settle_steps
+
+    def test_rollout_holds_each_waypoint_t_steps(self):
+        demo = self.demo()
+        policy = ScriptedPolicy(demo, chunk_len=9, ctrl=self.CTRL)
+        chunk = policy.predict(demo.waypoints[0].position, 0)
+        assert [round(a.pos[0]) for a in chunk.actions] == [0, 1, 1, 2, 2, 3, 3, 4, 4]
+
+    def test_cursor_holds_each_waypoint_t_plus_one_queries(self):
+        demo = self.demo()
+        policy = ScriptedPolicy(demo, ctrl=self.CTRL)
+        cursors = []
+        for t in range(13):
+            policy.predict(demo.waypoints[0].position, t)
+            cursors.append(policy.cursor)
+        assert cursors == [0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
 
 
 class TestZeroDisturbance:
@@ -142,9 +182,9 @@ class TestNoise:
             assert np.all(np.abs(diffs) <= eta)
         assert np.any(diffs != 0)
 
-    def test_module_level_entry(self):
+    def test_predict_emits_full_chunk(self):
         demo = line_demo(0.008)
         policy = ScriptedPolicy(demo)
-        chunk = scripted_chunk(policy, demo.waypoints[0].position, 0)
+        chunk = policy.predict(demo.waypoints[0].position, 0)
         assert chunk.emitted_at == 0
         assert len(chunk.actions) == policy.chunk_len

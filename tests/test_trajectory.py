@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demoaug.demos import fixture_manifest, reference_demo
 from demoaug.geometry import transform_from_anchors
 from demoaug.trajectory import (
-    AnchorPair, ParseError, SegmentMismatch, ValidationError,
-    augment_segmentwise, demo_to_document, identity_anchors, parse_demo,
+    AnchorPair, DemoTrajectory, ParseError, Segment, SegmentMismatch, ValidationError,
+    Waypoint, augment_segmentwise, default_position_bounds, demo_to_document,
+    identity_anchors, parse_demo,
 )
 
 
@@ -111,6 +114,42 @@ class TestParse:
     def test_round_trip(self):
         demo = parse_demo(minimal_doc())
         assert parse_demo(demo_to_document(demo)).times().tolist() == demo.times().tolist()
+
+
+@st.composite
+def demo_strategy(draw):
+    """Valid demos: 1-2 segments of >= 2 waypoints, strictly increasing
+    times, every position inside the default parse bounds."""
+    lo, hi = default_position_bounds()
+
+    def point():
+        return np.array([draw(st.floats(lo[i], hi[i])) for i in range(3)])
+
+    g_max = draw(st.floats(0.01, 0.2))
+    counts = draw(st.lists(st.integers(2, 5), min_size=1, max_size=2))
+    t = draw(st.floats(0.0, 10.0))
+    waypoints, segments = [], []
+    for count in counts:
+        start = len(waypoints)
+        for _ in range(count):
+            waypoints.append(Waypoint(time=t, position=point(),
+                                      gripper=draw(st.floats(0.0, g_max))))
+            t += draw(st.floats(1e-3, 1.0))
+        segments.append(Segment(label=draw(st.text(max_size=8)), start=start,
+                                stop=len(waypoints), anchor_start=point(),
+                                anchor_goal=point()))
+    return DemoTrajectory(waypoints=tuple(waypoints), segments=tuple(segments),
+                          task=draw(st.sampled_from(["push", "pick_place", "stack"])),
+                          source_id=draw(st.text(max_size=8)), g_max=g_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(demo_strategy())
+def test_document_round_trip_property(demo):
+    # documents, not demos, are compared: dataclass == on numpy fields raises
+    doc = demo_to_document(demo)
+    assert demo_to_document(parse_demo(doc)) == doc
+    assert demo_to_document(parse_demo(json.dumps(doc))) == doc
 
 
 class TestFixtures:
