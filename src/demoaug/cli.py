@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, sim, tasks
-from .dataset import canonical_json, read_manifest, write_dataset
+from .dataset import canonical_json, episode_lines, read_manifest, write_dataset
 from .ensemble import EnsembleConfig, EnsembleMode
 from .evaluation import (EvalReport, closed_loop_eval, format_report, report_to_dict)
 from .policy import DisturbanceConfig
@@ -179,21 +179,11 @@ def cmd_augment(args) -> int:
 def cmd_replay(args) -> int:
     demo = _load_demo_or_die(args.demo)
     sections = _build_sections(args, _load_config_file(args.config) if args.config else {})
-    task = tasks.as_task(args.task)
-    seed = sim.scene_seed_for(args.seed, 0)
-    try:
-        scene = tasks.sample_scene(task, _workspace(sections), seed)
-        anchors = tasks.anchors_for_scene(task, demo, scene)
-    except (SegmentMismatch, ValidationError, tasks.SamplingExhausted) as e:
-        raise CliError(str(e)) from e
-    from .trajectory import augment_segmentwise
-    aug = augment_segmentwise(demo, anchors)
-    ep = sim.replay(aug, scene, _controller(sections), spec=_success_spec(sections),
-                    provenance={"scene_seed": seed})
-    print(f"success={ep.success} steps={len(ep.steps)} "
-          f"final_blocks={[list(p) for p in ep.steps[-1].block_positions]}")
+    ep = sim.attempt_episode(demo, tasks.as_task(args.task), _workspace(sections),
+                             _controller(sections), _success_spec(sections), args.seed, 0)
+    print(f"success={ep.success} steps={len(ep.states)} "
+          f"final_blocks={ep.states[-1].blocks.tolist()}")
     if args.out:
-        from .dataset import episode_lines
         path = _resolve_out(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(episode_lines(ep)) + "\n", encoding="utf-8")

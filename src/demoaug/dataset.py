@@ -5,8 +5,11 @@ Layout, one directory per campaign::
     <out>/manifest.json            accounting, config echo, episode index
     <out>/episodes/ep_00000.jsonl  one JSON object per control step
 
-Serialization is canonical (sorted keys, no whitespace variance, floats via
-repr) so identical campaigns produce byte-identical directories.
+Episodes are held in memory as the simulator's own states and action arrays
+(:class:`~demoaug.sim.EpisodeRecord`) and serialised into step records only
+here, at write time.  Serialization is canonical (sorted keys, no whitespace
+variance, floats via repr) so identical campaigns produce byte-identical
+directories.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .sim import Dataset, EpisodeRecord, StepRecord
-from .tasks import TaskKind
+from .sim import Dataset, EpisodeRecord
 
 DATASET_FORMAT_VERSION = 1
 
@@ -25,22 +27,21 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _step_to_dict(step: StepRecord, goals) -> dict:
-    return {
-        "t": step.time,
-        "obs": {
-            "ee": list(step.ee_pos),
-            "gripper": step.gripper,
-            "blocks": [list(p) for p in step.block_positions],
-            "held": list(step.block_held),
-            "goals": [list(g) for g in goals],
-        },
-        "action": {"pos": list(step.action_pos), "gripper": step.action_gripper},
-    }
-
-
 def episode_lines(episode: EpisodeRecord) -> list[str]:
-    return [canonical_json(_step_to_dict(s, episode.goals)) for s in episode.steps]
+    """One canonical JSON step record per control step: the observed state, then the action."""
+    goals = episode.goals.tolist()
+    return [canonical_json({
+        "t": s.time,
+        "obs": {
+            "ee": s.ee_pos.tolist(),
+            "gripper": s.gripper,
+            "blocks": s.blocks.tolist(),
+            "held": [i == s.held for i in range(len(s.blocks))],
+            "goals": goals,
+        },
+        "action": {"pos": pos, "gripper": gripper},
+    }) for s, pos, gripper in zip(episode.states, episode.action_pos.tolist(),
+                                  episode.action_gripper.tolist())]
 
 
 def write_dataset(dataset: Dataset, out_dir, run_config: dict | None = None) -> Path:
@@ -56,7 +57,7 @@ def write_dataset(dataset: Dataset, out_dir, run_config: dict | None = None) -> 
         path.write_text("\n".join(episode_lines(ep)) + "\n", encoding="utf-8")
         index.append({
             "file": f"episodes/{name}",
-            "steps": len(ep.steps),
+            "steps": len(ep.states),
             "success": ep.success,
             "provenance": ep.provenance,
         })

@@ -106,7 +106,6 @@ def run_closed_loop_episode(task, demo: DemoTrajectory, seed: int, cfg: Ensemble
     aug = augment_segmentwise(demo, anchors)
     policy = ScriptedPolicy(aug, cfg.chunk_len,
                             replace(disturbances, seed=sim.scene_seed_for(seed, 1)), ctrl)
-    grasp = sim.GraspModel(block_size=scene.block_size)
     state = sim.initial_state(aug, scene)
     es = EnsembleState.for_config(cfg)
 
@@ -116,7 +115,7 @@ def run_closed_loop_episode(task, demo: DemoTrajectory, seed: int, cfg: Ensemble
     for t in range(horizon):
         es.submit(policy.predict(state.ee_pos, t))
         result = ensemble_action(es, t, cfg)
-        state = sim.step(state, (result.action.pos, result.action.gripper), ctrl, grasp)
+        state = sim.step(state, (result.action.pos, result.action.gripper), ctrl)
         # stop once the plan is exhausted and the servo has settled on its end
         settled = settled + 1 if policy.finished(state.ee_pos) else 0
         if settled >= settle_steps:

@@ -42,9 +42,7 @@ def _as_vec3(v) -> np.ndarray:
     return a
 
 
-def frame_with_up(v, *, up: np.ndarray = Z_AXIS,
-                  eps_len: float = EPS_LEN,
-                  eps_vert: float = EPS_VERT) -> np.ndarray:
+def frame_with_up(v, *, up: np.ndarray = Z_AXIS) -> np.ndarray:
     """Right-handed orthonormal frame adapted to ``v`` and an up reference.
 
     Columns are: ``v`` normalized; the unit projection of ``up`` onto the
@@ -52,29 +50,29 @@ def frame_with_up(v, *, up: np.ndarray = Z_AXIS,
     unit vector.
 
     Raises DegenerateLength if ``v`` is too short, DegenerateVertical if
-    ``v`` is within ``eps_vert`` radians of +/-``up`` (the projection that
+    ``v`` is within ``EPS_VERT`` radians of +/-``up`` (the projection that
     would define the second column vanishes).
     """
     v = _as_vec3(v)
     n = float(np.linalg.norm(v))
-    if not math.isfinite(n) or n <= eps_len:
-        raise DegenerateLength(f"|v| = {n:.3e} <= {eps_len:.1e}")
+    if not math.isfinite(n) or n <= EPS_LEN:
+        raise DegenerateLength(f"|v| = {n:.3e} <= {EPS_LEN:.1e}")
     vhat = v / n
     resid = up - (up @ vhat) * vhat
     rn = float(np.linalg.norm(resid))
     # |resid| is the sine of the angle between v and the up axis
-    if rn < math.sin(eps_vert):
+    if rn < math.sin(EPS_VERT):
         raise DegenerateVertical(
-            f"vector within {eps_vert:.1e} rad of the up axis")
+            f"vector within {EPS_VERT:.1e} rad of the up axis")
     u = resid / rn
     return np.column_stack([vhat, u, np.cross(vhat, u)])
 
 
-def scale_from_anchors(r_delta, g_delta, *, eps_len: float = EPS_LEN) -> float:
+def scale_from_anchors(r_delta, g_delta) -> float:
     """Uniform scale: ratio of generated to recorded displacement length."""
     rn = float(np.linalg.norm(_as_vec3(r_delta)))
-    if rn <= eps_len:
-        raise DegenerateLength(f"|r_delta| = {rn:.3e} <= {eps_len:.1e}")
+    if rn <= EPS_LEN:
+        raise DegenerateLength(f"|r_delta| = {rn:.3e} <= {EPS_LEN:.1e}")
     return float(np.linalg.norm(_as_vec3(g_delta))) / rn
 
 
@@ -119,14 +117,6 @@ class AffineTransform:
         """Transform a point (3,) or an array of points (N, 3)."""
         p = np.asarray(points, dtype=float)
         return self.scale * (p @ self.rotation.T) + self.translation
-
-    def as_matrix(self) -> np.ndarray:
-        """Equivalent 4x4 homogeneous matrix (scale block times rotation block)."""
-        scale_block = np.diag([self.scale, self.scale, self.scale, 1.0])
-        scale_block[:3, 3] = self.translation
-        rot_block = np.eye(4)
-        rot_block[:3, :3] = self.rotation
-        return scale_block @ rot_block
 
 
 def _frame_allowing_vertical(v) -> tuple[np.ndarray, bool]:

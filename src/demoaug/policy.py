@@ -28,6 +28,7 @@ Disturbance adapters then make the predictor imperfect in controlled ways:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,11 @@ class DisturbanceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.latency < 0 or self.bimodal_period < 0 or self.bimodal_gap < 0:
-            raise ValueError("disturbance parameters must be non-negative")
-        if self.noise < 0:
-            raise ValueError("noise amplitude must be non-negative")
+        for name in ("latency", "bimodal_period", "bimodal_gap"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be non-negative and finite, got {self.noise}")
 
 
 class ScriptedPolicy:

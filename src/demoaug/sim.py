@@ -9,20 +9,33 @@ released blocks drop straight down onto the nearest support (table or
 another block).  This keeps the parts of the task that augmentation quality
 and ensembling actually influence — grasp timing and placement accuracy —
 while staying cheap enough to replay thousands of trajectories.
+
+State layout (:class:`SimState`): ``ee_pos`` (3,), ``gripper``, ``blocks``
+(B, 3) block centers in scene order, ``held`` (index of the one block bound
+to the end effector, or None), ``grasp_offset`` (3,) of that block from the
+end effector (None when nothing is held) and ``time``.  States are never
+mutated: :func:`step` copies ``blocks`` once and returns a new state, so a
+replay keeps its states as the episode record and serialises them only when
+a dataset is written.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tasks
-from .tasks import Scene, SuccessSpec, TaskKind, as_task, sample_scene, anchors_for_scene
+from .tasks import (BLOCK_SIZE, Scene, SuccessSpec, TaskKind, as_task, sample_scene,
+                    anchors_for_scene)
 from .trajectory import DemoTrajectory, augment_segmentwise, segment_transforms
 
 SETTLE_EPS = 1e-9
+# Closing the gripper binds the nearest block whose center is within these
+# distances of the end effector, horizontally and vertically.
+CAPTURE_RADIUS_XY = 0.02  # m
+CAPTURE_RADIUS_Z = 0.02   # m
 
 
 class AttemptCapExceeded(RuntimeError):
@@ -49,8 +62,9 @@ class ControllerConfig:
     def __post_init__(self):
         for name in ("gain", "max_speed", "max_gripper_speed", "dt",
                      "waypoint_advance_radius", "waypoint_timeout", "settle_time"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.gain * self.dt >= 2.0:
             raise ValueError(f"gain*dt = {self.gain * self.dt} >= 2 is unstable")
 
@@ -66,51 +80,28 @@ class ControllerConfig:
 
 
 @dataclass(frozen=True)
-class GraspModel:
-    """Attach/detach rule standing in for contact physics.
-
-    Closing past the block width binds the nearest block within the capture
-    radii to the end effector; opening back past it releases.
-    """
-
-    capture_radius_xy: float = 0.02
-    capture_radius_z: float = 0.02
-    block_size: float = tasks.BLOCK_SIZE
-
-
-@dataclass(frozen=True)
-class BlockState:
-    pos: np.ndarray
-    held: bool = False
-    grasp_offset: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class SimState:
+    """Simulator state; see the module docstring for the layout."""
+
     ee_pos: np.ndarray
     gripper: float
-    blocks: tuple[BlockState, ...]
+    blocks: np.ndarray
+    held: int | None = None
+    grasp_offset: np.ndarray | None = None
     time: float = 0.0
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """One recorded control step: observation before acting, then the action."""
-
-    time: float
-    ee_pos: tuple
-    gripper: float
-    block_positions: tuple
-    block_held: tuple
-    action_pos: tuple
-    action_gripper: float
-
-
-@dataclass(frozen=True)
 class EpisodeRecord:
-    steps: tuple[StepRecord, ...]
+    """One replay: the state before each of its T control steps and the
+    waypoint commanded at that step, ``action_pos`` (T, 3) and
+    ``action_gripper`` (T,); ``goals`` is (B, 3)."""
+
+    states: tuple[SimState, ...]
+    action_pos: np.ndarray
+    action_gripper: np.ndarray
     success: bool
-    goals: tuple
+    goals: np.ndarray
     provenance: dict = field(default_factory=dict)
 
 
@@ -133,31 +124,28 @@ class Dataset:
         return 0.0 if self.attempts == 0 else 1.0 - self.successes / self.attempts
 
 
-def _settle(blocks: list[BlockState], size: float) -> list[BlockState]:
-    """Rest every unheld block on its support (table or a block below it).
+def _settle(blocks: np.ndarray, held: int | None) -> None:
+    """Rest every unheld block on its support (table or a block below it), in place.
 
     A support only counts if its top is at or below the block's center, so
     a block two layers up never hoists the one beneath it; small downward
     interpenetration left by a low release is resolved upward by at most
     half a block.  Ascending-height processing keeps stacks deterministic.
     """
-    rest_z = size / 2.0
-    order = sorted(range(len(blocks)), key=lambda i: (blocks[i].pos[2], i))
-    out = list(blocks)
+    half = BLOCK_SIZE / 2.0
+    order = sorted(range(len(blocks)), key=lambda i: (blocks[i, 2], i))
     for i in order:
-        b = out[i]
-        if b.held:
+        if i == held:
             continue
-        rest = rest_z
-        for j, other in enumerate(out):
+        rest = half
+        for j, other in enumerate(blocks):
             if j == i:
                 continue
-            top = other.pos[2] + size / 2.0
-            overlap = float(np.max(np.abs(other.pos[:2] - b.pos[:2]))) <= size
-            if overlap and top <= b.pos[2] + SETTLE_EPS:
-                rest = max(rest, top + size / 2.0)
-        out[i] = replace(b, pos=np.array([b.pos[0], b.pos[1], rest]))
-    return out
+            top = other[2] + half
+            overlap = float(np.max(np.abs(other[:2] - blocks[i, :2]))) <= BLOCK_SIZE
+            if overlap and top <= blocks[i, 2] + SETTLE_EPS:
+                rest = max(rest, top + half)
+        blocks[i, 2] = rest
 
 
 def servo(pos: np.ndarray, target: np.ndarray, ctrl: ControllerConfig) -> np.ndarray:
@@ -190,13 +178,14 @@ def advance(k: int, steps_on: int, pos: np.ndarray, target: np.ndarray, last: in
     return k, steps_on
 
 
-def step(state: SimState, action, cfg: ControllerConfig, grasp: GraspModel = GraspModel()) -> SimState:
+def step(state: SimState, action, cfg: ControllerConfig) -> SimState:
     """Advance one control period toward (target position, target gripper).
 
     The end effector moves by :func:`servo`; the gripper slews at most
-    max_gripper_speed.  Grasp binding happens on the step where the closing
-    width crosses the block width, release on the step where opening
-    crosses back.
+    max_gripper_speed.  Closing past the block width binds the nearest
+    block within the capture radii, opening back past it releases; the
+    held block keeps its offset from the end effector.  ``state`` is left
+    untouched.
     """
     target_pos, target_gripper = action
     ee = servo(state.ee_pos, np.asarray(target_pos, dtype=float), cfg)
@@ -205,55 +194,34 @@ def step(state: SimState, action, cfg: ControllerConfig, grasp: GraspModel = Gra
                            -cfg.max_gripper_speed * cfg.dt, cfg.max_gripper_speed * cfg.dt))
     gripper = state.gripper + g_step
 
-    blocks = list(state.blocks)
-    held_idx = next((i for i, b in enumerate(blocks) if b.held), None)
-
-    closing = state.gripper >= grasp.block_size > gripper
-    opening = state.gripper < grasp.block_size <= gripper
-
-    if closing and held_idx is None:
-        best, best_dist = None, math.inf
+    blocks = state.blocks.copy()
+    held, offset = state.held, state.grasp_offset
+    if held is None and state.gripper >= BLOCK_SIZE > gripper:
+        best_dist = math.inf
         for i, b in enumerate(blocks):
-            dxy = float(np.linalg.norm(b.pos[:2] - ee[:2]))
-            dz = abs(float(b.pos[2] - ee[2]))
-            if dxy <= grasp.capture_radius_xy and dz <= grasp.capture_radius_z:
-                dist = float(np.linalg.norm(b.pos - ee))
+            dxy = float(np.linalg.norm(b[:2] - ee[:2]))
+            dz = abs(float(b[2] - ee[2]))
+            if dxy <= CAPTURE_RADIUS_XY and dz <= CAPTURE_RADIUS_Z:
+                dist = float(np.linalg.norm(b - ee))
                 if dist < best_dist:
-                    best, best_dist = i, dist
-        if best is not None:
-            blocks[best] = replace(blocks[best], held=True, grasp_offset=blocks[best].pos - ee)
-            held_idx = best
+                    held, best_dist = i, dist
+        if held is not None:
+            offset = blocks[held] - ee
+    elif held is not None and state.gripper < BLOCK_SIZE <= gripper:
+        held = offset = None
 
-    if opening and held_idx is not None:
-        blocks[held_idx] = replace(blocks[held_idx], held=False, grasp_offset=None)
-        held_idx = None
-
-    if held_idx is not None:
-        b = blocks[held_idx]
-        blocks[held_idx] = replace(b, pos=ee + b.grasp_offset)
-
-    blocks = _settle(blocks, grasp.block_size)
-    return SimState(ee_pos=ee, gripper=gripper, blocks=tuple(blocks), time=state.time + cfg.dt)
+    if held is not None:
+        blocks[held] = ee + offset
+    _settle(blocks, held)
+    return SimState(ee_pos=ee, gripper=gripper, blocks=blocks, held=held,
+                    grasp_offset=offset, time=state.time + cfg.dt)
 
 
 def initial_state(traj: DemoTrajectory, scene: Scene) -> SimState:
     """Start the servo on the trajectory's first waypoint, blocks at rest."""
     w0 = traj.waypoints[0]
-    blocks = tuple(BlockState(pos=np.asarray(p, dtype=float)) for p in scene.block_starts)
     return SimState(ee_pos=np.array(w0.position, dtype=float), gripper=float(w0.gripper),
-                    blocks=blocks, time=0.0)
-
-
-def _record(state: SimState, action_pos: np.ndarray, action_gripper: float) -> StepRecord:
-    return StepRecord(
-        time=state.time,
-        ee_pos=tuple(float(x) for x in state.ee_pos),
-        gripper=float(state.gripper),
-        block_positions=tuple(tuple(float(x) for x in b.pos) for b in state.blocks),
-        block_held=tuple(bool(b.held) for b in state.blocks),
-        action_pos=tuple(float(x) for x in action_pos),
-        action_gripper=float(action_gripper),
-    )
+                    blocks=np.array(scene.block_starts, dtype=float))
 
 
 def replay(aug: DemoTrajectory, scene: Scene, cfg: ControllerConfig = ControllerConfig(),
@@ -266,28 +234,31 @@ def replay(aug: DemoTrajectory, scene: Scene, cfg: ControllerConfig = Controller
     final waypoint the controller holds it for the settle time.  Failures
     are recorded in the success flag, never raised.
     """
-    grasp = GraspModel(block_size=scene.block_size)
     positions = aug.positions()
     grippers = aug.grippers()
     n = len(positions)
     timeout_steps = cfg.timeout_steps
 
     state = initial_state(aug, scene)
-    records = []
+    states = []
+    targets = []
     k = 0
     steps_on_wp = 0
     while k < n:
-        records.append(_record(state, positions[k], grippers[k]))
-        state = step(state, (positions[k], grippers[k]), cfg, grasp)
+        states.append(state)
+        targets.append(k)
+        state = step(state, (positions[k], grippers[k]), cfg)
         k, steps_on_wp = advance(k, steps_on_wp, state.ee_pos, positions[k], n,
                                  timeout_steps, cfg.waypoint_advance_radius)
     for _ in range(cfg.settle_steps):
-        records.append(_record(state, positions[-1], grippers[-1]))
-        state = step(state, (positions[-1], grippers[-1]), cfg, grasp)
+        states.append(state)
+        targets.append(n - 1)
+        state = step(state, (positions[-1], grippers[-1]), cfg)
 
     ok = tasks.success(aug.task, state, scene, spec)
-    return EpisodeRecord(steps=tuple(records), success=ok,
-                         goals=tuple(tuple(float(x) for x in g) for g in scene.block_goals),
+    return EpisodeRecord(states=tuple(states), action_pos=positions[targets],
+                         action_gripper=grippers[targets], success=ok,
+                         goals=np.array(scene.block_goals, dtype=float),
                          provenance=provenance or {})
 
 
@@ -296,7 +267,8 @@ def scene_seed_for(root_seed: int, attempt: int) -> int:
     return int(np.random.SeedSequence([int(root_seed), int(attempt)]).generate_state(1)[0])
 
 
-def _attempt_episode(demo, task, ws, cfg, spec, root_seed, attempt):
+def attempt_episode(demo, task, ws, cfg, spec, root_seed, attempt):
+    """Sample the scene of one attempt, warp the demo onto it and replay it."""
     seed = scene_seed_for(root_seed, attempt)
     scene = sample_scene(task, ws, seed)
     anchors = anchors_for_scene(task, demo, scene)
@@ -329,13 +301,15 @@ def run_campaign(demo: DemoTrajectory, task, count: int,
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    task = as_task(task)
     cap = attempt_cap if attempt_cap is not None else 20 * count
+    if cap < 1:
+        raise ValueError(f"attempt_cap must be >= 1, got {cap}")
+    task = as_task(task)
 
     episodes: list[EpisodeRecord] = []
     attempts = 0
     while attempts < cap and len(episodes) < count:
-        ep = _attempt_episode(demo, task, ws, cfg, spec, rng_seed, attempts)
+        ep = attempt_episode(demo, task, ws, cfg, spec, rng_seed, attempts)
         attempts += 1
         if ep.success:
             episodes.append(ep)

@@ -8,7 +8,8 @@ a 0.70 m square workspace centered at the origin, table surface at z = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -49,9 +50,11 @@ class Workspace:
     pick_goal_z: tuple[float, float] = (0.0, 0.20)
 
     def __post_init__(self):
-        if self.side <= 0:
-            raise ValueError(f"workspace side must be positive, got {self.side}")
+        if not (math.isfinite(self.side) and self.side > 0):
+            raise ValueError(f"workspace side must be positive and finite, got {self.side}")
         lo, hi = self.pick_goal_z
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"pick_goal_z must be finite, got {self.pick_goal_z}")
         if hi < lo:
             raise ValueError("pick goal z range is inverted")
 
@@ -66,7 +69,6 @@ class Scene:
 
     block_starts: tuple
     block_goals: tuple
-    block_size: float = BLOCK_SIZE
     seed: int = 0
 
     def __post_init__(self):
@@ -83,6 +85,13 @@ class SuccessSpec:
     push: float = 0.05
     pick_place: float = 0.05
     stack: float = 0.04
+
+    def __post_init__(self):
+        for name in ("push", "pick_place", "stack"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"success cutoff {name} must be positive and finite, "
+                                 f"got {value}")
 
     def threshold(self, task) -> float:
         return {TaskKind.PUSH: self.push,
@@ -161,6 +170,6 @@ def success(task, final_state, scene: Scene, spec: SuccessSpec = SuccessSpec()) 
     task = as_task(task)
     cutoff = spec.threshold(task)
     for block, goal in zip(final_state.blocks, scene.block_goals):
-        if np.linalg.norm(block.pos - goal) > cutoff:
+        if np.linalg.norm(block - goal) > cutoff:
             return False
     return True

@@ -143,12 +143,13 @@ def _vec3(value, where: str) -> np.ndarray:
     return v
 
 
-def parse_demo(document, *, bounds: tuple[np.ndarray, np.ndarray] | None = None) -> DemoTrajectory:
+def parse_demo(document) -> DemoTrajectory:
     """Parse and validate a demo document (dict, or JSON text/bytes).
 
     Rejects unknown format versions.  Structural problems raise ParseError;
-    invariant breaches raise ValidationError naming the first offending
-    waypoint index.
+    invariant breaches, positions outside :func:`default_position_bounds`
+    included, raise ValidationError naming the first offending waypoint
+    index.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -196,7 +197,7 @@ def parse_demo(document, *, bounds: tuple[np.ndarray, np.ndarray] | None = None)
     demo = DemoTrajectory(waypoints=tuple(waypoints), segments=tuple(segments),
                           task=task, source_id=source_id, g_max=g_max)
 
-    lo, hi = bounds if bounds is not None else default_position_bounds()
+    lo, hi = default_position_bounds()
     for i, w in enumerate(demo.waypoints):
         if not np.all(np.isfinite(w.position)) or not np.isfinite(w.time) or not np.isfinite(w.gripper):
             raise ValidationError(f"waypoint {i} has non-finite values")
@@ -207,9 +208,9 @@ def parse_demo(document, *, bounds: tuple[np.ndarray, np.ndarray] | None = None)
     return demo
 
 
-def load_demo(path, *, bounds=None) -> DemoTrajectory:
+def load_demo(path) -> DemoTrajectory:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_demo(fh.read(), bounds=bounds)
+        return parse_demo(fh.read())
 
 
 def demo_to_document(demo: DemoTrajectory) -> dict:

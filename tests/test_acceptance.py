@@ -255,9 +255,9 @@ def test_criterion_6_filter_soundness_and_fidelity_floor():
         cutoff = THRESHOLDS[task.value]
         for ep in dataset.episodes:
             assert ep.success
-            final = ep.steps[-1]
-            for pos, goal in zip(final.block_positions, ep.goals):
-                assert np.linalg.norm(np.array(pos) - np.array(goal)) <= cutoff
+            final = ep.states[-1]
+            for pos, goal in zip(final.blocks, ep.goals):
+                assert np.linalg.norm(pos - goal) <= cutoff
     _report("criterion 6 (filter soundness + fidelity floor)",
             f"identity replays ok; 200-scene rate {rate:.3f} >= 0.90; "
             f"400 episodes in {elapsed:.0f}s; all stored episodes within cutoffs")

@@ -33,7 +33,7 @@ class TestDatasetIO:
         assert manifest["successes"] == 3
         assert manifest["discard_rate"] == ds.discard_rate
         steps = read_episode_steps(tmp_path / "ds", manifest["episodes"][0])
-        assert len(steps) == len(ds.episodes[0].steps)
+        assert len(steps) == len(ds.episodes[0].states)
         first = steps[0]
         assert set(first) == {"t", "obs", "action"}
         assert set(first["obs"]) == {"ee", "gripper", "blocks", "held", "goals"}
@@ -70,6 +70,17 @@ class TestAugmentCommand:
         code = main(["augment", "--demo", PUSH, "--task", "push",
                      "--count", "0", "--out", str(tmp_path / "ds")])
         assert code == 1
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--gain", "nan", "gain"), ("--dt", "nan", "dt"),
+        ("--side", "inf", "side"), ("--attempt-cap", "0", "attempt_cap"),
+    ])
+    def test_bad_value_rejected_before_any_replay(self, tmp_path, capsys, flag, value, field):
+        code = main(["augment", "--demo", PUSH, "--task", "push", "--count", "2",
+                     flag, value, "--out", str(tmp_path / "ds")])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
 
     def test_attempt_cap_gives_partial_exit(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -116,13 +116,6 @@ class TestAffineTransform:
         tf = AffineTransform(scale=2.0, rotation=np.eye(3), translation=[1, 0, 0])
         np.testing.assert_allclose(tf.apply([1, 1, 1]), [3, 2, 2], atol=TOL)
 
-    def test_matches_homogeneous_matrix(self):
-        tf = transform_from_anchors([0.1, 0, 0.02], [0.3, 0.2, 0.02],
-                                    [-0.2, 0.1, 0.02], [0.25, -0.3, 0.1])
-        pts = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3], [0.5, 0.5, 0.5]])
-        hom = np.c_[pts, np.ones(3)] @ tf.as_matrix().T
-        np.testing.assert_allclose(tf.apply(pts), hom[:, :3], atol=TOL)
-
     def test_rejects_bad_rotation(self):
         with pytest.raises(GeometryError):
             AffineTransform(scale=1.0, rotation=np.eye(3) * 2.0, translation=np.zeros(3))

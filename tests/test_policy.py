@@ -70,7 +70,7 @@ class TestWaypointSchedules:
     def test_replay_holds_each_waypoint_t_steps(self):
         scene = Scene(block_starts=([0.5, 3.0, 0.02],), block_goals=([1.5, 3.0, 0.02],))
         ep = replay(self.demo(), scene, self.CTRL)
-        targets = [round(s.action_pos[0]) for s in ep.steps]
+        targets = [round(x) for x in ep.action_pos[:, 0]]
         held = [k for k in range(1, self.N) for _ in range(2)]
         assert targets == [0] + held + [self.N - 1] * self.CTRL.settle_steps
 
@@ -166,6 +166,16 @@ class TestLatency:
             collect_diagnostics=True)
         measured = [s.k_p for s in stats if s.mode_used == "dynamic_k"]
         assert max(measured) > 0.0
+
+
+class TestDisturbanceConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("latency", -1), ("bimodal_period", -1), ("bimodal_gap", -1),
+        ("noise", -0.001), ("noise", math.nan), ("noise", math.inf),
+    ])
+    def test_bad_value_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            DisturbanceConfig(**{name: value})
 
 
 class TestNoise:

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from demoaug.sim import BlockState, SimState
+from demoaug.sim import SimState
 from demoaug.tasks import (
     BLOCK_SIZE, SamplingExhausted, Scene, SuccessSpec, TaskKind, Workspace,
     anchors_for_scene, recorded_scene, sample_scene, success,
@@ -10,8 +12,24 @@ from demoaug.trajectory import SegmentMismatch, ValidationError
 
 
 def state_with_blocks(positions):
-    blocks = tuple(BlockState(pos=np.asarray(p, float)) for p in positions)
-    return SimState(ee_pos=np.zeros(3), gripper=0.08, blocks=blocks)
+    return SimState(ee_pos=np.zeros(3), gripper=0.08, blocks=np.array(positions, float))
+
+
+class TestConfig:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"side": math.nan}, "side"), ({"side": math.inf}, "side"),
+        ({"side": 0.0}, "side"), ({"pick_goal_z": (0.0, math.nan)}, "pick_goal_z"),
+        ({"pick_goal_z": (0.2, 0.0)}, "pick goal z"),
+    ])
+    def test_bad_workspace_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            Workspace(**kwargs)
+
+    @pytest.mark.parametrize("name", ["push", "pick_place", "stack"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.05])
+    def test_bad_success_cutoff_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SuccessSpec(**{name: value})
 
 
 class TestSampling:
