@@ -56,7 +56,12 @@ class Action:
     gripper: float
 
     def __post_init__(self):
-        object.__setattr__(self, "pos", np.asarray(self.pos, dtype=float))
+        pos = np.asarray(self.pos, dtype=float)
+        if pos.shape != (3,) or not np.isfinite(pos).all():
+            raise ValueError(f"Action pos must be a finite 3-vector, got {self.pos!r}")
+        if not math.isfinite(self.gripper):
+            raise ValueError(f"Action gripper must be finite, got {self.gripper}")
+        object.__setattr__(self, "pos", pos)
 
 
 @dataclass(frozen=True)
@@ -90,13 +95,15 @@ class EnsembleConfig:
     g_max: float = G_MAX_DEFAULT
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not self.k_const >= 0:
-            # a negative temperature would weigh older predictions more
-            raise ValueError(f"k_const must be >= 0, got {self.k_const}")
-        if self.k_cutoff <= 0:
-            raise ValueError(f"k_cutoff must be positive, got {self.k_cutoff}")
+        # a negative k_const (a temperature) would weigh older predictions more
+        for name in ("beta", "k_const"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
+        for name in ("k_cutoff", "g_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.chunk_len < 1:
             raise ValueError("chunk_len must be >= 1")
         n = self.effective_replay_n

@@ -152,6 +152,15 @@ def servo(pos: np.ndarray, target: np.ndarray, ctrl: ControllerConfig) -> np.nda
     """End-effector position after one control period toward ``target``.
 
     Velocity is gain * error, scaled down to max_speed when faster.
+
+    ``vel @ vel`` is a BLAS ``ddot``, whose rounding is the BLAS kernel's.
+    With the OpenBLAS 0.3.31 of the NumPy 2.4.6 wheel (SkylakeX kernel, on
+    an Intel Xeon with FMA) it is a fused chain: it equalled
+    ``fma(z, z, fma(y, y, x*x))`` on 3000 of 3000 random 3-vectors, while
+    the left-to-right sum ``x*x + y*y + z*z`` differed on 44704 of 200000
+    (uniform in [-1, 1], ``default_rng(0)``).  A pure-Python float servo is
+    therefore not bit-identical to this one, and adopting one would need the
+    stored benchmark references and test pins regenerated.
     """
     vel = ctrl.gain * (target - pos)
     speed = math.sqrt(vel @ vel)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from demoaug import evaluation
 from demoaug.cli import main
 from demoaug.dataset import canonical_json, read_episode_steps, read_manifest, write_dataset
 from demoaug.demos import reference_demo
@@ -157,6 +158,20 @@ class TestEnsembleEvalCommand:
                      "--k-const", "-1", "--out", str(tmp_path / "r")]) == 1
         assert "k_const" in capsys.readouterr().err
         assert not (tmp_path / "r" / "report.json").exists()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--betas", "nan", "beta"), ("--k-cutoff", "nan", "k_cutoff"),
+    ])
+    def test_nan_rejected_before_any_episode(self, tmp_path, capsys, monkeypatch,
+                                             flag, value, field):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(evaluation, "run_closed_loop_episode", no_episode)
+        assert main(["ensemble-eval", "--demo", PUSH, "--task", "push", "--episodes", "1",
+                     "--modes", "combined", flag, value, "--out", str(tmp_path / "r")]) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
 
 class TestStatsCommand:

@@ -237,12 +237,44 @@ class TestEnsembleAction:
         assert results[-1].diagnostics.mode_used == "baseline"
 
 
+class TestAction:
+    @pytest.mark.parametrize("pos", [
+        [0.0, 0.0], [[0.0, 0.0, 0.0]], [0.0, 0.0, 0.0, 0.0], 0.0,
+        [math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf],
+    ], ids=["shape2", "shape1x3", "shape4", "scalar", "nan", "inf", "neg_inf"])
+    def test_bad_pos_rejected(self, pos):
+        with pytest.raises(ValueError, match="pos"):
+            Action(pos=pos, gripper=0.04)
+
+    @pytest.mark.parametrize("gripper", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gripper_rejected(self, gripper):
+        with pytest.raises(ValueError, match="gripper"):
+            Action(pos=[0.0, 0.0, 0.0], gripper=gripper)
+
+    def test_valid_action_kept_as_float_array(self):
+        a = Action(pos=[1, 2, 3], gripper=0.0)
+        assert a.pos.dtype == float and a.pos.tolist() == [1.0, 2.0, 3.0]
+
+
 class TestConfig:
     @pytest.mark.parametrize("k_const", [-1.0, -1e-12, math.nan])
     def test_negative_or_nan_k_const_rejected(self, k_const):
         with pytest.raises(ValueError, match="k_const"):
             EnsembleConfig(k_const=k_const)
         assert EnsembleConfig(k_const=0.0).k_const == 0.0
+
+    @pytest.mark.parametrize("name, value", [
+        ("beta", -1.0), ("beta", math.nan), ("beta", math.inf),
+        ("k_const", math.inf),
+        ("k_cutoff", 0.0), ("k_cutoff", -1.0), ("k_cutoff", math.nan), ("k_cutoff", math.inf),
+        ("g_max", 0.0), ("g_max", -1.0), ("g_max", math.nan), ("g_max", math.inf),
+    ])
+    def test_bad_value_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            EnsembleConfig(**{name: value})
+
+    def test_zero_beta_accepted(self):
+        assert EnsembleConfig(beta=0.0).beta == 0.0
 
 
 class TestWeights:

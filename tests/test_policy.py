@@ -4,10 +4,11 @@ import statistics
 import numpy as np
 import pytest
 
+from demoaug import policy as policy_module
 from demoaug.ensemble import Action, EnsembleConfig, EnsembleMode, compute_k
 from demoaug.evaluation import run_closed_loop_episode
 from demoaug.policy import DisturbanceConfig, ScriptedPolicy
-from demoaug.sim import ControllerConfig, replay
+from demoaug.sim import ControllerConfig, advance, replay, servo
 from demoaug.tasks import Scene
 from demoaug.trajectory import DemoTrajectory, Segment, Waypoint
 
@@ -198,3 +199,102 @@ class TestNoise:
         chunk = policy.predict(demo.waypoints[0].position, 0)
         assert chunk.emitted_at == 0
         assert len(chunk.actions) == policy.chunk_len
+
+
+def scratch_rollout(policy, obs, start, steps_on):
+    """Targets of a chunk_len-step servo rollout, simulated from scratch."""
+    positions, grippers = policy.reference.positions(), policy.reference.grippers()
+    ctrl, last = policy.ctrl, len(positions) - 1
+    v, k = obs, start
+    idx = []
+    for _ in range(policy.chunk_len):
+        idx.append(k)
+        target = positions[k]
+        v = servo(v, target, ctrl)
+        k, steps_on = advance(k, steps_on, v, target, last, ctrl.timeout_steps,
+                              ctrl.waypoint_advance_radius)
+    return positions[idx], grippers[idx]
+
+
+@pytest.fixture
+def checked_chunks(monkeypatch):
+    """Check every chunk ScriptedPolicy.predict emits against a scratch
+    rollout from the same start; returns the list of checked steps."""
+    real_rollout, real_predict = ScriptedPolicy._rollout, ScriptedPolicy.predict
+    starts, rngs, checked = [], {}, []
+
+    def spy_rollout(self, obs, start):
+        starts.append((obs.copy(), start, self._steps_on_cursor))
+        return real_rollout(self, obs, start)
+
+    def checked_predict(self, ee_pos, t):
+        chunk = real_predict(self, ee_pos, t)
+        pos, grip = scratch_rollout(self, *starts.pop())
+        noise = self.disturbances.noise
+        if noise > 0:
+            rng = rngs.setdefault(id(self), np.random.default_rng(self.disturbances.seed))
+            pos = pos + rng.uniform(-noise, noise, size=pos.shape)
+        assert np.array_equal(np.array([a.pos for a in chunk.actions]), pos)
+        assert np.array_equal(np.array([a.gripper for a in chunk.actions]), grip)
+        checked.append(t)
+        return chunk
+
+    monkeypatch.setattr(ScriptedPolicy, "_rollout", spy_rollout)
+    monkeypatch.setattr(ScriptedPolicy, "predict", checked_predict)
+    return checked
+
+
+class TestIncrementalRollout:
+    """The predictor extends the trail of its last rollout; its chunks must
+    equal a from-scratch rollout bit for bit."""
+
+    @pytest.mark.parametrize("task", ["push", "pick_place", "stack"])
+    @pytest.mark.parametrize("disturbances", [
+        DisturbanceConfig(), DisturbanceConfig(latency=3, bimodal_period=2),
+        DisturbanceConfig(noise=0.01),
+    ], ids=["clean", "latency_bimodal", "noise"])
+    def test_chunks_equal_scratch_rollouts(self, request, checked_chunks, task, disturbances):
+        demo = request.getfixturevalue(f"{task}_demo")
+        run_closed_loop_episode(task, demo, seed=5, cfg=EnsembleConfig(),
+                                disturbances=disturbances)
+        assert checked_chunks == list(range(len(checked_chunks)))
+        assert len(checked_chunks) > 100
+
+    def test_same_start_with_other_step_count_misses(self, checked_chunks):
+        # waypoints 1 m apart time out after T = 2 steps; with hypotheses one
+        # waypoint apart, a query can start on the trail's second position
+        # and waypoint with the cursor's step count, not the rollout's
+        ctrl = ControllerConfig(waypoint_timeout=0.1)
+        demo = line_demo(1.0, n=12)
+        policy = ScriptedPolicy(demo, chunk_len=6, ctrl=ctrl, disturbances=DisturbanceConfig(
+            bimodal_period=1, bimodal_gap=1))
+        pos = demo.waypoints[0].position
+        for t in range(30):
+            pos = servo(pos, policy.predict(pos, t).actions[0].pos, ctrl)
+        assert len(checked_chunks) == 30
+
+    def test_clean_episode_steps_the_servo_about_once_per_query(self, push_demo, monkeypatch):
+        # a fallback to full rollouts would make chunk_len = 20 servo calls per query
+        counts = {"servo": 0, "predict": 0}
+        real_predict = ScriptedPolicy.predict
+
+        def counting_servo(*args):
+            counts["servo"] += 1
+            return servo(*args)
+
+        def counting_predict(self, ee_pos, t):
+            counts["predict"] += 1
+            return real_predict(self, ee_pos, t)
+
+        monkeypatch.setattr(policy_module, "servo", counting_servo)
+        monkeypatch.setattr(ScriptedPolicy, "predict", counting_predict)
+        run_closed_loop_episode("push", push_demo, seed=5, cfg=EnsembleConfig())
+        assert counts["predict"] > 100
+        assert counts["servo"] < 2 * counts["predict"]
+
+    def test_predicted_positions_are_read_only(self):
+        demo = line_demo(0.008)
+        chunk = ScriptedPolicy(demo).predict(demo.waypoints[0].position, 0)
+        with pytest.raises(ValueError):
+            chunk.actions[0].pos[0] = 1.0
+        assert demo.positions().flags.writeable
