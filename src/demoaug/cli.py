@@ -1,10 +1,11 @@
-"""Command-line surface: augment, replay, ensemble-eval, calibrate-cutoff, stats.
+"""Command-line surface: augment, replay, ensemble-eval, stats.
 
 Config precedence is defaults < --config file < flags.  Every run writes its
 fully resolved configuration (and the package version) into its output
 manifest, and any manifest can be re-executed with --from-manifest to
-reproduce the artifact byte for byte.  Exit codes: 0 success, 1 invalid
-input, 2 partial result.
+reproduce the artifact byte for byte.  ``ensemble-eval`` sweeps a matrix of
+mode, beta and suspension cutoff (``--modes``, ``--betas``, ``--k-cutoffs``).
+Exit codes: 0 success, 1 invalid input, 2 partial result.
 """
 
 from __future__ import annotations
@@ -18,22 +19,80 @@ from pathlib import Path
 
 from . import __version__, sim, tasks
 from .dataset import canonical_json, episode_lines, read_manifest, write_dataset
-from .ensemble import EnsembleConfig, EnsembleMode
-from .evaluation import (EvalReport, closed_loop_eval, format_report, report_to_dict)
+from .ensemble import EnsembleConfig
+from .evaluation import (ABLATION_BETAS, ABLATION_MODES, EvalReport, closed_loop_eval,
+                         default_matrix, format_report, report_to_dict)
 from .policy import DisturbanceConfig
 from .trajectory import ParseError, SegmentMismatch, ValidationError, load_demo
 
 OUT_ROOT_ENV = "DEMOAUG_OUT_ROOT"
 REPORT_FORMAT_VERSION = 1
 
-
-def _defaults(cls, *skip: str) -> dict:
-    """A config dataclass's field defaults, minus fields the run config omits."""
-    return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
+# run-config section -> the config class it builds, and the fields it omits
+SECTIONS = {
+    "workspace": (tasks.Workspace, ()),
+    "controller": (sim.ControllerConfig, ()),
+    "success": (tasks.SuccessSpec, ()),
+    "ensemble": (EnsembleConfig, ("mode", "beta", "g_max")),
+    "disturbance": (DisturbanceConfig, ("seed",)),
+}
+AUGMENT_SECTIONS = ("workspace", "controller", "success")
+# each command's run-config keys besides its sections, at values of their JSON type
+RUN_KEYS = {
+    "augment": {"count": 0, "attempt_cap": None},
+    "ensemble-eval": {"episodes": 0,
+                      "matrix": [{"mode": "", "beta": 0.0, "k_cutoff": 0.0}]},
+}
+# JSON type of a run-config value, by the type of its template value
+_JSON_TYPES = {bool: ((bool,), "true or false"), str: ((str,), "a string"),
+               int: ((int,), "an integer"), float: ((int, float), "a number"),
+               type(None): ((int, type(None)), "an integer or null")}
 
 
 class CliError(Exception):
     """Invalid input; maps to exit code 1."""
+
+
+def _section_defaults() -> dict:
+    """Every section's field defaults, which flags and config files override."""
+    return {name: {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
+            for name, (cls, skip) in SECTIONS.items()}
+
+
+def _conform(doc, template: dict, where: str = "") -> None:
+    """Raise CliError naming the key unless ``doc`` is a JSON object whose keys
+    are all in ``template``, each holding a value of its template value's JSON
+    type.  A dict template is a section, a one-item list the template of each
+    item of a list, a tuple the templates of a fixed-length list's items.
+    """
+    if not isinstance(doc, dict):
+        raise CliError(f"run-config key {where} must be a JSON object, got {doc!r}")
+    for key, value in doc.items():
+        name = f"{where}.{key}" if where else key
+        if key not in template:
+            raise CliError(f"unknown run-config key {name}")
+        like = template[key]
+        if isinstance(like, dict):
+            _conform(value, like, name)
+        elif isinstance(like, (list, tuple)):
+            if not isinstance(value, list):
+                raise CliError(f"run-config key {name} must be a list, got {value!r}")
+            items = like * len(value) if isinstance(like, list) else like
+            if len(value) != len(items):
+                raise CliError(f"run-config key {name} must hold {len(items)} items, "
+                               f"got {value!r}")
+            _conform(dict(enumerate(value)), dict(enumerate(items)), name)
+        elif (isinstance(value, bool) != isinstance(like, bool)
+              or not isinstance(value, _JSON_TYPES[type(like)][0])):
+            raise CliError(f"run-config key {name} must be {_JSON_TYPES[type(like)][1]}, "
+                           f"got {value!r}")
+
+
+def _run_config_template(command: str) -> dict:
+    sections = _section_defaults()
+    names = AUGMENT_SECTIONS if command == "augment" else tuple(SECTIONS)
+    return {"command": "", "version": "", "demo": "", "task": "", "seed": 0,
+            **RUN_KEYS[command], **{name: sections[name] for name in names}}
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -56,6 +115,7 @@ def _load_config_file(path) -> dict:
         raise CliError(f"config file is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise CliError("config file must hold a JSON object")
+    _conform(doc, _section_defaults())
     return doc
 
 
@@ -67,50 +127,29 @@ def _resolve_out(out) -> Path:
     return path
 
 
-def _build_sections(args, config_file: dict) -> dict:
-    defaults = {
-        "workspace": _defaults(tasks.Workspace),
-        "controller": _defaults(sim.ControllerConfig),
-        "success": _defaults(tasks.SuccessSpec),
-        "ensemble": _defaults(EnsembleConfig, "mode", "beta", "g_max"),
-        "disturbance": _defaults(DisturbanceConfig, "seed"),
-    }
+def _build_sections(args, names=tuple(SECTIONS)) -> dict:
+    """The named sections of a run config: defaults < --config file < flags."""
+    defaults = _section_defaults()
     overrides = {
         "workspace": {"side": getattr(args, "side", None)},
         "controller": {k: getattr(args, k, None) for k in defaults["controller"]},
         "ensemble": {k: getattr(args, k, None) for k in
-                     ("k_const", "k_cutoff", "chunk_len", "replay_n", "warmup_steps")},
+                     ("k_const", "chunk_len", "replay_n", "warmup_steps")},
         "disturbance": {k: getattr(args, k, None) for k in defaults["disturbance"]},
     }
     if getattr(args, "no_clear_after_suspend", False):
         overrides["ensemble"]["clear_after_suspend"] = False
-    merged = _deep_merge(defaults, config_file)
-    return _deep_merge(merged, overrides)
+    config_file = _load_config_file(args.config) if args.config else {}
+    merged = _deep_merge(_deep_merge(defaults, config_file), overrides)
+    return {name: merged[name] for name in names}
 
 
-def _workspace(cfg: dict) -> tasks.Workspace:
-    ws = cfg["workspace"]
-    return tasks.Workspace(side=ws["side"], pick_goal_z=tuple(ws["pick_goal_z"]))
-
-
-def _controller(cfg: dict) -> sim.ControllerConfig:
-    return sim.ControllerConfig(**cfg["controller"])
-
-
-def _success_spec(cfg: dict) -> tasks.SuccessSpec:
-    return tasks.SuccessSpec(**cfg["success"])
-
-
-def _disturbance(cfg: dict) -> DisturbanceConfig:
-    return DisturbanceConfig(**cfg["disturbance"])
-
-
-def _ensemble_cfg(cfg: dict, mode: EnsembleMode, beta: float) -> EnsembleConfig:
-    e = cfg["ensemble"]
-    return EnsembleConfig(mode=mode, beta=beta, k_const=e["k_const"],
-                          k_cutoff=e["k_cutoff"], chunk_len=e["chunk_len"],
-                          replay_n=e["replay_n"], warmup_steps=e["warmup_steps"],
-                          clear_after_suspend=e["clear_after_suspend"])
+def _configs(rc: dict) -> dict:
+    """The config object of each section of a run config, keyed by section;
+    the ensemble section gives the base every matrix cell replaces fields of."""
+    return {name: cls(**{k: tuple(v) if isinstance(v, list) else v
+                         for k, v in rc.get(name, {}).items()})
+            for name, (cls, _) in SECTIONS.items()}
 
 
 def _load_demo_or_die(path):
@@ -122,27 +161,32 @@ def _load_demo_or_die(path):
         raise CliError(f"invalid demo file: {e}") from e
 
 
-def _run_config_from_manifest(path) -> dict:
+def _run_config_from_manifest(path, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise CliError(f"cannot read manifest: {e}") from e
-    run_config = manifest.get("run_config")
+    run_config = manifest.get("run_config") if isinstance(manifest, dict) else None
     if not isinstance(run_config, dict):
         raise CliError("manifest carries no run_config to re-execute")
+    if run_config.get("command") != command:
+        raise CliError(f"manifest run_config.command is {run_config.get('command')!r}, "
+                       f"not {command!r}")
+    template = _run_config_template(command)
+    _conform(run_config, template)
+    missing = [k for k, like in template.items() if like is not None and k not in run_config]
+    if missing:
+        raise CliError(f"manifest run_config lacks {', '.join(missing)}")
     return run_config
 
 
 def cmd_augment(args) -> int:
     if args.from_manifest:
-        rc = _run_config_from_manifest(args.from_manifest)
+        rc = _run_config_from_manifest(args.from_manifest, "augment")
     else:
         if not args.demo or not args.task or args.count is None:
             raise CliError("augment requires --demo, --task, and --count")
-        if args.count < 1:
-            raise CliError(f"--count must be >= 1, got {args.count}")
-        sections = _build_sections(args, _load_config_file(args.config) if args.config else {})
         rc = {
             "command": "augment",
             "version": __version__,
@@ -151,18 +195,18 @@ def cmd_augment(args) -> int:
             "count": args.count,
             "seed": args.seed,
             "attempt_cap": args.attempt_cap,
-            "workspace": sections["workspace"],
-            "controller": sections["controller"],
-            "success": sections["success"],
+            **_build_sections(args, AUGMENT_SECTIONS),
         }
+    if rc["count"] < 1:
+        raise CliError(f"count must be >= 1, got {rc['count']}")
+    configs = _configs(rc)
     demo = _load_demo_or_die(rc["demo"])
     out = _resolve_out(args.out)
     partial = None
     try:
         ds = sim.run_campaign(
-            demo, rc["task"], rc["count"],
-            ws=_workspace(rc), cfg=_controller(rc), rng_seed=rc["seed"],
-            spec=_success_spec(rc), attempt_cap=rc.get("attempt_cap"))
+            demo, rc["task"], rc["count"], ws=configs["workspace"], cfg=configs["controller"],
+            rng_seed=rc["seed"], spec=configs["success"], attempt_cap=rc.get("attempt_cap"))
     except SegmentMismatch as e:
         raise CliError(str(e)) from e
     except sim.AttemptCapExceeded as e:
@@ -178,9 +222,9 @@ def cmd_augment(args) -> int:
 
 def cmd_replay(args) -> int:
     demo = _load_demo_or_die(args.demo)
-    sections = _build_sections(args, _load_config_file(args.config) if args.config else {})
-    ep = sim.attempt_episode(demo, tasks.as_task(args.task), _workspace(sections),
-                             _controller(sections), _success_spec(sections), args.seed, 0)
+    configs = _configs(_build_sections(args, AUGMENT_SECTIONS))
+    ep = sim.attempt_episode(demo, tasks.as_task(args.task), configs["workspace"],
+                             configs["controller"], configs["success"], args.seed, 0)
     print(f"success={ep.success} steps={len(ep.states)} "
           f"final_blocks={ep.states[-1].blocks.tolist()}")
     if args.out:
@@ -189,24 +233,6 @@ def cmd_replay(args) -> int:
         path.write_text("\n".join(episode_lines(ep)) + "\n", encoding="utf-8")
         print(f"episode written to {path}")
     return 0
-
-
-def _matrix_from_config(rc: dict) -> list[EnsembleConfig]:
-    cells = []
-    for entry in rc["matrix"]:
-        cells.append(_ensemble_cfg(rc, EnsembleMode(entry["mode"]), entry["beta"]))
-    return cells
-
-
-def _default_matrix_entries(modes, betas) -> list[dict]:
-    entries = []
-    for mode in modes:
-        mode = EnsembleMode(mode)
-        if mode in (EnsembleMode.BASELINE, EnsembleMode.RESET_ONLY):
-            entries.append({"mode": mode.value, "beta": 1.0})
-        else:
-            entries.extend({"mode": mode.value, "beta": b} for b in betas)
-    return entries
 
 
 def _write_report(report: EvalReport, rc: dict, out: Path) -> Path:
@@ -218,21 +244,21 @@ def _write_report(report: EvalReport, rc: dict, out: Path) -> Path:
     return path
 
 
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",") if x.strip()]
+
+
 def cmd_ensemble_eval(args) -> int:
     if args.from_manifest:
-        rc = _run_config_from_manifest(args.from_manifest)
+        rc = _run_config_from_manifest(args.from_manifest, "ensemble-eval")
     else:
         if not args.demo or not args.task or args.episodes is None:
             raise CliError("ensemble-eval requires --demo, --task, and --episodes")
-        if args.episodes < 0:
-            raise CliError("--episodes must be >= 0")
-        sections = _build_sections(args, _load_config_file(args.config) if args.config else {})
+        sections = _build_sections(args)
         modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-        betas = [float(b) for b in args.betas.split(",") if b.strip()]
-        try:
-            entries = _default_matrix_entries(modes, betas)
-        except ValueError as e:
-            raise CliError(f"bad mode name: {e}") from e
+        k_cutoffs = None if args.k_cutoffs is None else _floats(args.k_cutoffs)
+        cells = default_matrix(_floats(args.betas), modes, k_cutoffs,
+                               _configs(sections)["ensemble"])
         rc = {
             "command": "ensemble-eval",
             "version": __version__,
@@ -240,21 +266,23 @@ def cmd_ensemble_eval(args) -> int:
             "task": str(tasks.as_task(args.task).value),
             "episodes": args.episodes,
             "seed": args.seed,
-            "matrix": entries,
-            "workspace": sections["workspace"],
-            "controller": sections["controller"],
-            "success": sections["success"],
-            "ensemble": sections["ensemble"],
-            "disturbance": sections["disturbance"],
+            "matrix": [{"mode": c.mode.value, "beta": c.beta, "k_cutoff": c.k_cutoff}
+                       for c in cells],
+            **sections,
         }
+    if rc["episodes"] < 0:
+        raise CliError(f"episodes must be >= 0, got {rc['episodes']}")
+    configs = _configs(rc)
+    # a matrix entry written before k_cutoff was an axis keeps the base's cutoff
+    cells = [dataclasses.replace(configs["ensemble"], **entry) for entry in rc["matrix"]]
     demo = _load_demo_or_die(rc["demo"])
     seeds = [sim.scene_seed_for(rc["seed"], i) for i in range(rc["episodes"])]
     sink = None
-    if args.out and getattr(args, "diagnostics", False):
+    if args.out and args.diagnostics:
         diag_root = _resolve_out(args.out) / "diagnostics"
 
         def sink(cfg, episode_index, seed, stats):
-            cell_dir = diag_root / f"{cfg.mode.value}_beta{cfg.beta:g}"
+            cell_dir = diag_root / f"{cfg.mode.value}_beta{cfg.beta:g}_kcutoff{cfg.k_cutoff:g}"
             cell_dir.mkdir(parents=True, exist_ok=True)
             lines = [canonical_json({
                 "t": s.t, "mode_used": s.mode_used,
@@ -268,53 +296,15 @@ def cmd_ensemble_eval(args) -> int:
 
     try:
         report = closed_loop_eval(
-            rc["task"], demo, _matrix_from_config(rc), rc["episodes"], seeds,
-            ws=_workspace(rc), ctrl=_controller(rc), disturbances=_disturbance(rc),
-            spec=_success_spec(rc), diagnostics_sink=sink)
-    except (SegmentMismatch, ValueError) as e:
+            rc["task"], demo, cells, rc["episodes"], seeds, ws=configs["workspace"],
+            ctrl=configs["controller"], disturbances=configs["disturbance"],
+            spec=configs["success"], diagnostics_sink=sink)
+    except SegmentMismatch as e:
         raise CliError(str(e)) from e
     print(format_report(report))
     if args.out:
         path = _write_report(report, rc, _resolve_out(args.out))
         print(f"report written to {path}")
-    return 0
-
-
-def cmd_calibrate_cutoff(args) -> int:
-    demo = _load_demo_or_die(args.demo)
-    sections = _build_sections(args, _load_config_file(args.config) if args.config else {})
-    # calibration exercises the suspension path, so a disturbed predictor is
-    # the default suite
-    if all(getattr(args, k, None) is None for k in ("latency", "bimodal_period")):
-        sections["disturbance"]["latency"] = 3
-        sections["disturbance"]["bimodal_period"] = 2
-    cutoffs = [float(c) for c in args.cutoffs.split(",") if c.strip()]
-    if not cutoffs:
-        raise CliError("--cutoffs must list at least one value")
-    seeds = [sim.scene_seed_for(args.seed, i) for i in range(args.episodes)]
-    curve = []
-    for cutoff in cutoffs:
-        sections_c = json.loads(json.dumps(sections))
-        sections_c["ensemble"]["k_cutoff"] = cutoff
-        cfg = _ensemble_cfg(sections_c, EnsembleMode.COMBINED, args.beta)
-        report = closed_loop_eval(args.task, demo, [cfg], args.episodes, seeds,
-                                  ws=_workspace(sections), ctrl=_controller(sections),
-                                  disturbances=_disturbance(sections_c),
-                                  spec=_success_spec(sections))
-        cell = report.cells[0]
-        curve.append({"k_cutoff": cutoff, "rate": cell.rate,
-                      "successes": cell.successes, "episodes": cell.episodes})
-        print(f"k_cutoff={cutoff:<8g} rate={cell.rate:.3f} "
-              f"({cell.successes}/{cell.episodes})")
-    if args.out:
-        out = _resolve_out(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        doc = {"format_version": REPORT_FORMAT_VERSION, "version": __version__,
-               "command": "calibrate-cutoff", "task": str(tasks.as_task(args.task).value),
-               "beta": args.beta, "episodes": args.episodes, "seed": args.seed,
-               "disturbance": sections["disturbance"], "curve": curve}
-        (out / "calibration.json").write_text(canonical_json(doc) + "\n", encoding="utf-8")
-        print(f"calibration written to {out / 'calibration.json'}")
     return 0
 
 
@@ -338,7 +328,8 @@ def cmd_stats(args) -> int:
             print(f"report: {path}")
             print(f"task={doc['task']} episodes_per_cell={doc['n_episodes']}")
             for cell in doc["cells"]:
-                print(f"  {cell['mode']:<12} beta={cell['beta']:<5g} rate={cell['rate']:.3f}")
+                print(f"  {cell['mode']:<12} beta={cell['beta']:<5g} "
+                      f"k_cutoff={cell.get('k_cutoff', '-')!s:<7} rate={cell['rate']:.3f}")
             return 0
     raise CliError(f"{path} is neither a dataset directory nor a report file")
 
@@ -359,7 +350,6 @@ def _add_common_overrides(p: argparse.ArgumentParser):
 def _add_ensemble_overrides(p: argparse.ArgumentParser):
     g = p.add_argument_group("ensembler overrides")
     g.add_argument("--k-const", dest="k_const", type=float)
-    g.add_argument("--k-cutoff", dest="k_cutoff", type=float)
     g.add_argument("--chunk-len", dest="chunk_len", type=int)
     g.add_argument("--replay-n", dest="replay_n", type=int)
     g.add_argument("--warmup-steps", dest="warmup_steps", type=int)
@@ -403,14 +393,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_overrides(p)
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("ensemble-eval", help="closed-loop mode/beta ablation table")
+    p = sub.add_parser("ensemble-eval", help="closed-loop mode/beta/k_cutoff ablation table")
     p.add_argument("--demo", help="demo JSON file")
     p.add_argument("--task")
     p.add_argument("--episodes", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="directory for report.json")
-    p.add_argument("--modes", default="baseline,reset_only,dynamic_k,combined")
-    p.add_argument("--betas", default="0.25,0.5,1.0")
+    p.add_argument("--modes", default=",".join(m.value for m in ABLATION_MODES))
+    p.add_argument("--betas", default=",".join(map(str, ABLATION_BETAS)),
+                   help="temperature scales swept for dynamic_k and combined")
+    p.add_argument("--k-cutoffs", dest="k_cutoffs",
+                   help="suspension cutoffs swept for reset_only and combined "
+                        "(default: the config's ensemble.k_cutoff)")
     p.add_argument("--diagnostics", action="store_true",
                    help="write per-step ensembler diagnostics next to the report")
     p.add_argument("--from-manifest", dest="from_manifest",
@@ -418,19 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_overrides(p)
     _add_ensemble_overrides(p)
     p.set_defaults(func=cmd_ensemble_eval)
-
-    p = sub.add_parser("calibrate-cutoff", help="sweep the suspension cutoff on the "
-                                                "disturbance suite")
-    p.add_argument("--demo", required=True)
-    p.add_argument("--task", required=True)
-    p.add_argument("--episodes", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--cutoffs", default="0.005,0.01,0.02,0.05,0.1,0.2,0.5")
-    p.add_argument("--out", help="directory for calibration.json")
-    _add_common_overrides(p)
-    _add_ensemble_overrides(p)
-    p.set_defaults(func=cmd_calibrate_cutoff)
 
     p = sub.add_parser("stats", help="summarize a dataset directory or report file")
     p.add_argument("path")

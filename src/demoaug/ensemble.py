@@ -50,6 +50,10 @@ class EnsembleMode(str, Enum):
     COMBINED = "combined"        # both
 
 
+SPREAD_MODES = (EnsembleMode.DYNAMIC_K, EnsembleMode.COMBINED)       # k follows the spread
+SUSPENDING_MODES = (EnsembleMode.RESET_ONLY, EnsembleMode.COMBINED)  # can suspend
+
+
 @dataclass(frozen=True)
 class Action:
     pos: np.ndarray
@@ -73,11 +77,12 @@ class ActionChunk:
         object.__setattr__(self, "actions", tuple(self.actions))
 
 
-# Calibrated default for the suspension cutoff: a sweep over the stack
-# disturbance suite (see the calibrate-cutoff command) shows a success
-# plateau for cutoffs in [0.005, 0.02] at the default beta, collapsing by
-# 0.05; 0.01 sits mid-plateau.  Spreads are in meters, so this fires when
-# candidate positions disagree by a centimeter or so.
+# Calibrated default for the suspension cutoff: an ``ensemble-eval
+# --k-cutoffs`` sweep on the stack disturbance suite (latency 3, bimodal
+# period 2, combined, beta 1) succeeded in 18, 19 and 20 of 20 episodes at
+# 0.005, 0.01 and 0.02 and in 10 of 20 at 0.05; 0.01 sits mid-plateau.
+# Spreads are in meters, so this fires when candidate positions disagree by
+# a centimeter or so.
 K_CUTOFF_DEFAULT = 0.01
 K_CONST_DEFAULT = 0.01
 
@@ -323,7 +328,7 @@ def ensemble_action(state: EnsembleState, t: int, cfg: EnsembleConfig) -> Ensemb
         return EnsembleResult(action=action, diagnostics=diag)
 
     k_p, k_g = compute_k(cands, cfg.beta) if n >= 2 else (0.0, 0.0)
-    if cfg.mode in (EnsembleMode.RESET_ONLY, EnsembleMode.COMBINED) and \
+    if cfg.mode in SUSPENDING_MODES and \
             (k_p > cfg.k_cutoff or k_g > cfg.k_cutoff):
         return _enter_suspension(state, t, cfg, k_p, k_g, n)
 

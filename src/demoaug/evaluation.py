@@ -1,10 +1,10 @@
 """Closed-loop evaluation of ensembling modes with the scripted predictor.
 
 Runs scripted-policy episodes through the ensembler and the kinematic
-simulator for every cell of a mode/beta matrix and reports per-cell success
-rates with binomial confidence intervals.  Episodes are paired across
-cells: cell i and cell j see the same scenes and the same disturbance
-streams for a given seed.
+simulator for every cell of a mode/beta/k_cutoff matrix and reports
+per-cell success rates with binomial confidence intervals.  Episodes are
+paired across cells: cell i and cell j see the same scenes and the same
+disturbance streams for a given seed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import sim, tasks
-from .ensemble import EnsembleConfig, EnsembleMode, EnsembleState, ensemble_action
+from .ensemble import (SPREAD_MODES, SUSPENDING_MODES, EnsembleConfig, EnsembleMode,
+                       EnsembleState, ensemble_action)
 from .policy import DisturbanceConfig, ScriptedPolicy
 from .trajectory import DemoTrajectory, augment_segmentwise
 
@@ -27,6 +28,7 @@ STEPS_PER_WAYPOINT = 6  # horizon budget; covers the slowest (largest-scale) war
 class CellResult:
     mode: EnsembleMode
     beta: float
+    k_cutoff: float
     episodes: int
     successes: int
 
@@ -81,15 +83,26 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def default_matrix(betas=(0.25, 0.5, 1.0)) -> list[EnsembleConfig]:
-    """The standard ablation: baseline, reset-only, and both spread-driven
-    modes swept over beta."""
-    cells = [EnsembleConfig(mode=EnsembleMode.BASELINE),
-             EnsembleConfig(mode=EnsembleMode.RESET_ONLY)]
-    for beta in betas:
-        cells.append(EnsembleConfig(mode=EnsembleMode.DYNAMIC_K, beta=beta))
-    for beta in betas:
-        cells.append(EnsembleConfig(mode=EnsembleMode.COMBINED, beta=beta))
+ABLATION_MODES = (EnsembleMode.BASELINE, EnsembleMode.RESET_ONLY,
+                  EnsembleMode.DYNAMIC_K, EnsembleMode.COMBINED)
+ABLATION_BETAS = (0.25, 0.5, 1.0)
+
+
+def default_matrix(betas=ABLATION_BETAS, modes=ABLATION_MODES, k_cutoffs=None,
+                   base: EnsembleConfig = EnsembleConfig()) -> list[EnsembleConfig]:
+    """The ablation matrix: per mode, in the order given, one cell per swept value.
+
+    Each cell is ``replace(base, mode=..., beta=..., k_cutoff=...)``.  beta is
+    swept only for the modes whose temperature follows the spread, k_cutoff
+    only for the modes that can suspend; every other cell keeps the base's
+    value.  ``k_cutoffs=None`` sweeps the base's cutoff alone.
+    """
+    k_cutoffs = (base.k_cutoff,) if k_cutoffs is None else k_cutoffs
+    cells = []
+    for mode in map(EnsembleMode, modes):
+        for beta in betas if mode in SPREAD_MODES else (base.beta,):
+            for k_cutoff in k_cutoffs if mode in SUSPENDING_MODES else (base.k_cutoff,):
+                cells.append(replace(base, mode=mode, beta=beta, k_cutoff=k_cutoff))
     return cells
 
 
@@ -150,17 +163,17 @@ def closed_loop_eval(task, demo: DemoTrajectory, cfg_matrix, n_episodes: int, se
             successes += int(ok)
             if diagnostics_sink is not None:
                 diagnostics_sink(cfg, i, seed, stats)
-        cells.append(CellResult(mode=cfg.mode, beta=cfg.beta,
+        cells.append(CellResult(mode=cfg.mode, beta=cfg.beta, k_cutoff=cfg.k_cutoff,
                                 episodes=len(seeds), successes=successes))
     return EvalReport(task=task, n_episodes=len(seeds), seeds=seeds, cells=tuple(cells))
 
 
 def format_report(report: EvalReport) -> str:
     lines = [f"task: {report.task.value}   episodes per cell: {report.n_episodes}",
-             f"{'mode':<12} {'beta':>6} {'rate':>8} {'95% CI':>18} {'n':>6}"]
+             f"{'mode':<12} {'beta':>6} {'k_cutoff':>9} {'rate':>8} {'95% CI':>18} {'n':>6}"]
     for c in report.cells:
         lo, hi = c.interval()
-        lines.append(f"{c.mode.value:<12} {c.beta:>6.2f} {c.rate:>8.3f} "
+        lines.append(f"{c.mode.value:<12} {c.beta:>6.2f} {c.k_cutoff:>9g} {c.rate:>8.3f} "
                      f"[{lo:>7.3f},{hi:>7.3f}] {c.episodes:>6}")
     return "\n".join(lines)
 
@@ -171,8 +184,8 @@ def report_to_dict(report: EvalReport) -> dict:
         "n_episodes": report.n_episodes,
         "seeds": list(report.seeds),
         "cells": [
-            {"mode": c.mode.value, "beta": c.beta, "episodes": c.episodes,
-             "successes": c.successes, "rate": c.rate,
+            {"mode": c.mode.value, "beta": c.beta, "k_cutoff": c.k_cutoff,
+             "episodes": c.episodes, "successes": c.successes, "rate": c.rate,
              "ci95": list(c.interval())}
             for c in report.cells
         ],

@@ -89,7 +89,8 @@ class ScriptedPolicy:
         self._trail: deque[tuple[np.ndarray, int, int]] = deque()
         self._last = len(self._positions) - 1
         self._timeout_steps = ctrl.timeout_steps
-        self._obs_history: list[np.ndarray] = []
+        # the newest latency + 1 observations; the oldest is the one acted on
+        self._obs_history: deque[np.ndarray] = deque(maxlen=self.disturbances.latency + 1)
         self._emissions = 0
         self._cursor: int | None = None
         self._steps_on_cursor = 0
@@ -101,8 +102,7 @@ class ScriptedPolicy:
 
     def _effective_obs(self, ee_pos: np.ndarray) -> np.ndarray:
         self._obs_history.append(np.array(ee_pos, dtype=float))
-        stale = len(self._obs_history) - 1 - self.disturbances.latency
-        return self._obs_history[max(0, stale)]
+        return self._obs_history[0]
 
     def _advance_cursor(self, obs: np.ndarray) -> None:
         if self._cursor is None:

@@ -136,6 +136,9 @@ class TestEnsembleEvalCommand:
         assert main(["ensemble-eval", "--demo", PUSH, "--task", "push", "--episodes", "0",
                      "--out", str(tmp_path / "r")]) == 0
         report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert report["run_config"]["matrix"] == [
+            {"mode": c.mode.value, "beta": c.beta, "k_cutoff": c.k_cutoff}
+            for c in evaluation.default_matrix()]
         assert len(report["cells"]) == 8  # baseline, reset, 3x dynamic, 3x combined
         assert report["n_episodes"] == 0
 
@@ -143,7 +146,7 @@ class TestEnsembleEvalCommand:
         assert main(["ensemble-eval", "--demo", PUSH, "--task", "push", "--episodes", "1",
                      "--modes", "combined", "--betas", "1.0", "--latency", "3",
                      "--diagnostics", "--out", str(tmp_path / "r")]) == 0
-        diag_dir = tmp_path / "r" / "diagnostics" / "combined_beta1"
+        diag_dir = tmp_path / "r" / "diagnostics" / "combined_beta1_kcutoff0.01"
         files = sorted(diag_dir.glob("*.jsonl"))
         assert files
         rec = json.loads(files[0].read_text().splitlines()[0])
@@ -160,7 +163,7 @@ class TestEnsembleEvalCommand:
         assert not (tmp_path / "r" / "report.json").exists()
 
     @pytest.mark.parametrize("flag, value, field", [
-        ("--betas", "nan", "beta"), ("--k-cutoff", "nan", "k_cutoff"),
+        ("--betas", "nan", "beta"), ("--k-cutoffs", "nan", "k_cutoff"),
     ])
     def test_nan_rejected_before_any_episode(self, tmp_path, capsys, monkeypatch,
                                              flag, value, field):
@@ -188,11 +191,57 @@ class TestStatsCommand:
 
 
 class TestCalibrateCommand:
-    def test_short_sweep(self, tmp_path, capsys):
-        code = main(["calibrate-cutoff", "--demo", PUSH, "--task", "push",
-                     "--episodes", "2", "--cutoffs", "0.01,0.5",
-                     "--out", str(tmp_path / "cal")])
-        assert code == 0
-        doc = json.loads((tmp_path / "cal" / "calibration.json").read_text())
-        assert [c["k_cutoff"] for c in doc["curve"]] == [0.01, 0.5]
-        assert doc["disturbance"]["latency"] == 3
+    """Calibrating the suspension cutoff is an ensemble-eval sweep over k_cutoff."""
+
+    def test_short_sweep(self, tmp_path):
+        assert main(["ensemble-eval", "--demo", STACK, "--task", "stack", "--episodes", "4",
+                     "--modes", "combined", "--betas", "1.0", "--k-cutoffs", "0.01,0.5",
+                     "--latency", "3", "--bimodal-period", "2",
+                     "--out", str(tmp_path / "a")]) == 0
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        # the counts the former calibrate-cutoff command gave for this sweep
+        assert [(c["mode"], c["k_cutoff"], c["successes"]) for c in report["cells"]] == \
+               [("combined", 0.01, 4), ("combined", 0.5, 0)]
+        assert main(["ensemble-eval", "--from-manifest", str(tmp_path / "a" / "report.json"),
+                     "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "report.json").read_bytes() == \
+               (tmp_path / "b" / "report.json").read_bytes()
+
+    def test_report_without_cutoff_axis_reruns(self, tmp_path):
+        # matrix entries written before k_cutoff was an axis carry mode and beta only
+        rc = {"command": "ensemble-eval", "version": "0.1.0", "demo": STACK, "task": "stack",
+              "episodes": 2, "seed": 0, "matrix": [{"mode": "combined", "beta": 1.0}],
+              "ensemble": {"k_cutoff": 0.5}, "disturbance": {"latency": 3, "bimodal_period": 2},
+              "workspace": {}, "controller": {}, "success": {}}
+        (tmp_path / "v1.json").write_text(json.dumps({"run_config": rc}))
+        assert main(["ensemble-eval", "--from-manifest", str(tmp_path / "v1.json"),
+                     "--out", str(tmp_path / "r")]) == 0
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert report["run_config"] == rc
+        assert [(c["k_cutoff"], c["successes"]) for c in report["cells"]] == [(0.5, 0)]
+
+
+AUGMENT_RC = {"command": "augment", "version": "0.1.0", "demo": PUSH, "task": "push",
+              "count": 1, "seed": 0, "attempt_cap": None,
+              "workspace": {}, "controller": {}, "success": {}}
+
+
+@pytest.mark.parametrize("cmd, source, doc, key", [
+    ("ensemble-eval", "--from-manifest", {"run_config": AUGMENT_RC}, "command"),
+    ("ensemble-eval", "--config", {"controller": {"gian": 3}}, "controller.gian"),
+    ("ensemble-eval", "--config", {"controller": 5}, "controller"),
+    ("augment", "--config", {"workspace": {"pick_goal_z": 3}}, "workspace.pick_goal_z"),
+    ("augment", "--from-manifest", {"run_config": {**AUGMENT_RC, "count": "3"}}, "count"),
+], ids=["wrong_command", "unknown_key", "section_not_object", "pair_not_list",
+        "count_not_integer"])
+def test_malformed_run_config_rejected(tmp_path, capsys, cmd, source, doc, key):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    argv = [cmd, source, str(path), "--out", str(tmp_path / "out")]
+    if source == "--config":
+        argv += ["--demo", PUSH, "--task", "push",
+                 "--count" if cmd == "augment" else "--episodes", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from demoaug.ensemble import EnsembleConfig, EnsembleMode
@@ -52,6 +54,23 @@ class TestMatrix:
         assert modes.count(EnsembleMode.COMBINED) == 3
         assert sorted(c.beta for c in cells if c.mode is EnsembleMode.COMBINED) == \
                [0.25, 0.5, 1.0]
+        assert cells == [EnsembleConfig(mode=EnsembleMode.BASELINE),
+                         EnsembleConfig(mode=EnsembleMode.RESET_ONLY)] + [
+            EnsembleConfig(mode=m, beta=b) for m in (EnsembleMode.DYNAMIC_K,
+                                                     EnsembleMode.COMBINED)
+            for b in (0.25, 0.5, 1.0)]
+
+    def test_k_cutoff_swept_only_where_ensembling_can_suspend(self):
+        base = EnsembleConfig(k_const=0.02, k_cutoff=0.03, chunk_len=10)
+        cells = default_matrix(betas=(0.5, 1.0), k_cutoffs=(0.01, 0.5), base=base)
+        axes = [(c.mode.value, c.beta, c.k_cutoff) for c in cells]
+        assert axes == [("baseline", 1.0, 0.03),
+                        ("reset_only", 1.0, 0.01), ("reset_only", 1.0, 0.5),
+                        ("dynamic_k", 0.5, 0.03), ("dynamic_k", 1.0, 0.03),
+                        ("combined", 0.5, 0.01), ("combined", 0.5, 0.5),
+                        ("combined", 1.0, 0.01), ("combined", 1.0, 0.5)]
+        assert all(c == replace(base, mode=c.mode, beta=c.beta, k_cutoff=c.k_cutoff)
+                   for c in cells)
 
 
 class TestClosedLoop:

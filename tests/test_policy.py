@@ -159,6 +159,20 @@ class TestLatency:
         assert k_p == pytest.approx(spacing * math.sqrt(5) / 2, rel=1e-12)
         assert k_p == pytest.approx(statistics.pstdev([c.pos[0] for c in cands]), rel=1e-12)
 
+    def test_history_holds_only_the_latency_window(self, stack_demo, monkeypatch):
+        policies, real_init = [], ScriptedPolicy.__init__
+
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            policies.append(self)
+
+        monkeypatch.setattr(ScriptedPolicy, "__init__", recording_init)
+        run_closed_loop_episode("stack", stack_demo, seed=5, cfg=EnsembleConfig(),
+                                disturbances=DisturbanceConfig(latency=3, bimodal_period=2))
+        [policy] = policies
+        assert policy._emissions > 100
+        assert len(policy._obs_history) <= 4
+
     def test_latency_creates_disagreement_in_closed_loop(self, pick_place_demo):
         ok, stats = run_closed_loop_episode(
             "pick_place", pick_place_demo, seed=3,
