@@ -119,6 +119,15 @@ def _load_config_file(path) -> dict:
     return doc
 
 
+def _require(doc, keys, where: str) -> None:
+    """Raise CliError naming the first of ``keys`` the JSON object ``doc`` lacks."""
+    if not isinstance(doc, dict):
+        raise CliError(f"{where} must be a JSON object, got {doc!r}")
+    for key in keys:
+        if key not in doc:
+            raise CliError(f"{where} lacks {key}")
+
+
 def _resolve_out(out) -> Path:
     path = Path(out)
     root = os.environ.get(OUT_ROOT_ENV)
@@ -244,21 +253,28 @@ def _write_report(report: EvalReport, rc: dict, out: Path) -> Path:
     return path
 
 
-def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _sweep(flag: str, text: str, parse) -> list:
+    """The comma list given to ``flag``, each item parsed; never empty."""
+    values = [parse(x.strip()) for x in text.split(",") if x.strip()]
+    if not values:
+        raise CliError(f"{flag} must list at least one value, got {text!r}")
+    return values
 
 
 def cmd_ensemble_eval(args) -> int:
     if args.from_manifest:
         rc = _run_config_from_manifest(args.from_manifest, "ensemble-eval")
+        for i, entry in enumerate(rc["matrix"]):
+            _require(entry, ("mode", "beta"), f"manifest run_config.matrix.{i}")
     else:
         if not args.demo or not args.task or args.episodes is None:
             raise CliError("ensemble-eval requires --demo, --task, and --episodes")
         sections = _build_sections(args)
-        modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-        k_cutoffs = None if args.k_cutoffs is None else _floats(args.k_cutoffs)
-        cells = default_matrix(_floats(args.betas), modes, k_cutoffs,
-                               _configs(sections)["ensemble"])
+        modes = _sweep("--modes", args.modes, str)
+        betas = _sweep("--betas", args.betas, float)
+        k_cutoffs = (None if args.k_cutoffs is None
+                     else _sweep("--k-cutoffs", args.k_cutoffs, float))
+        cells = default_matrix(betas, modes, k_cutoffs, _configs(sections)["ensemble"])
         rc = {
             "command": "ensemble-eval",
             "version": __version__,
@@ -324,7 +340,12 @@ def cmd_stats(args) -> int:
     if path.is_file() and path.suffix == ".json":
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if "cells" in doc:
+        if isinstance(doc, dict) and "cells" in doc:
+            _require(doc, ("task", "n_episodes"), "report")
+            if not isinstance(doc["cells"], list):
+                raise CliError(f"report cells must be a list, got {doc['cells']!r}")
+            for i, cell in enumerate(doc["cells"]):
+                _require(cell, ("mode", "beta", "rate"), f"report cells.{i}")
             print(f"report: {path}")
             print(f"task={doc['task']} episodes_per_cell={doc['n_episodes']}")
             for cell in doc["cells"]:

@@ -128,7 +128,7 @@ def run_closed_loop_episode(task, demo: DemoTrajectory, seed: int, cfg: Ensemble
     for t in range(horizon):
         es.submit(policy.predict(state.ee_pos, t))
         result = ensemble_action(es, t, cfg)
-        state = sim.step(state, (result.action.pos, result.action.gripper), ctrl)
+        state = sim.step(state, (result.action.pos.tolist(), result.action.gripper), ctrl)
         # stop once the plan is exhausted and the servo has settled on its end
         settled = settled + 1 if policy.finished(state.ee_pos) else 0
         if settled >= settle_steps:

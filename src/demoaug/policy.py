@@ -16,13 +16,15 @@ candidate spread is zero — the same property a well-fit policy trained on
 replay logs would have.
 
 The rollout is a pure function of its start state ``(v, k, steps_on)``:
-servo position, targeted waypoint and steps spent on it.  The predictor
-keeps the *trail* of its last rollout, the state before each of its
-chunk_len steps and after the last one.  When a query starts from exactly
-the trail's second state (``==`` on the three coordinates and both ints),
-the new rollout is the old one shifted by a step, so the trail drops its
-head and runs one more step from its tail; otherwise it restarts from the
-query's state.  Either way the same loop extends the trail to chunk_len
+servo position as an (x, y, z) float triple, targeted waypoint and steps
+spent on it.  Observations and waypoints enter the servo kernel as float
+triples too.  The predictor keeps the *trail* of its last rollout, the
+``(v, k, steps_on)`` tuple before each of its chunk_len steps and after the
+last one.  When a query starts from exactly the trail's second state (tuple
+``==``, which compares the three coordinates and both ints), the new
+rollout is the old one shifted by a step, so the trail drops its head and
+runs one more step from its tail; otherwise it restarts from the query's
+state.  Either way the same loop extends the trail to chunk_len
 steps.  A hit is bit-exact: equal floats differ at most in the sign of a
 zero, which no distance the advance rule tests can see, and the emitted
 targets are waypoints picked by index.  In a clean closed loop the executed
@@ -86,11 +88,14 @@ class ScriptedPolicy:
         self._grippers = reference.grippers()
         self._actions = tuple(Action(pos=p, gripper=float(g))
                               for p, g in zip(self._positions, self._grippers))
-        self._trail: deque[tuple[np.ndarray, int, int]] = deque()
+        # the waypoints as float triples, for the servo kernel
+        self._targets = tuple(map(tuple, self._positions.tolist()))
+        self._trail: deque[tuple[tuple[float, float, float], int, int]] = deque()
         self._last = len(self._positions) - 1
         self._timeout_steps = ctrl.timeout_steps
         # the newest latency + 1 observations; the oldest is the one acted on
-        self._obs_history: deque[np.ndarray] = deque(maxlen=self.disturbances.latency + 1)
+        self._obs_history: deque[tuple[float, float, float]] = deque(
+            maxlen=self.disturbances.latency + 1)
         self._emissions = 0
         self._cursor: int | None = None
         self._steps_on_cursor = 0
@@ -100,11 +105,11 @@ class ScriptedPolicy:
     def cursor(self) -> int:
         return 0 if self._cursor is None else self._cursor
 
-    def _effective_obs(self, ee_pos: np.ndarray) -> np.ndarray:
-        self._obs_history.append(np.array(ee_pos, dtype=float))
+    def _effective_obs(self, ee_pos) -> tuple[float, float, float]:
+        self._obs_history.append(tuple(np.asarray(ee_pos, dtype=float).tolist()))
         return self._obs_history[0]
 
-    def _advance_cursor(self, obs: np.ndarray) -> None:
+    def _advance_cursor(self, obs: tuple[float, float, float]) -> None:
         if self._cursor is None:
             self._cursor = int(np.argmin(np.linalg.norm(self._positions - obs, axis=1)))
             return
@@ -112,7 +117,7 @@ class ScriptedPolicy:
         # query longer than replay and rollout hold it, and the pinned
         # closed-loop outcomes depend on that schedule
         self._cursor, self._steps_on_cursor = advance(
-            self._cursor, self._steps_on_cursor, obs, self._positions[self._cursor],
+            self._cursor, self._steps_on_cursor, obs, self._targets[self._cursor],
             self._last, self._timeout_steps + 1, self.ctrl.waypoint_advance_radius)
 
     def _hypothesis_offset(self) -> int:
@@ -121,23 +126,23 @@ class ScriptedPolicy:
             return 0
         return d.bimodal_gap if (self._emissions // d.bimodal_period) % 2 else 0
 
-    def _rollout(self, obs: np.ndarray, start: int) -> list[int]:
+    def _rollout(self, obs: tuple[float, float, float], start: int) -> list[int]:
         """Waypoint the tracking servo targets at each of chunk_len steps.
 
         Reuses the trail of the previous rollout when this one starts from
         its second state; see the module docstring.
         """
-        ctrl, positions, last = self.ctrl, self._positions, self._last
+        ctrl, targets, last = self.ctrl, self._targets, self._last
         timeout_steps, radius = self._timeout_steps, ctrl.waypoint_advance_radius
-        trail, steps_on = self._trail, self._steps_on_cursor
-        if len(trail) > 1 and trail[1][1:] == (start, steps_on) and (trail[1][0] == obs).all():
+        trail = self._trail
+        if len(trail) > 1 and trail[1] == (obs, start, self._steps_on_cursor):
             trail.popleft()
         else:
             trail.clear()
-            trail.append((obs, start, steps_on))
+            trail.append((obs, start, self._steps_on_cursor))
         v, k, s_on = trail[-1]
-        while len(trail) <= self.chunk_len:
-            target = positions[k]
+        for _ in range(self.chunk_len + 1 - len(trail)):
+            target = targets[k]
             v = servo(v, target, ctrl)
             k, s_on = advance(k, s_on, v, target, last, timeout_steps, radius)
             trail.append((v, k, s_on))
@@ -145,7 +150,7 @@ class ScriptedPolicy:
 
     def predict(self, ee_pos, t: int) -> ActionChunk:
         """Predicted action chunk for control steps t, t+1, ..."""
-        obs = self._effective_obs(np.asarray(ee_pos, dtype=float))
+        obs = self._effective_obs(ee_pos)
         self._advance_cursor(obs)
         start = min(self._cursor + self._hypothesis_offset(), self._last)
         self._emissions += 1
@@ -165,5 +170,7 @@ class ScriptedPolicy:
         """Cursor at the final waypoint with the end effector settled on it."""
         if self._cursor is None or self._cursor < self._last:
             return False
-        gap = float(np.linalg.norm(np.asarray(ee_pos, dtype=float) - self._positions[self._last]))
-        return gap <= 2 * self.ctrl.waypoint_advance_radius
+        x, y, z = np.asarray(ee_pos, dtype=float).tolist()
+        gx, gy, gz = self._targets[self._last]
+        dx, dy, dz = x - gx, y - gy, z - gz
+        return math.sqrt(dx * dx + dy * dy + dz * dz) <= 2 * self.ctrl.waypoint_advance_radius

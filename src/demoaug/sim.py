@@ -14,9 +14,9 @@ State layout (:class:`SimState`): ``ee_pos`` (3,), ``gripper``, ``blocks``
 (B, 3) block centers in scene order, ``held`` (index of the one block bound
 to the end effector, or None), ``grasp_offset`` (3,) of that block from the
 end effector (None when nothing is held) and ``time``.  States are never
-mutated: :func:`step` copies ``blocks`` once and returns a new state, so a
-replay keeps its states as the episode record and serialises them only when
-a dataset is written.
+mutated: :func:`step` works on the state's values as Python floats and
+returns a new state with new arrays, so a replay keeps its states as the
+episode record and serialises them only when a dataset is written.
 """
 
 from __future__ import annotations
@@ -124,65 +124,79 @@ class Dataset:
         return 0.0 if self.attempts == 0 else 1.0 - self.successes / self.attempts
 
 
-def _settle(blocks: np.ndarray, held: int | None) -> None:
-    """Rest every unheld block on its support (table or a block below it), in place.
+def _settle(rows: list[list[float]], held: int | None) -> None:
+    """Rest every unheld block on its support (table or a block below it).
 
-    A support only counts if its top is at or below the block's center, so
-    a block two layers up never hoists the one beneath it; small downward
-    interpenetration left by a low release is resolved upward by at most
-    half a block.  Ascending-height processing keeps stacks deterministic.
+    ``rows`` are the (x, y, z) lists of ``blocks.tolist()``; heights are
+    written into them in place.  A support only counts if its top is at or
+    below the block's center, so a block two layers up never hoists the one
+    beneath it; small downward interpenetration left by a low release is
+    resolved upward by at most half a block.  Ascending-height processing
+    keeps stacks deterministic.
     """
     half = BLOCK_SIZE / 2.0
-    order = sorted(range(len(blocks)), key=lambda i: (blocks[i, 2], i))
+    order = sorted(range(len(rows)), key=lambda i: (rows[i][2], i))
     for i in order:
         if i == held:
             continue
+        x, y, z = rows[i]
         rest = half
-        for j, other in enumerate(blocks):
+        for j, (ox, oy, oz) in enumerate(rows):
             if j == i:
                 continue
-            top = other[2] + half
-            overlap = float(np.max(np.abs(other[:2] - blocks[i, :2]))) <= BLOCK_SIZE
-            if overlap and top <= blocks[i, 2] + SETTLE_EPS:
+            top = oz + half
+            if max(abs(ox - x), abs(oy - y)) <= BLOCK_SIZE and top <= z + SETTLE_EPS:
                 rest = max(rest, top + half)
-        blocks[i, 2] = rest
+        rows[i][2] = rest
 
 
-def servo(pos: np.ndarray, target: np.ndarray, ctrl: ControllerConfig) -> np.ndarray:
+def servo(pos, target, ctrl: ControllerConfig) -> tuple[float, float, float]:
     """End-effector position after one control period toward ``target``.
 
-    Velocity is gain * error, scaled down to max_speed when faster.
+    Velocity is gain * error, scaled down to max_speed when faster.  Both
+    points are (x, y, z) float triples, and so is the result.
 
-    ``vel @ vel`` is a BLAS ``ddot``, whose rounding is the BLAS kernel's.
-    With the OpenBLAS 0.3.31 of the NumPy 2.4.6 wheel (SkylakeX kernel, on
-    an Intel Xeon with FMA) it is a fused chain: it equalled
-    ``fma(z, z, fma(y, y, x*x))`` on 3000 of 3000 random 3-vectors, while
-    the left-to-right sum ``x*x + y*y + z*z`` differed on 44704 of 200000
-    (uniform in [-1, 1], ``default_rng(0)``).  A pure-Python float servo is
-    therefore not bit-identical to this one, and adopting one would need the
-    stored benchmark references and test pins regenerated.
+    No BLAS call is made on the simulated path: every length is the explicit
+    left-to-right sum of squares ``x*x + y*y + z*z``, so the trajectory is
+    the same on every IEEE-754 machine.  A NumPy ``vel @ vel`` is a ``ddot``
+    whose rounding is the BLAS kernel's; with OpenBLAS on an FMA-capable
+    x86 CPU it is the fused ``fma(z, z, fma(y, y, x*x))``, which differs
+    from the sum on about a fifth of random 3-vectors, so a servo built on
+    it can end a step one unit in the last place away from this one.
     """
-    vel = ctrl.gain * (target - pos)
-    speed = math.sqrt(vel @ vel)
+    px, py, pz = pos
+    tx, ty, tz = target
+    gain = ctrl.gain
+    vx = gain * (tx - px)
+    vy = gain * (ty - py)
+    vz = gain * (tz - pz)
+    speed = math.sqrt(vx * vx + vy * vy + vz * vz)
     if speed > ctrl.max_speed:
-        vel *= ctrl.max_speed / speed
-    return pos + vel * ctrl.dt
+        scale = ctrl.max_speed / speed
+        vx *= scale
+        vy *= scale
+        vz *= scale
+    dt = ctrl.dt
+    return (px + vx * dt, py + vy * dt, pz + vz * dt)
 
 
-def advance(k: int, steps_on: int, pos: np.ndarray, target: np.ndarray, last: int,
+def advance(k: int, steps_on: int, pos, target, last: int,
             timeout_steps: int, radius: float) -> tuple[int, int]:
     """Count one more step on waypoint ``k``; move past it on arrival or timeout.
 
     ``k`` moves on only while ``k < last``: when ``steps_on`` reaches
-    ``timeout_steps`` or ``pos`` is within ``radius`` of ``target``.
-    Returns the new ``(k, steps_on)``; the count restarts at 0 on a move.
+    ``timeout_steps`` or ``pos`` is within ``radius`` of ``target`` (float
+    triples; the distance is taken as in :func:`servo`).  Returns the new
+    ``(k, steps_on)``; the count restarts at 0 on a move.
     """
     steps_on += 1
     if k < last:
         if steps_on >= timeout_steps:
             return k + 1, 0
-        d = pos - target
-        if math.sqrt(d @ d) <= radius:
+        dx = pos[0] - target[0]
+        dy = pos[1] - target[1]
+        dz = pos[2] - target[2]
+        if math.sqrt(dx * dx + dy * dy + dz * dz) <= radius:
             return k + 1, 0
     return k, steps_on
 
@@ -190,40 +204,42 @@ def advance(k: int, steps_on: int, pos: np.ndarray, target: np.ndarray, last: in
 def step(state: SimState, action, cfg: ControllerConfig) -> SimState:
     """Advance one control period toward (target position, target gripper).
 
-    The end effector moves by :func:`servo`; the gripper slews at most
-    max_gripper_speed.  Closing past the block width binds the nearest
-    block within the capture radii, opening back past it releases; the
-    held block keeps its offset from the end effector.  ``state`` is left
-    untouched.
+    The target position is any (x, y, z) sequence, a list of floats being
+    the fastest.  The end effector moves by :func:`servo`; the gripper slews
+    at most max_gripper_speed.  Closing past the block width binds the
+    nearest block within the capture radii, opening back past it releases;
+    the held block keeps its offset from the end effector.  ``state`` is
+    left untouched.
     """
     target_pos, target_gripper = action
-    ee = servo(state.ee_pos, np.asarray(target_pos, dtype=float), cfg)
+    ee = servo(state.ee_pos.tolist(), target_pos, cfg)
+    ex, ey, ez = ee
 
-    g_step = float(np.clip(target_gripper - state.gripper,
-                           -cfg.max_gripper_speed * cfg.dt, cfg.max_gripper_speed * cfg.dt))
-    gripper = state.gripper + g_step
+    slew = cfg.max_gripper_speed * cfg.dt
+    gripper = state.gripper + min(max(float(target_gripper) - state.gripper, -slew), slew)
 
-    blocks = state.blocks.copy()
+    rows = state.blocks.tolist()
     held, offset = state.held, state.grasp_offset
     if held is None and state.gripper >= BLOCK_SIZE > gripper:
         best_dist = math.inf
-        for i, b in enumerate(blocks):
-            dxy = float(np.linalg.norm(b[:2] - ee[:2]))
-            dz = abs(float(b[2] - ee[2]))
-            if dxy <= CAPTURE_RADIUS_XY and dz <= CAPTURE_RADIUS_Z:
-                dist = float(np.linalg.norm(b - ee))
+        for i, (bx, by, bz) in enumerate(rows):
+            dx, dy, dz = bx - ex, by - ey, bz - ez
+            if (math.sqrt(dx * dx + dy * dy) <= CAPTURE_RADIUS_XY
+                    and abs(dz) <= CAPTURE_RADIUS_Z):
+                dist = math.sqrt(dx * dx + dy * dy + dz * dz)
                 if dist < best_dist:
                     held, best_dist = i, dist
         if held is not None:
-            offset = blocks[held] - ee
+            offset = np.array([b - e for b, e in zip(rows[held], ee)])
     elif held is not None and state.gripper < BLOCK_SIZE <= gripper:
         held = offset = None
 
     if held is not None:
-        blocks[held] = ee + offset
-    _settle(blocks, held)
-    return SimState(ee_pos=ee, gripper=gripper, blocks=blocks, held=held,
-                    grasp_offset=offset, time=state.time + cfg.dt)
+        ox, oy, oz = offset.tolist()
+        rows[held] = [ex + ox, ey + oy, ez + oz]
+    _settle(rows, held)
+    return SimState(ee_pos=np.array(ee), gripper=gripper, blocks=np.array(rows).reshape(-1, 3),
+                    held=held, grasp_offset=offset, time=state.time + cfg.dt)
 
 
 def initial_state(traj: DemoTrajectory, scene: Scene) -> SimState:
@@ -245,6 +261,8 @@ def replay(aug: DemoTrajectory, scene: Scene, cfg: ControllerConfig = Controller
     """
     positions = aug.positions()
     grippers = aug.grippers()
+    targets_xyz = positions.tolist()
+    targets_g = grippers.tolist()
     n = len(positions)
     timeout_steps = cfg.timeout_steps
 
@@ -256,13 +274,14 @@ def replay(aug: DemoTrajectory, scene: Scene, cfg: ControllerConfig = Controller
     while k < n:
         states.append(state)
         targets.append(k)
-        state = step(state, (positions[k], grippers[k]), cfg)
-        k, steps_on_wp = advance(k, steps_on_wp, state.ee_pos, positions[k], n,
+        target = targets_xyz[k]
+        state = step(state, (target, targets_g[k]), cfg)
+        k, steps_on_wp = advance(k, steps_on_wp, state.ee_pos.tolist(), target, n,
                                  timeout_steps, cfg.waypoint_advance_radius)
     for _ in range(cfg.settle_steps):
         states.append(state)
         targets.append(n - 1)
-        state = step(state, (positions[-1], grippers[-1]), cfg)
+        state = step(state, (targets_xyz[-1], targets_g[-1]), cfg)
 
     ok = tasks.success(aug.task, state, scene, spec)
     return EpisodeRecord(states=tuple(states), action_pos=positions[targets],

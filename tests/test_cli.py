@@ -176,6 +176,33 @@ class TestEnsembleEvalCommand:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("sweep, flag", [
+        (["--modes", "combined", "--k-cutoffs", ""], "--k-cutoffs"),
+        (["--modes", "baseline,combined", "--betas", ""], "--betas"),
+        (["--modes", " , "], "--modes"),
+    ], ids=["k_cutoffs", "betas", "modes"])
+    def test_empty_sweep_rejected(self, tmp_path, capsys, sweep, flag):
+        assert main(["ensemble-eval", "--demo", PUSH, "--task", "push", "--episodes", "0",
+                     *sweep, "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"beta": 1.0}, "mode"), ({"mode": "combined"}, "beta"),
+    ])
+    def test_matrix_entry_without_mode_or_beta_rejected(self, tmp_path, capsys, entry, key):
+        rc = {"command": "ensemble-eval", "version": "0.1.0", "demo": PUSH, "task": "push",
+              "episodes": 0, "seed": 0, "matrix": [{"mode": "baseline", "beta": 1.0}, entry],
+              "ensemble": {}, "disturbance": {}, "workspace": {}, "controller": {},
+              "success": {}}
+        (tmp_path / "m.json").write_text(json.dumps({"run_config": rc}))
+        assert main(["ensemble-eval", "--from-manifest", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"matrix.1 lacks {key}" in err
+        assert not (tmp_path / "r").exists()
+
 
 class TestStatsCommand:
     def test_dataset_summary(self, tmp_path, capsys):
@@ -188,6 +215,21 @@ class TestStatsCommand:
 
     def test_invalid_path(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "nothing")]) == 1
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"cells": [{"x": 1}], "task": "push", "n_episodes": 1}, "cells.0 lacks mode"),
+        ({"cells": [{"mode": "baseline", "beta": 1.0}], "task": "push", "n_episodes": 1},
+         "cells.0 lacks rate"),
+        ({"cells": [], "n_episodes": 1}, "lacks task"),
+        ({"cells": [5], "task": "push", "n_episodes": 1}, "cells.0 must be a JSON object"),
+    ], ids=["cell_without_mode", "cell_without_rate", "no_task", "cell_not_object"])
+    def test_malformed_report_rejected(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert main(["stats", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and key in captured.err
+        assert "Traceback" not in captured.err and not captured.out
 
 
 class TestCalibrateCommand:

@@ -238,7 +238,7 @@ def checked_chunks(monkeypatch):
     starts, rngs, checked = [], {}, []
 
     def spy_rollout(self, obs, start):
-        starts.append((obs.copy(), start, self._steps_on_cursor))
+        starts.append((obs, start, self._steps_on_cursor))
         return real_rollout(self, obs, start)
 
     def checked_predict(self, ee_pos, t):

@@ -1,5 +1,6 @@
 import copy
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from demoaug.dataset import episode_lines
 from demoaug.sim import (
     AttemptCapExceeded, ControllerConfig, SimState,
-    replay, run_campaign, scene_seed_for, step,
+    advance, replay, run_campaign, scene_seed_for, servo, step,
 )
 from demoaug.tasks import Scene, SuccessSpec, TaskKind, recorded_scene
 from demoaug.trajectory import augment_segmentwise, identity_anchors
@@ -116,6 +117,69 @@ class TestStep:
             np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
         assert (state.gripper, state.held, state.time) == \
             (before.gripper, before.held, before.time)
+
+
+def fma(a, b, c):
+    """``a*b + c`` rounded once, as a fused multiply-add computes it."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+def sum_of_squares(x, y, z):
+    return x * x + y * y + z * z
+
+
+def fused_sum_of_squares(x, y, z):
+    return fma(z, z, fma(y, y, x * x))
+
+
+def servo_by_hand(pos, target, ctrl, norm2=sum_of_squares):
+    v = [ctrl.gain * (t - p) for p, t in zip(pos, target)]
+    speed = math.sqrt(norm2(*v))
+    if speed > ctrl.max_speed:
+        scale = ctrl.max_speed / speed
+        v = [c * scale for c in v]
+    return tuple(p + c * ctrl.dt for p, c in zip(pos, v))
+
+
+class TestPortableNorm:
+    """Lengths on the simulated path are the left-to-right sum of squares.
+
+    A BLAS dot product rounds as the machine's kernel does; with FMA it is
+    the fused chain.  Only point pairs whose vector (the servo's velocity,
+    the advance rule's offset) has a different squared length by the two
+    are kept, so a servo or advance rule that takes its length another way
+    fails here on a machine whose BLAS fuses.
+    """
+
+    POINTS = np.random.default_rng(0).uniform(-1, 1, size=(20000, 2, 3)).tolist()
+
+    def telling(self, vector):
+        return [(p, t) for p, t in self.POINTS
+                if sum_of_squares(*vector(p, t)) != fused_sum_of_squares(*vector(p, t))]
+
+    def test_servo_is_the_left_to_right_formula(self):
+        pairs = self.telling(lambda p, t: [CFG.gain * (b - a) for a, b in zip(p, t)])
+        assert len(pairs) > 1000
+        for p, t in pairs:
+            expected = servo_by_hand(p, t, CFG)
+            assert servo(p, t, CFG) == expected
+            assert step(bare_state(ee=p), (t, 0.08), CFG).ee_pos.tolist() == list(expected)
+        # the kept pairs tell the two formulas apart
+        assert any(servo_by_hand(p, t, CFG, fused_sum_of_squares) != servo_by_hand(p, t, CFG)
+                   for p, t in pairs)
+
+    def test_advance_uses_the_same_distance(self):
+        def offset(p, t):
+            return [a - b for a, b in zip(p, t)]
+
+        pairs = self.telling(offset)
+        assert len(pairs) > 1000
+        for p, t in pairs:
+            r = math.sqrt(sum_of_squares(*offset(p, t)))
+            assert advance(0, 0, p, t, 1, 10**9, r) == (1, 0)
+            assert advance(0, 0, p, t, 1, 10**9, math.nextafter(r, 0.0)) == (0, 1)
+        assert any(math.sqrt(fused_sum_of_squares(*offset(p, t)))
+                   != math.sqrt(sum_of_squares(*offset(p, t))) for p, t in pairs)
 
 
 class TestReplay:
