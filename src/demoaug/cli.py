@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, sim, tasks
-from .dataset import canonical_json, episode_lines, read_manifest, write_dataset
+from .dataset import canonical_json, episode_text, read_manifest, write_dataset
 from .ensemble import EnsembleConfig
 from .evaluation import (ABLATION_BETAS, ABLATION_MODES, EvalReport, closed_loop_eval,
                          default_matrix, format_report, report_to_dict)
@@ -238,8 +238,9 @@ def cmd_replay(args) -> int:
           f"final_blocks={ep.states[-1].blocks.tolist()}")
     if args.out:
         path = _resolve_out(args.out)
+        text = episode_text(ep)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(episode_lines(ep)) + "\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         print(f"episode written to {path}")
     return 0
 

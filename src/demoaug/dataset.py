@@ -7,9 +7,12 @@ Layout, one directory per campaign::
 
 Episodes are held in memory as the simulator's own states and action arrays
 (:class:`~demoaug.sim.EpisodeRecord`) and serialised into step records only
-here, at write time.  Serialization is canonical (sorted keys, no whitespace
-variance, floats via repr) so identical campaigns produce byte-identical
-directories.
+here, at write time.  Every record is canonical JSON: keys sorted, no
+whitespace, floats as ``repr``, so identical campaigns produce byte-identical
+directories.  The manifest goes through :func:`canonical_json`.  The step
+records are the same bytes, but are written from one template per episode
+with the keys already in sorted order, and the text of a repeated value is
+reused unless the value holds a zero (see :func:`episode_lines`).
 """
 
 from __future__ import annotations
@@ -27,21 +30,89 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def episode_lines(episode: EpisodeRecord) -> list[str]:
-    """One canonical JSON step record per control step: the observed state, then the action."""
-    goals = episode.goals.tolist()
-    return [canonical_json({
-        "t": s.time,
-        "obs": {
-            "ee": s.ee_pos.tolist(),
-            "gripper": s.gripper,
-            "blocks": s.blocks.tolist(),
-            "held": [i == s.held for i in range(len(s.blocks))],
-            "goals": goals,
-        },
-        "action": {"pos": pos, "gripper": gripper},
-    }) for s, pos, gripper in zip(episode.states, episode.action_pos.tolist(),
-                                  episode.action_gripper.tolist())]
+def _number(x) -> str:
+    """JSON text of one scalar; NaN and inf raise ValueError."""
+    if type(x) is float:
+        text = repr(x)
+        if "n" in text:  # "nan", "inf", "-inf": no finite repr has an "n"
+            raise ValueError(f"non-finite value in a step record: {text}")
+        return text
+    return json.dumps(x, allow_nan=False)
+
+
+def _row(row: list) -> str:
+    """JSON text of one (x, y, z) list; NaN and inf raise ValueError."""
+    x, y, z = row
+    text = f"[{x!r},{y!r},{z!r}]"
+    if "n" in text:
+        raise ValueError(f"non-finite value in a step record: {text}")
+    return text
+
+
+def episode_lines(episode: EpisodeRecord, times: dict | None = None) -> list[str]:
+    """One canonical JSON step record per control step: the observed state, then the action.
+
+    A record is the :func:`canonical_json` text of ``{"action": {"gripper",
+    "pos"}, "obs": {"blocks", "ee", "goals", "gripper", "held"}, "t"}``,
+    written without ``json.dumps``.  Each episode has one template that holds
+    the keys, already in sorted order, and the text fixed for the episode:
+    ``goals`` and the ``held`` flag list of each held index.  Each step fills
+    in its numbers, floats as ``repr``.  ``repr`` is most of the cost, so the
+    text of a value is reused while the value is unchanged: the action
+    position and gripper, the observed gripper and each block row from one
+    step to the next, and the time across every episode given the same
+    ``times`` dict (step time -> text; pass one to every episode of a
+    dataset).  Only values without a zero are reused, since ``0.0 == -0.0``
+    but the two print differently.  An episode's states share one block
+    count.  A NaN or inf raises ValueError, as ``allow_nan=False`` does.
+    """
+    if times is None:
+        times = {}
+    n_blocks = len(episode.states[0].blocks) if episode.states else 0
+    held_texts = {held: canonical_json([i == held for i in range(n_blocks)])
+                  for held in (None, *range(n_blocks))}
+    template = ('{"action":{"gripper":%s,"pos":%s},"obs":{"blocks":%s,"ee":%s,"goals":'
+                + canonical_json(episode.goals.tolist())
+                + ',"gripper":%s,"held":%s},"t":%s}')
+
+    # a value holding a zero is remembered as None, which no value equals
+    lines = []
+    last_pos = last_act_g = last_g = None
+    last_rows: list = [None] * n_blocks
+    row_texts = [""] * n_blocks
+    for s, pos, act_g in zip(episode.states, episode.action_pos.tolist(),
+                             episode.action_gripper.tolist()):
+        if pos != last_pos:
+            pos_text = _row(pos)
+            last_pos = None if 0.0 in pos else pos
+        if act_g != last_act_g:
+            act_g_text = _number(act_g)
+            last_act_g = act_g or None
+        g = s.gripper
+        if g != last_g:
+            g_text = _number(g)
+            last_g = g or None
+        rows = s.blocks.tolist()
+        if rows != last_rows:
+            for i, row in enumerate(rows):
+                if row != last_rows[i]:
+                    row_texts[i] = _row(row)
+                    last_rows[i] = None if 0.0 in row else row
+            blocks_text = "[" + ",".join(row_texts) + "]"
+        t = s.time
+        t_text = times.get(t)
+        if t_text is None:
+            t_text = _number(t)
+            if t:
+                times[t] = t_text
+        lines.append(template % (act_g_text, pos_text, blocks_text, _row(s.ee_pos.tolist()),
+                                 g_text, held_texts.get(s.held, held_texts[None]), t_text))
+    return lines
+
+
+def episode_text(episode: EpisodeRecord, times: dict | None = None) -> str:
+    """The episode's ``.jsonl`` file: :func:`episode_lines`, one per line."""
+    return "\n".join(episode_lines(episode, times)) + "\n"
 
 
 def write_dataset(dataset: Dataset, out_dir, run_config: dict | None = None) -> Path:
@@ -51,10 +122,10 @@ def write_dataset(dataset: Dataset, out_dir, run_config: dict | None = None) -> 
     episodes_dir.mkdir(parents=True, exist_ok=True)
 
     index = []
+    times: dict = {}
     for i, ep in enumerate(dataset.episodes):
         name = f"ep_{i:05d}.jsonl"
-        path = episodes_dir / name
-        path.write_text("\n".join(episode_lines(ep)) + "\n", encoding="utf-8")
+        (episodes_dir / name).write_text(episode_text(ep, times), encoding="utf-8")
         index.append({
             "file": f"episodes/{name}",
             "steps": len(ep.states),

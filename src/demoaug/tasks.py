@@ -99,6 +99,18 @@ class SuccessSpec:
                 TaskKind.STACK: self.stack}[as_task(task)]
 
 
+def _distance(p, q) -> float:
+    """Euclidean distance between two 2- or 3-vectors, taken as :mod:`~demoaug.sim`
+    takes lengths: ``math.sqrt`` of the explicit left-to-right ``x*x + y*y
+    (+ z*z)``.  ``np.linalg.norm`` is a BLAS ``ddot``, which rounds as the
+    machine's kernel does."""
+    d = (p - q).tolist()
+    total = d[0] * d[0] + d[1] * d[1]
+    if len(d) == 3:
+        total += d[2] * d[2]
+    return math.sqrt(total)
+
+
 def _xy(rng: np.random.Generator, ws: Workspace) -> np.ndarray:
     return rng.uniform(-ws.half, ws.half, size=2)
 
@@ -120,22 +132,22 @@ def sample_scene(task, ws: Workspace = Workspace(), rng_seed: int = 0) -> Scene:
         if task is TaskKind.PUSH:
             start = np.append(_xy(rng, ws), rest_z)
             goal = np.append(_xy(rng, ws), rest_z)
-            if np.linalg.norm(start - goal) < min_sep:
+            if _distance(start, goal) < min_sep:
                 continue
             return Scene(block_starts=(start,), block_goals=(goal,), seed=rng_seed)
         if task is TaskKind.PICK_PLACE:
             start = np.append(_xy(rng, ws), rest_z)
             goal = np.append(_xy(rng, ws), rng.uniform(*ws.pick_goal_z))
-            if np.linalg.norm(start - goal) < min_sep:
+            if _distance(start, goal) < min_sep:
                 continue
             return Scene(block_starts=(start,), block_goals=(goal,), seed=rng_seed)
         # stack: two starts plus one goal column, lower then upper goal
         s1 = np.append(_xy(rng, ws), rest_z)
         s2 = np.append(_xy(rng, ws), rest_z)
         col = _xy(rng, ws)
-        if np.linalg.norm(s1 - s2) < min_sep:
+        if _distance(s1, s2) < min_sep:
             continue
-        if np.linalg.norm(s1[:2] - col) < min_sep or np.linalg.norm(s2[:2] - col) < min_sep:
+        if _distance(s1[:2], col) < min_sep or _distance(s2[:2], col) < min_sep:
             continue
         goals = (np.append(col, rest_z), np.append(col, rest_z + BLOCK_SIZE))
         return Scene(block_starts=(s1, s2), block_goals=goals, seed=rng_seed)
@@ -170,6 +182,6 @@ def success(task, final_state, scene: Scene, spec: SuccessSpec = SuccessSpec()) 
     task = as_task(task)
     cutoff = spec.threshold(task)
     for block, goal in zip(final_state.blocks, scene.block_goals):
-        if np.linalg.norm(block - goal) > cutoff:
+        if _distance(block, goal) > cutoff:
             return False
     return True

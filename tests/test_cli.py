@@ -2,13 +2,15 @@ import filecmp
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from demoaug import evaluation
+from demoaug import evaluation, sim
 from demoaug.cli import main
-from demoaug.dataset import canonical_json, read_episode_steps, read_manifest, write_dataset
+from demoaug.dataset import (canonical_json, episode_lines, read_episode_steps, read_manifest,
+                             write_dataset)
 from demoaug.demos import reference_demo
-from demoaug.sim import run_campaign
+from demoaug.sim import EpisodeRecord, SimState, run_campaign
 from demoaug.tasks import TaskKind
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "src" / "demoaug" / "demos"
@@ -25,7 +27,100 @@ def assert_trees_identical(a: Path, b: Path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def oracle_lines(episode: EpisodeRecord) -> list[str]:
+    """The step records as a nested dict through ``canonical_json``: the
+    reference that ``episode_lines`` must match byte for byte."""
+    goals = episode.goals.tolist()
+    return [canonical_json({
+        "t": s.time,
+        "obs": {
+            "ee": s.ee_pos.tolist(),
+            "gripper": s.gripper,
+            "blocks": s.blocks.tolist(),
+            "held": [i == s.held for i in range(len(s.blocks))],
+            "goals": goals,
+        },
+        "action": {"pos": pos, "gripper": gripper},
+    }) for s, pos, gripper in zip(episode.states, episode.action_pos.tolist(),
+                                  episode.action_gripper.tolist())]
+
+
+def handmade_episode(zero: float = 0.0, other: float = -0.0) -> EpisodeRecord:
+    """Two blocks, signed zeros that flip between steps in every reused
+    value, a held index that switches on and off, and action rows that
+    repeat and change."""
+    rows = [
+        ([[zero, 0.1, 0.02], [0.3, -0.2, 0.02]], None, 0.08, zero),
+        ([[other, 0.1, 0.02], [0.3, -0.2, 0.02]], 0, zero, other),
+        ([[other, 0.1, 0.02], [0.3, -0.2, 0.02]], 0, other, 0.05),
+        ([[0.25, 0.1, zero], [0.3, -0.2, 0.02]], None, other, 0.1),
+        ([[0.25, 0.1, other], [0.3, -0.2, other]], 1, 0.08, 0.15),
+        ([[0.25, 0.1, other], [0.3, -0.2, zero]], 1, 0.08, 0.2),
+        ([[0.25, 0.1, 0.02], [0.3, -0.2, 0.02]], None, 0.08, 0.25),
+    ]
+    states = tuple(SimState(ee_pos=np.array([0.1 * k, zero if k % 2 else other, 0.2]),
+                            gripper=gripper, blocks=np.array(blocks), held=held, time=t)
+                   for k, (blocks, held, gripper, t) in enumerate(rows))
+    action_pos = np.array([[zero, 0.1, 0.12], [other, 0.1, 0.12], [other, 0.1, 0.12],
+                           [0.1, 0.1, 0.12], [0.1, 0.1, 0.12], [0.2, zero, 0.12],
+                           [0.2, other, 0.12]])
+    action_gripper = np.array([zero, other, other, 0.08, 0.08, zero, zero])
+    return EpisodeRecord(states=states, action_pos=action_pos, action_gripper=action_gripper,
+                         success=True, goals=np.array([[zero, 0.1, 0.02], [other, 0.1, 0.06]]))
+
+
+def nonfinite_episode(field: str, bad: float) -> EpisodeRecord:
+    """``handmade_episode`` with ``bad`` put into one value of its last step."""
+    ep = handmade_episode()
+    last = ep.states[-1]
+    if field == "ee_pos":
+        last = SimState(ee_pos=np.array([0.1, bad, 0.2]), gripper=last.gripper,
+                        blocks=last.blocks, time=last.time)
+    elif field == "blocks":
+        blocks = last.blocks.copy()
+        blocks[1, 2] = bad
+        last = SimState(ee_pos=last.ee_pos, gripper=last.gripper, blocks=blocks,
+                        time=last.time)
+    elif field == "gripper":
+        last = SimState(ee_pos=last.ee_pos, gripper=bad, blocks=last.blocks, time=last.time)
+    action_pos = ep.action_pos.copy()
+    action_gripper = ep.action_gripper.copy()
+    if field == "action_pos":
+        action_pos[-1, 0] = bad
+    elif field == "action_gripper":
+        action_gripper[-1] = bad
+    return EpisodeRecord(states=ep.states[:-1] + (last,), action_pos=action_pos,
+                         action_gripper=action_gripper, success=True, goals=ep.goals)
+
+
 class TestDatasetIO:
+    @pytest.mark.parametrize("task", ["stack", "push", "pick_place"])
+    def test_episode_lines_match_nested_dict_encoding(self, task):
+        ds = run_campaign(reference_demo(task), task, count=3, rng_seed=7)
+        times = {}
+        for ep in ds.episodes:
+            assert episode_lines(ep, times) == oracle_lines(ep)
+
+    @pytest.mark.parametrize("zero, other", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_episode_lines_keep_signed_zeros(self, zero, other):
+        ep = handmade_episode(zero, other)
+        assert "-0.0" in "".join(oracle_lines(ep))
+        times = {}
+        assert episode_lines(ep, times) == oracle_lines(ep)
+        # the times dict carries text from one episode to the next
+        flipped = handmade_episode(other, zero)
+        assert episode_lines(flipped, times) == oracle_lines(flipped)
+
+    @pytest.mark.parametrize("field", ["ee_pos", "blocks", "action_pos", "gripper",
+                                       "action_gripper"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_raise(self, field, bad):
+        ep = nonfinite_episode(field, bad)
+        with pytest.raises(ValueError):
+            oracle_lines(ep)
+        with pytest.raises(ValueError):
+            episode_lines(ep)
+
     def test_round_trip(self, tmp_path, push_demo):
         ds = run_campaign(push_demo, TaskKind.PUSH, count=3, rng_seed=5)
         write_dataset(ds, tmp_path / "ds", run_config={"command": "augment"})
@@ -116,6 +211,15 @@ class TestReplayCommand:
         assert code == 0
         assert "success=" in capsys.readouterr().out
         assert (tmp_path / "ep.jsonl").exists()
+
+    def test_non_finite_episode_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sim, "attempt_episode",
+                            lambda *args: nonfinite_episode("blocks", float("nan")))
+        code = main(["replay", "--demo", STACK, "--task", "stack", "--seed", "4",
+                     "--out", str(tmp_path / "ep.jsonl")])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "ep.jsonl").exists()
 
 
 class TestEnsembleEvalCommand:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,6 +147,31 @@ class TestSuccess:
             near = state_with_blocks([g + 0.5 * o for g, o in zip(goals, offsets)])
             if success(TaskKind.STACK, far, scene):
                 assert success(TaskKind.STACK, near, scene)
+
+    def test_cutoff_compares_the_left_to_right_distance(self):
+        """The block-to-goal distance is ``math.sqrt(x*x + y*y + z*z)``, summed
+        left to right as ``sim`` takes lengths.  Only pairs whose squared
+        distance differs from the fused chain ``fma(z, z, fma(y, y, x*x))``
+        (a BLAS ``ddot`` with FMA) are kept, so grading by ``np.linalg.norm``
+        fails here on a machine whose BLAS fuses."""
+        def fused(x, y, z):
+            inner = float(Fraction(y) ** 2 + Fraction(x * x))  # each fma rounds once
+            return float(Fraction(z) ** 2 + Fraction(inner))
+
+        pairs = np.random.default_rng(4).uniform(-0.05, 0.05, size=(4000, 2, 3))
+        checked = 0
+        for block, goal in pairs:
+            x, y, z = (block - goal).tolist()
+            if x * x + y * y + z * z == fused(x, y, z):
+                continue
+            checked += 1
+            d = math.sqrt(x * x + y * y + z * z)
+            scene = Scene(block_starts=([0.3, 0.3, 0.02],), block_goals=(goal,), seed=0)
+            state = state_with_blocks([block])
+            assert success(TaskKind.PUSH, state, scene, SuccessSpec(push=d))
+            assert not success(TaskKind.PUSH, state, scene,
+                               SuccessSpec(push=math.nextafter(d, 0.0)))
+        assert checked > 100
 
     def test_custom_spec_threshold(self):
         scene = Scene(block_starts=([0, 0, 0.02],), block_goals=([0.1, 0.0, 0.02],), seed=0)
