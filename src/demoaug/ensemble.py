@@ -21,6 +21,20 @@ Position and gripper width are separate modalities: each gets its own k
 (the position k uses the largest per-axis deviation) and its own weighted
 mean.  Because a standard deviation over a near-empty buffer is noise, the
 first five steps of every buffer epoch always use the fixed temperature.
+
+Float rule.  No NumPy call runs on the per-step path: the ensembler works on
+each candidate's position as a float triple (``Action.xyz``) and on its
+gripper width as a float.  Every sum over the candidates (a spread's mean
+and mean square, the weight total, each weighted mean) is ``math.fsum``,
+the correctly rounded sum of float terms, so it does not depend on a
+summation order; the weights use ``math.exp``.  Two reasons.  The
+suspension test compares a spread with the cutoff, and a spread can sit on
+the cutoff exactly (a balanced split of the stack demo's gripper widths
+0.03 and 0.08 at beta 0.5 gives k_g == 0.0125): a left-to-right sum of the
+same terms lands a unit in the last place above it and triggers one step
+early.  And NumPy's ``exp`` is dispatched to a SIMD kernel chosen by the
+CPU; on AVX-512 it rounds two of the nineteen default-temperature weights
+(ages 1 and 7) differently from ``math.exp``.
 """
 
 from __future__ import annotations
@@ -29,6 +43,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from math import fsum
 
 import numpy as np
 
@@ -56,16 +71,44 @@ SUSPENDING_MODES = (EnsembleMode.RESET_ONLY, EnsembleMode.COMBINED)  # can suspe
 
 @dataclass(frozen=True)
 class Action:
+    """A target position and gripper width.
+
+    ``pos`` is a float array; the predictor's noise-free actions share
+    read-only rows of its waypoint array.  ``xyz`` is the same position as a
+    float triple, set once at construction, and is what the ensembler and
+    the simulator compute on.
+    """
+
     pos: np.ndarray
     gripper: float
+    xyz: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.asarray(self.pos, dtype=float)
-        if pos.shape != (3,) or not np.isfinite(pos).all():
+        xyz = tuple(pos.tolist()) if pos.shape == (3,) else ()
+        if not (xyz and all(map(math.isfinite, xyz))):
             raise ValueError(f"Action pos must be a finite 3-vector, got {self.pos!r}")
         if not math.isfinite(self.gripper):
             raise ValueError(f"Action gripper must be finite, got {self.gripper}")
         object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "gripper", float(self.gripper))
+        object.__setattr__(self, "xyz", xyz)
+
+    @classmethod
+    def _of_floats(cls, xyz: tuple[float, float, float], gripper: float) -> "Action":
+        """The ensembler's output, made with no NumPy call; ``pos`` is built on first use."""
+        action = object.__new__(cls)
+        object.__setattr__(action, "xyz", xyz)
+        object.__setattr__(action, "gripper", gripper)
+        return action
+
+    def __getattr__(self, name):
+        # reached only for an unset attribute, which is the pos of an _of_floats Action
+        if name != "pos":
+            raise AttributeError(name)
+        pos = np.array(self.xyz)
+        object.__setattr__(self, "pos", pos)
+        return pos
 
 
 @dataclass(frozen=True)
@@ -165,51 +208,54 @@ def candidates(buffer: ChunkBuffer, t: int) -> tuple[list[Action], list[int]]:
     return [c.actions[age] for c, age in zip(chunks, ages)], ages
 
 
-def _spread(values: np.ndarray) -> np.ndarray:
-    """Population standard deviation per column, exactly zero on agreement.
-
-    Values are shifted by the first row before the moment computation so
-    identical candidates yield deviations of exactly 0.0 rather than
-    rounding dust.
-    """
-    shifted = values - values[0]
-    centered = shifted - shifted.mean(axis=0)
-    return np.sqrt((centered * centered).mean(axis=0))
-
-
 def compute_k(cands: list[Action], beta: float) -> tuple[float, float]:
     """Spread-proportional temperatures (position, gripper).
 
-    The position temperature takes the largest per-axis standard deviation;
-    the gripper temperature uses the gripper-width standard deviation.
-    Both scale linearly in beta.
+    Each is beta times a population standard deviation over the candidates:
+    for the position the largest of the three per-axis deviations, for the
+    gripper that of the widths.  A column is first shifted by the first
+    candidate's value, so candidates that agree give exactly 0.0 rather
+    than rounding dust.  Its mean, and then the mean square about that
+    mean, are ``fsum`` of the float terms divided by n.
     """
-    if len(cands) < 2:
-        raise InsufficientCandidates(f"need >= 2 candidates, got {len(cands)}")
-    pos = np.array([c.pos for c in cands])
-    grip = np.array([[c.gripper] for c in cands])
-    k_p = beta * float(np.max(_spread(pos)))
-    k_g = beta * float(_spread(grip)[0])
-    return k_p, k_g
+    n = len(cands)
+    if n < 2:
+        raise InsufficientCandidates(f"need >= 2 candidates, got {n}")
+    deviations = []
+    for column in (*zip(*[c.xyz for c in cands]), [c.gripper for c in cands]):
+        v0 = column[0]
+        shifted = [v - v0 for v in column]
+        mean = fsum(shifted) / n
+        deviations.append(math.sqrt(fsum([(v - mean) * (v - mean) for v in shifted]) / n))
+    return beta * max(deviations[:3]), beta * deviations[3]
 
 
-def decay_weights(ages, k: float) -> np.ndarray:
+def decay_weights(ages, k: float) -> list[float]:
     """Normalized exp(-k * age) weights; age is in control steps."""
-    w = np.exp(-k * np.asarray(ages, dtype=float))
-    return w / w.sum()
+    w = [math.exp(-k * age) for age in ages]
+    total = fsum(w)
+    return [x / total for x in w]
 
 
 def _weighted_action(cands: list[Action], ages, k_p: float, k_g: float,
-                     g_max: float) -> Action:
-    # Means are anchored at the first candidate so unanimous candidates
-    # reproduce their action exactly, free of weight-normalization dust.
-    pos = np.array([c.pos for c in cands])
-    grip = np.array([c.gripper for c in cands])
-    wp = decay_weights(ages, k_p)
-    wg = decay_weights(ages, k_g)
-    out_pos = pos[0] + wp @ (pos - pos[0])
-    gripper = float(np.clip(grip[0] + wg @ (grip - grip[0]), 0.0, g_max))
-    return Action(pos=out_pos, gripper=gripper)
+                     g_max: float, unanimous: bool) -> Action:
+    # Means are anchored at the first candidate, each x0 + fsum(w * (x - x0)),
+    # so unanimous candidates reproduce their action exactly, free of
+    # weight-normalization dust.  When every candidate is the same Action each
+    # term is w * 0.0, the sums are 0.0 and are not formed.
+    x0, y0, z0 = cands[0].xyz
+    g0 = cands[0].gripper
+    if unanimous:
+        x, y, z, g = x0 + 0.0, y0 + 0.0, z0 + 0.0, g0 + 0.0
+    else:
+        wp = decay_weights(ages, k_p)
+        wg = wp if k_g == k_p else decay_weights(ages, k_g)
+        xs, ys, zs = zip(*[c.xyz for c in cands])
+        x = x0 + fsum([w * (v - x0) for w, v in zip(wp, xs)])
+        y = y0 + fsum([w * (v - y0) for w, v in zip(wp, ys)])
+        z = z0 + fsum([w * (v - z0) for w, v in zip(wp, zs)])
+        g = g0 + fsum([w * (c.gripper - g0) for w, c in zip(wg, cands)])
+    return Action._of_floats((x, y, z), min(max(g, 0.0), g_max))
 
 
 @dataclass(frozen=True)
@@ -317,26 +363,31 @@ def ensemble_action(state: EnsembleState, t: int, cfg: EnsembleConfig) -> Ensemb
 
     cands, ages = candidates(state.buffer, t)
     n = len(cands)
+    # the predictor shares one Action per waypoint, so agreement is mostly identity
+    first = cands[0]
+    unanimous = all(c is first for c in cands)
 
     warm = state.epoch_step < cfg.warmup_steps
     if warm or cfg.mode is EnsembleMode.BASELINE:
-        action = _weighted_action(cands, ages, cfg.k_const, cfg.k_const, cfg.g_max)
+        action = _weighted_action(cands, ages, cfg.k_const, cfg.k_const, cfg.g_max, unanimous)
         diag = StepDiagnostics(t=t, mode_used="warmup" if warm else "baseline",
                                candidate_count=n, k_p=cfg.k_const, k_g=cfg.k_const)
         state.epoch_step += 1
         state.stats.append(diag)
         return EnsembleResult(action=action, diagnostics=diag)
 
-    k_p, k_g = compute_k(cands, cfg.beta) if n >= 2 else (0.0, 0.0)
+    # compute_k of unanimous candidates is exactly (0.0, 0.0)
+    k_p, k_g = (0.0, 0.0) if unanimous else compute_k(cands, cfg.beta)
     if cfg.mode in SUSPENDING_MODES and \
             (k_p > cfg.k_cutoff or k_g > cfg.k_cutoff):
         return _enter_suspension(state, t, cfg, k_p, k_g, n)
 
     if cfg.mode is EnsembleMode.RESET_ONLY:
-        action = _weighted_action(cands, ages, cfg.k_const, cfg.k_const, cfg.g_max)
+        action = _weighted_action(cands, ages, cfg.k_const, cfg.k_const, cfg.g_max,
+                                  unanimous)
         mode_used = "fixed_k"
     else:
-        action = _weighted_action(cands, ages, k_p, k_g, cfg.g_max)
+        action = _weighted_action(cands, ages, k_p, k_g, cfg.g_max, unanimous)
         mode_used = "dynamic_k"
     diag = StepDiagnostics(t=t, mode_used=mode_used, candidate_count=n, k_p=k_p, k_g=k_g)
     state.epoch_step += 1

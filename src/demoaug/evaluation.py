@@ -47,12 +47,19 @@ class EvalReport:
     seeds: tuple[int, ...]
     cells: tuple[CellResult, ...]
 
-    def cell(self, mode, beta: float | None = None) -> CellResult:
+    def cell(self, mode, beta: float | None = None, k_cutoff: float | None = None) -> CellResult:
+        """The one cell of ``mode`` with the given beta and k_cutoff; None matches any.
+
+        Raises ``KeyError`` when no cell matches or more than one does.
+        """
         mode = EnsembleMode(mode)
-        for c in self.cells:
-            if c.mode is mode and (beta is None or c.beta == beta):
-                return c
-        raise KeyError(f"no cell for mode={mode.value} beta={beta}")
+        found = [c for c in self.cells
+                 if c.mode is mode and (beta is None or c.beta == beta)
+                 and (k_cutoff is None or c.k_cutoff == k_cutoff)]
+        if len(found) != 1:
+            raise KeyError(f"{len(found)} cells for mode={mode.value} beta={beta} "
+                           f"k_cutoff={k_cutoff}")
+        return found[0]
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -128,7 +135,7 @@ def run_closed_loop_episode(task, demo: DemoTrajectory, seed: int, cfg: Ensemble
     for t in range(horizon):
         es.submit(policy.predict(state.ee_pos, t))
         result = ensemble_action(es, t, cfg)
-        state = sim.step(state, (result.action.pos.tolist(), result.action.gripper), ctrl)
+        state = sim.step(state, (result.action.xyz, result.action.gripper), ctrl)
         # stop once the plan is exhausted and the servo has settled on its end
         settled = settled + 1 if policy.finished(state.ee_pos) else 0
         if settled >= settle_steps:

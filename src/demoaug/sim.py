@@ -204,12 +204,12 @@ def advance(k: int, steps_on: int, pos, target, last: int,
 def step(state: SimState, action, cfg: ControllerConfig) -> SimState:
     """Advance one control period toward (target position, target gripper).
 
-    The target position is any (x, y, z) sequence, a list of floats being
-    the fastest.  The end effector moves by :func:`servo`; the gripper slews
-    at most max_gripper_speed.  Closing past the block width binds the
-    nearest block within the capture radii, opening back past it releases;
-    the held block keeps its offset from the end effector.  ``state`` is
-    left untouched.
+    The target position is any (x, y, z) sequence, a list or tuple of
+    floats being the fastest.  The end effector moves by :func:`servo`; the
+    gripper slews at most max_gripper_speed.  Closing past the block width
+    binds the nearest block within the capture radii, opening back past it
+    releases; the held block keeps its offset from the end effector.
+    ``state`` is left untouched.
     """
     target_pos, target_gripper = action
     ee = servo(state.ee_pos.tolist(), target_pos, cfg)
@@ -301,7 +301,7 @@ def attempt_episode(demo, task, ws, cfg, spec, root_seed, attempt):
     scene = sample_scene(task, ws, seed)
     anchors = anchors_for_scene(task, demo, scene)
     transforms = segment_transforms(demo, anchors)
-    aug = augment_segmentwise(demo, anchors)
+    aug = augment_segmentwise(demo, anchors, transforms)
     provenance = {
         "attempt": attempt,
         "scene_seed": seed,

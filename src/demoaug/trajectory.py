@@ -251,14 +251,17 @@ def segment_transforms(demo: DemoTrajectory, anchors) -> list:
     return transforms
 
 
-def augment_segmentwise(demo: DemoTrajectory, anchors) -> DemoTrajectory:
+def augment_segmentwise(demo: DemoTrajectory, anchors, transforms=None) -> DemoTrajectory:
     """Warp each segment independently by the transform its anchor pair pins.
 
     Gripper widths and timestamps are copied unchanged; segment boundaries
     are preserved.  The output's segment annotations are rewritten to the
     generated anchors so the augmented demo describes its own scene.
+    ``transforms``, if given, must be ``segment_transforms(demo, anchors)``,
+    for a caller that already fitted them.
     """
-    transforms = segment_transforms(demo, anchors)
+    if transforms is None:
+        transforms = segment_transforms(demo, anchors)
     positions = demo.positions()
     new_waypoints = list(demo.waypoints)
     new_segments = []

@@ -1,5 +1,6 @@
 import math
 import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demoaug.ensemble import (
-    Action, ActionChunk, ChunkBuffer, EmptyBuffer, EnsembleConfig, EnsembleMode,
-    EnsembleState, InsufficientCandidates, candidates, compute_k, decay_weights,
+    K_CONST_DEFAULT, Action, ActionChunk, ChunkBuffer, EmptyBuffer, EnsembleConfig,
+    EnsembleMode, EnsembleState, InsufficientCandidates, candidates, compute_k, decay_weights,
     ensemble_action,
 )
 
@@ -290,8 +291,8 @@ class TestWeights:
 
     def test_normalization(self):
         w = decay_weights([0, 1, 2, 5], 0.3)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(w > 0)
+        assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
+        assert all(x > 0 for x in w)
 
 
 class TestBimodality:
@@ -341,3 +342,158 @@ def test_convex_hull_containment(n_chunks, seed, beta):
     assert np.all(res.action.pos >= cand_pos.min(axis=0) - eps)
     assert np.all(res.action.pos <= cand_pos.max(axis=0) + eps)
     assert cand_grip.min() - eps <= res.action.gripper <= cand_grip.max() + eps
+
+
+def exact_sum(terms) -> float:
+    """The float nearest the exact sum of float terms, rounded once."""
+    return float(sum(map(Fraction, terms), Fraction(0)))
+
+
+def oracle_k(cands, beta):
+    """compute_k's rule: per column, shift by the first value, exact sums."""
+    n = len(cands)
+    columns = [[float(c.pos[axis]) for c in cands] for axis in range(3)]
+    columns.append([c.gripper for c in cands])
+    devs = []
+    for column in columns:
+        shifted = [v - column[0] for v in column]
+        mean = exact_sum(shifted) / n
+        devs.append(math.sqrt(exact_sum([(v - mean) * (v - mean) for v in shifted]) / n))
+    return beta * max(devs[:3]), beta * devs[3]
+
+
+def oracle_weights(ages, k):
+    w = [math.exp(-k * age) for age in ages]
+    total = exact_sum(w)
+    return [x / total for x in w]
+
+
+def oracle_action(cands, ages, k_p, k_g, g_max=0.08):
+    """(x, y, z, gripper): each x0 + the exact sum of w * (x - x0), rounded once."""
+    wp, wg = oracle_weights(ages, k_p), oracle_weights(ages, k_g)
+    out = []
+    for axis in range(3):
+        x0 = float(cands[0].pos[axis])
+        out.append(x0 + exact_sum([w * (float(c.pos[axis]) - x0) for w, c in zip(wp, cands)]))
+    g0 = cands[0].gripper
+    g = g0 + exact_sum([w * (c.gripper - g0) for w, c in zip(wg, cands)])
+    return (*out, min(max(g, 0.0), g_max))
+
+
+def bits(values):
+    """float.hex of each value, which tells -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+def random_candidate_state(rng, cfg, n):
+    """A state past warm-up whose n candidates for step L - 1 have gapped ages.
+
+    Positions are drawn around two nearby centres, some candidates repeat an
+    earlier one's values or object, and gripper widths are the stack demo's
+    0.03/0.08 or uniform, so sums see cancellation and exact ties.
+    """
+    t = L - 1
+    emitted = sorted(rng.choice(L, size=n, replace=False).tolist())
+    centres = rng.uniform(-0.5, 0.5, size=(2, 1)) + [[0.0, 0.0, 0.0], [1e-3, -2e-3, 5e-4]]
+    state = EnsembleState.for_config(cfg)
+    state.epoch_step = cfg.warmup_steps
+    made = []
+    for e in emitted:
+        roll = rng.random()
+        if made and roll < 0.15:
+            action = made[int(rng.integers(len(made)))]              # the same object
+        elif made and roll < 0.3:
+            prev = made[int(rng.integers(len(made)))]
+            action = Action(pos=prev.pos.copy(), gripper=prev.gripper)  # equal values
+        else:
+            pos = centres[int(rng.integers(2))] + rng.normal(0, 10.0 ** rng.integers(-6, -1), 3)
+            grip = (float(rng.choice([0.03, 0.08])) if rng.random() < 0.5
+                    else float(rng.uniform(0.0, 0.08)))
+            action = Action(pos=pos, gripper=grip)
+        made.append(action)
+        actions = [Action(pos=[9.0, 9.0, 9.0], gripper=0.0)] * L
+        actions[t - e] = action
+        state.submit(ActionChunk(e, tuple(actions)))
+    return state, t
+
+
+class TestExactOracle:
+    """The ensembler's sums are fsum: bit for bit the correctly rounded sum."""
+
+    @pytest.mark.parametrize("mode", [EnsembleMode.BASELINE, EnsembleMode.DYNAMIC_K])
+    def test_random_candidate_sets(self, mode):
+        rng = np.random.default_rng(20230918)
+        cfg = EnsembleConfig(mode=mode, beta=1.0)
+        seen_ages = set()
+        for trial in range(300):
+            n = int(rng.integers(2, L + 1))
+            state, t = random_candidate_state(rng, cfg, n)
+            cands, ages = candidates(state.buffer, t)
+            seen_ages.update(ages)
+            beta = float(rng.choice([0.25, 0.5, 1.0, 3.0]))
+            k = oracle_k(cands, beta)
+            assert bits(compute_k(cands, beta)) == bits(k), (trial, n, ages)
+            res = ensemble_action(state, t, cfg)
+            if mode is EnsembleMode.BASELINE:
+                k_p = k_g = cfg.k_const
+            else:
+                k_p, k_g = oracle_k(cands, cfg.beta)
+                assert bits((res.diagnostics.k_p, res.diagnostics.k_g)) == bits((k_p, k_g))
+            expected = oracle_action(cands, ages, k_p, k_g)
+            got = (*res.action.xyz, res.action.gripper)
+            assert bits(got) == bits(expected), (trial, n, ages)
+            assert bits(res.action.pos) == bits(expected[:3])
+        assert {1, 7} <= seen_ages
+
+    @pytest.mark.parametrize("k", [K_CONST_DEFAULT, 0.0, 0.137, 2.5])
+    def test_weights_of_every_age(self, k):
+        # ages 1 and 7 are where NumPy's AVX-512 exp rounds the default weights
+        # differently from math.exp
+        for ages in (list(range(L - 1, -1, -1)), [19, 7, 1], [7, 1, 0]):
+            assert bits(decay_weights(ages, k)) == bits(oracle_weights(ages, k))
+
+    @pytest.mark.parametrize("n", [10, 20])
+    @pytest.mark.parametrize("order", ["alternating", "halves", "halves_reversed"])
+    def test_balanced_gripper_split_sits_on_the_cutoff(self, n, order):
+        # a left-to-right sum of the same terms gives 0.012500000000000002 or more
+        # on four of these six splits, which then trigger
+        widths = {"alternating": [0.03, 0.08] * (n // 2),
+                  "halves": [0.03] * (n // 2) + [0.08] * (n // 2),
+                  "halves_reversed": [0.08] * (n // 2) + [0.03] * (n // 2)}[order]
+        cands = [Action(pos=[0.1, 0.2, 0.3], gripper=g) for g in widths]
+        assert compute_k(cands, 0.5) == (0.0, 0.0125)
+
+        cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=0.5, k_cutoff=0.0125)
+        state = EnsembleState.for_config(cfg)
+        state.epoch_step = cfg.warmup_steps
+        for e, g in enumerate(widths):
+            state.submit(const_chunk(L - n + e, 0.1, gripper=g))
+        res = ensemble_action(state, L - 1, cfg)
+        assert res.diagnostics.k_g == 0.0125
+        assert not res.diagnostics.triggered
+        assert res.diagnostics.mode_used == "dynamic_k"
+
+    @pytest.mark.parametrize("mode", list(EnsembleMode))
+    @pytest.mark.parametrize("warm", [True, False])
+    @pytest.mark.parametrize("pos, gripper", [
+        ([-0.0, 0.0, 0.25], -0.0), ([0.0, -0.0, -0.0], 0.0),
+        ([-0.125, 3.0, -0.0], 0.5), ([0.1, -0.2, 0.3], -0.01),
+    ])
+    def test_unanimous_short_circuit_equals_full_path(self, mode, warm, pos, gripper):
+        cfg = EnsembleConfig(mode=mode, beta=1.0)
+        shared = Action(pos=pos, gripper=gripper)
+        outputs = []
+        for same_object in (True, False):
+            state = EnsembleState.for_config(cfg)
+            state.epoch_step = 0 if warm else cfg.warmup_steps
+            for e in (0, 3, 4, 9):
+                action = shared if same_object else Action(pos=list(pos), gripper=gripper)
+                state.submit(ActionChunk(e, (action,) * L))
+            res = ensemble_action(state, 9, cfg)
+            d = res.diagnostics
+            outputs.append((bits((*res.action.xyz, res.action.gripper, d.k_p, d.k_g)),
+                            bits(res.action.pos), d.mode_used))
+        assert outputs[0] == outputs[1]
+        # the full path's x0 + 0.0 turns -0.0 into 0.0, and the gripper is clipped
+        expected = [x + 0.0 for x in pos] + [min(max(gripper + 0.0, 0.0), 0.08)]
+        assert outputs[0][0][:4] == bits(expected)

@@ -4,7 +4,8 @@ import pytest
 
 from demoaug.ensemble import EnsembleConfig, EnsembleMode
 from demoaug.evaluation import (
-    closed_loop_eval, default_matrix, format_report, report_to_dict, wilson_interval,
+    CellResult, EvalReport, closed_loop_eval, default_matrix, format_report, report_to_dict,
+    wilson_interval,
 )
 from demoaug.policy import DisturbanceConfig
 from demoaug.tasks import TaskKind
@@ -107,3 +108,31 @@ class TestClosedLoop:
         report = closed_loop_eval(TaskKind.PUSH, push_demo, matrix, n_episodes=3,
                                   seeds=[11, 22, 33])
         assert report.seeds == (11, 22, 33)
+
+
+class TestReportCell:
+    def report(self):
+        cells = [CellResult(mode=c.mode, beta=c.beta, k_cutoff=c.k_cutoff, episodes=4,
+                            successes=i % 5)
+                 for i, c in enumerate(default_matrix(k_cutoffs=(0.01, 0.5)))]
+        return EvalReport(task=TaskKind.STACK, n_episodes=4, seeds=(1, 2, 3, 4),
+                          cells=tuple(cells))
+
+    def test_k_cutoff_picks_one_cell_of_a_sweep(self):
+        report = self.report()
+        for c in report.cells:
+            assert report.cell(c.mode, c.beta, c.k_cutoff) is c
+        assert report.cell(EnsembleMode.COMBINED, 1.0, 0.5).k_cutoff == 0.5
+        assert report.cell(EnsembleMode.RESET_ONLY, k_cutoff=0.01).k_cutoff == 0.01
+        assert report.cell(EnsembleMode.BASELINE).mode is EnsembleMode.BASELINE
+
+    @pytest.mark.parametrize("mode, beta, k_cutoff", [
+        (EnsembleMode.COMBINED, 1.0, None),      # two cutoffs
+        (EnsembleMode.RESET_ONLY, None, None),   # two cutoffs
+        (EnsembleMode.DYNAMIC_K, None, None),    # three betas
+        (EnsembleMode.COMBINED, 1.0, 0.2),       # no such cutoff
+        (EnsembleMode.BASELINE, 0.5, None),      # baseline is not swept in beta
+    ])
+    def test_ambiguous_or_missing_cell_raises(self, mode, beta, k_cutoff):
+        with pytest.raises(KeyError):
+            self.report().cell(mode, beta, k_cutoff)

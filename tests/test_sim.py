@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from demoaug import trajectory
 from demoaug.dataset import episode_lines
 from demoaug.sim import (
     AttemptCapExceeded, ControllerConfig, SimState,
@@ -268,3 +269,13 @@ class TestCampaign:
             assert set(prov) >= {"attempt", "scene_seed", "anchors", "transforms"}
             assert prov["transforms"][0]["scale"] > 0
             assert prov["scene_seed"] == scene_seed_for(9, prov["attempt"])
+
+    @pytest.mark.parametrize("task", list(TaskKind))
+    def test_each_segment_transform_fitted_once(self, task, request, monkeypatch):
+        demo = request.getfixturevalue(f"{task.value}_demo")
+        fits = []
+        fit = trajectory.transform_from_anchors
+        monkeypatch.setattr(trajectory, "transform_from_anchors",
+                            lambda *a: fits.append(a) or fit(*a))
+        ds = run_campaign(demo, task, count=1, rng_seed=3)
+        assert len(fits) == ds.attempts * len(demo.segments)
