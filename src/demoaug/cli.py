@@ -235,7 +235,7 @@ def cmd_replay(args) -> int:
     ep = sim.attempt_episode(demo, tasks.as_task(args.task), configs["workspace"],
                              configs["controller"], configs["success"], args.seed, 0)
     print(f"success={ep.success} steps={len(ep.states)} "
-          f"final_blocks={ep.states[-1].blocks.tolist()}")
+          f"final_blocks={[list(row) for row in ep.states[-1].blocks]}")
     if args.out:
         path = _resolve_out(args.out)
         text = episode_text(ep)
@@ -329,7 +329,13 @@ def cmd_stats(args) -> int:
     path = Path(args.path)
     if path.is_dir() and (path / "manifest.json").exists():
         manifest = read_manifest(path)
+        _require(manifest, ("episodes", "task", "attempts", "discard_rate", "complete"),
+                 "manifest")
         episodes = manifest["episodes"]
+        if not isinstance(episodes, list):
+            raise CliError(f"manifest episodes must be a list, got {episodes!r}")
+        for i, entry in enumerate(episodes):
+            _require(entry, ("steps",), f"manifest episodes.{i}")
         total_steps = sum(e["steps"] for e in episodes)
         print(f"dataset: {path}")
         print(f"task={manifest['task']} episodes={len(episodes)} "

@@ -40,8 +40,8 @@ def _number(x) -> str:
     return json.dumps(x, allow_nan=False)
 
 
-def _row(row: list) -> str:
-    """JSON text of one (x, y, z) list; NaN and inf raise ValueError."""
+def _row(row) -> str:
+    """JSON text of one (x, y, z) float triple; NaN and inf raise ValueError."""
     x, y, z = row
     text = f"[{x!r},{y!r},{z!r}]"
     if "n" in text:
@@ -78,7 +78,7 @@ def episode_lines(episode: EpisodeRecord, times: dict | None = None) -> list[str
     # a value holding a zero is remembered as None, which no value equals
     lines = []
     last_pos = last_act_g = last_g = None
-    last_rows: list = [None] * n_blocks
+    last_rows: tuple = (None,) * n_blocks
     row_texts = [""] * n_blocks
     for s, pos, act_g in zip(episode.states, episode.action_pos.tolist(),
                              episode.action_gripper.tolist()):
@@ -92,12 +92,12 @@ def episode_lines(episode: EpisodeRecord, times: dict | None = None) -> list[str
         if g != last_g:
             g_text = _number(g)
             last_g = g or None
-        rows = s.blocks.tolist()
+        rows = s.blocks
         if rows != last_rows:
             for i, row in enumerate(rows):
                 if row != last_rows[i]:
                     row_texts[i] = _row(row)
-                    last_rows[i] = None if 0.0 in row else row
+            last_rows = tuple(None if 0.0 in row else row for row in rows)
             blocks_text = "[" + ",".join(row_texts) + "]"
         t = s.time
         t_text = times.get(t)
@@ -105,7 +105,7 @@ def episode_lines(episode: EpisodeRecord, times: dict | None = None) -> list[str
             t_text = _number(t)
             if t:
                 times[t] = t_text
-        lines.append(template % (act_g_text, pos_text, blocks_text, _row(s.ee_pos.tolist()),
+        lines.append(template % (act_g_text, pos_text, blocks_text, _row(s.ee_pos),
                                  g_text, held_texts.get(s.held, held_texts[None]), t_text))
     return lines
 

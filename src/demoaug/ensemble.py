@@ -23,8 +23,8 @@ mean.  Because a standard deviation over a near-empty buffer is noise, the
 first five steps of every buffer epoch always use the fixed temperature.
 
 Float rule.  No NumPy call runs on the per-step path: the ensembler works on
-each candidate's position as a float triple (``Action.xyz``) and on its
-gripper width as a float.  Every sum over the candidates (a spread's mean
+each candidate's position, an (x, y, z) float triple (``Action.pos``), and on
+its gripper width, a float.  Every sum over the candidates (a spread's mean
 and mean square, the weight total, each weighted mean) is ``math.fsum``,
 the correctly rounded sum of float terms, so it does not depend on a
 summation order; the weights use ``math.exp``.  Two reasons.  The
@@ -44,8 +44,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from math import fsum
-
-import numpy as np
+from numbers import Real
 
 from .trajectory import G_MAX_DEFAULT
 
@@ -73,42 +72,27 @@ SUSPENDING_MODES = (EnsembleMode.RESET_ONLY, EnsembleMode.COMBINED)  # can suspe
 class Action:
     """A target position and gripper width.
 
-    ``pos`` is a float array; the predictor's noise-free actions share
-    read-only rows of its waypoint array.  ``xyz`` is the same position as a
-    float triple, set once at construction, and is what the ensembler and
-    the simulator compute on.
+    ``pos`` is an (x, y, z) triple of Python floats, the one position format
+    of the ensembler and the simulator.  Any sequence of three finite reals is
+    accepted and stored as that triple; ``gripper`` is stored as a float.
     """
 
-    pos: np.ndarray
+    pos: tuple[float, float, float]
     gripper: float
-    xyz: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pos = np.asarray(self.pos, dtype=float)
-        xyz = tuple(pos.tolist()) if pos.shape == (3,) else ()
-        if not (xyz and all(map(math.isfinite, xyz))):
+        try:
+            x, y, z = self.pos
+            real = isinstance(x, (float, Real)) and isinstance(y, (float, Real)) \
+                and isinstance(z, (float, Real))
+        except (TypeError, ValueError):
+            real = False
+        if not (real and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError(f"Action pos must be a finite 3-vector, got {self.pos!r}")
         if not math.isfinite(self.gripper):
             raise ValueError(f"Action gripper must be finite, got {self.gripper}")
-        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "pos", (float(x), float(y), float(z)))
         object.__setattr__(self, "gripper", float(self.gripper))
-        object.__setattr__(self, "xyz", xyz)
-
-    @classmethod
-    def _of_floats(cls, xyz: tuple[float, float, float], gripper: float) -> "Action":
-        """The ensembler's output, made with no NumPy call; ``pos`` is built on first use."""
-        action = object.__new__(cls)
-        object.__setattr__(action, "xyz", xyz)
-        object.__setattr__(action, "gripper", gripper)
-        return action
-
-    def __getattr__(self, name):
-        # reached only for an unset attribute, which is the pos of an _of_floats Action
-        if name != "pos":
-            raise AttributeError(name)
-        pos = np.array(self.xyz)
-        object.__setattr__(self, "pos", pos)
-        return pos
 
 
 @dataclass(frozen=True)
@@ -222,7 +206,7 @@ def compute_k(cands: list[Action], beta: float) -> tuple[float, float]:
     if n < 2:
         raise InsufficientCandidates(f"need >= 2 candidates, got {n}")
     deviations = []
-    for column in (*zip(*[c.xyz for c in cands]), [c.gripper for c in cands]):
+    for column in (*zip(*[c.pos for c in cands]), [c.gripper for c in cands]):
         v0 = column[0]
         shifted = [v - v0 for v in column]
         mean = fsum(shifted) / n
@@ -231,8 +215,14 @@ def compute_k(cands: list[Action], beta: float) -> tuple[float, float]:
 
 
 def decay_weights(ages, k: float) -> list[float]:
-    """Normalized exp(-k * age) weights; age is in control steps."""
-    w = [math.exp(-k * age) for age in ages]
+    """Normalized exp(-k * age) weights; age is in control steps.
+
+    Each age is taken relative to the youngest, ``exp(-k * (age - min))``,
+    which normalizes to the same weights and keeps the youngest at 1.0, so
+    the total cannot underflow to zero however large ``k * age`` grows.
+    """
+    youngest = min(ages)
+    w = [math.exp(-k * (age - youngest)) for age in ages]
     total = fsum(w)
     return [x / total for x in w]
 
@@ -243,19 +233,19 @@ def _weighted_action(cands: list[Action], ages, k_p: float, k_g: float,
     # so unanimous candidates reproduce their action exactly, free of
     # weight-normalization dust.  When every candidate is the same Action each
     # term is w * 0.0, the sums are 0.0 and are not formed.
-    x0, y0, z0 = cands[0].xyz
+    x0, y0, z0 = cands[0].pos
     g0 = cands[0].gripper
     if unanimous:
         x, y, z, g = x0 + 0.0, y0 + 0.0, z0 + 0.0, g0 + 0.0
     else:
         wp = decay_weights(ages, k_p)
         wg = wp if k_g == k_p else decay_weights(ages, k_g)
-        xs, ys, zs = zip(*[c.xyz for c in cands])
+        xs, ys, zs = zip(*[c.pos for c in cands])
         x = x0 + fsum([w * (v - x0) for w, v in zip(wp, xs)])
         y = y0 + fsum([w * (v - y0) for w, v in zip(wp, ys)])
         z = z0 + fsum([w * (v - z0) for w, v in zip(wp, zs)])
         g = g0 + fsum([w * (c.gripper - g0) for w, c in zip(wg, cands)])
-    return Action._of_floats((x, y, z), min(max(g, 0.0), g_max))
+    return Action((x, y, z), min(max(g, 0.0), g_max))
 
 
 @dataclass(frozen=True)
@@ -267,12 +257,6 @@ class StepDiagnostics:
     k_g: float
     triggered: bool = False
     suspended_from: int | None = None   # emission step of the replayed chunk
-
-
-@dataclass(frozen=True)
-class EnsembleResult:
-    action: Action
-    diagnostics: StepDiagnostics
 
 
 @dataclass
@@ -305,45 +289,29 @@ class EnsembleState:
         return True
 
 
-def _suspended_output(state: EnsembleState, t: int, cfg: EnsembleConfig) -> EnsembleResult:
-    susp = state.suspension
-    offset = t - susp.chunk.emitted_at
-    action = susp.chunk.actions[offset]
-    susp.steps_remaining -= 1
-    diag = StepDiagnostics(t=t, mode_used="suspended", candidate_count=0,
-                           k_p=math.nan, k_g=math.nan,
-                           suspended_from=susp.chunk.emitted_at)
-    if susp.steps_remaining <= 0:
-        state.suspension = None
-        if cfg.clear_after_suspend:
-            state.buffer.clear()
-            state.epoch_step = 0
-    state.stats.append(diag)
-    return EnsembleResult(action=action, diagnostics=diag)
+def _suspended_output(state: EnsembleState, t: int) -> tuple[Action, StepDiagnostics]:
+    chunk = state.suspension.chunk
+    state.suspension.steps_remaining -= 1
+    return chunk.actions[t - chunk.emitted_at], StepDiagnostics(
+        t=t, mode_used="suspended", candidate_count=0, k_p=math.nan, k_g=math.nan,
+        suspended_from=chunk.emitted_at)
 
 
 def _enter_suspension(state: EnsembleState, t: int, cfg: EnsembleConfig,
-                      k_p: float, k_g: float, n_cands: int) -> EnsembleResult:
+                      k_p: float, k_g: float, n_cands: int) -> tuple[Action, StepDiagnostics]:
     chunk = state.buffer.newest()
     offset = t - chunk.emitted_at
     if offset < 0 or offset >= cfg.chunk_len:
         raise EmptyBuffer(f"newest chunk does not cover step {t}")
-    action = chunk.actions[offset]
-    remaining = cfg.effective_replay_n - 1
-    if remaining > 0:
-        state.suspension = _Suspension(chunk=chunk, steps_remaining=remaining)
-    elif cfg.clear_after_suspend:
-        state.buffer.clear()
-        state.epoch_step = 0
-    diag = StepDiagnostics(t=t, mode_used="trigger", candidate_count=n_cands,
-                           k_p=k_p, k_g=k_g, triggered=True,
-                           suspended_from=chunk.emitted_at)
-    state.stats.append(diag)
-    return EnsembleResult(action=action, diagnostics=diag)
+    state.suspension = _Suspension(chunk=chunk, steps_remaining=cfg.effective_replay_n - 1)
+    return chunk.actions[offset], StepDiagnostics(
+        t=t, mode_used="trigger", candidate_count=n_cands, k_p=k_p, k_g=k_g, triggered=True,
+        suspended_from=chunk.emitted_at)
 
 
-def ensemble_action(state: EnsembleState, t: int, cfg: EnsembleConfig) -> EnsembleResult:
-    """Produce the action for step t and update the ensembling state.
+def ensemble_action(state: EnsembleState, t: int, cfg: EnsembleConfig) -> Action:
+    """Produce the action for step t, update the ensembling state and append
+    the step's :class:`StepDiagnostics` to ``state.stats``.
 
     Control flow per step:
 
@@ -359,37 +327,34 @@ def ensemble_action(state: EnsembleState, t: int, cfg: EnsembleConfig) -> Ensemb
        reset-only mode.
     """
     if state.suspension is not None:
-        return _suspended_output(state, t, cfg)
-
-    cands, ages = candidates(state.buffer, t)
-    n = len(cands)
-    # the predictor shares one Action per waypoint, so agreement is mostly identity
-    first = cands[0]
-    unanimous = all(c is first for c in cands)
-
-    warm = state.epoch_step < cfg.warmup_steps
-    if warm or cfg.mode is EnsembleMode.BASELINE:
-        action = _weighted_action(cands, ages, cfg.k_const, cfg.k_const, cfg.g_max, unanimous)
-        diag = StepDiagnostics(t=t, mode_used="warmup" if warm else "baseline",
-                               candidate_count=n, k_p=cfg.k_const, k_g=cfg.k_const)
-        state.epoch_step += 1
-        state.stats.append(diag)
-        return EnsembleResult(action=action, diagnostics=diag)
-
-    # compute_k of unanimous candidates is exactly (0.0, 0.0)
-    k_p, k_g = (0.0, 0.0) if unanimous else compute_k(cands, cfg.beta)
-    if cfg.mode in SUSPENDING_MODES and \
-            (k_p > cfg.k_cutoff or k_g > cfg.k_cutoff):
-        return _enter_suspension(state, t, cfg, k_p, k_g, n)
-
-    if cfg.mode is EnsembleMode.RESET_ONLY:
-        action = _weighted_action(cands, ages, cfg.k_const, cfg.k_const, cfg.g_max,
-                                  unanimous)
-        mode_used = "fixed_k"
+        action, diag = _suspended_output(state, t)
     else:
-        action = _weighted_action(cands, ages, k_p, k_g, cfg.g_max, unanimous)
-        mode_used = "dynamic_k"
-    diag = StepDiagnostics(t=t, mode_used=mode_used, candidate_count=n, k_p=k_p, k_g=k_g)
-    state.epoch_step += 1
+        cands, ages = candidates(state.buffer, t)
+        n = len(cands)
+        # the predictor shares one Action per waypoint, so agreement is mostly identity
+        first = cands[0]
+        unanimous = all(c is first for c in cands)
+        warm = state.epoch_step < cfg.warmup_steps
+        if warm or cfg.mode is EnsembleMode.BASELINE:
+            mode_used, k_p, k_g = ("warmup" if warm else "baseline"), cfg.k_const, cfg.k_const
+        else:
+            # compute_k of unanimous candidates is exactly (0.0, 0.0)
+            k_p, k_g = (0.0, 0.0) if unanimous else compute_k(cands, cfg.beta)
+            if cfg.mode in SUSPENDING_MODES and (k_p > cfg.k_cutoff or k_g > cfg.k_cutoff):
+                mode_used = "trigger"
+            else:
+                mode_used = "fixed_k" if cfg.mode is EnsembleMode.RESET_ONLY else "dynamic_k"
+        if mode_used == "trigger":
+            action, diag = _enter_suspension(state, t, cfg, k_p, k_g, n)
+        else:
+            temps = (k_p, k_g) if mode_used == "dynamic_k" else (cfg.k_const, cfg.k_const)
+            action = _weighted_action(cands, ages, *temps, cfg.g_max, unanimous)
+            diag = StepDiagnostics(t=t, mode_used=mode_used, candidate_count=n, k_p=k_p, k_g=k_g)
+            state.epoch_step += 1
+    if state.suspension is not None and state.suspension.steps_remaining <= 0:
+        state.suspension = None
+        if cfg.clear_after_suspend:
+            state.buffer.clear()
+            state.epoch_step = 0
     state.stats.append(diag)
-    return EnsembleResult(action=action, diagnostics=diag)
+    return action

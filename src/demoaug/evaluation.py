@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import sim, tasks
 from .ensemble import (SPREAD_MODES, SUSPENDING_MODES, EnsembleConfig, EnsembleMode,
                        EnsembleState, ensemble_action)
@@ -134,8 +132,8 @@ def run_closed_loop_episode(task, demo: DemoTrajectory, seed: int, cfg: Ensemble
     settled = 0
     for t in range(horizon):
         es.submit(policy.predict(state.ee_pos, t))
-        result = ensemble_action(es, t, cfg)
-        state = sim.step(state, (result.action.xyz, result.action.gripper), ctrl)
+        action = ensemble_action(es, t, cfg)
+        state = sim.step(state, (action.pos, action.gripper), ctrl)
         # stop once the plan is exhausted and the servo has settled on its end
         settled = settled + 1 if policy.finished(state.ee_pos) else 0
         if settled >= settle_steps:

@@ -17,19 +17,23 @@ replay logs would have.
 
 The rollout is a pure function of its start state ``(v, k, steps_on)``:
 servo position as an (x, y, z) float triple, targeted waypoint and steps
-spent on it.  Observations and waypoints enter the servo kernel as float
-triples too.  The predictor keeps the *trail* of its last rollout, the
-``(v, k, steps_on)`` tuple before each of its chunk_len steps and after the
-last one.  When a query starts from exactly the trail's second state (tuple
-``==``, which compares the three coordinates and both ints), the new
-rollout is the old one shifted by a step, so the trail drops its head and
-runs one more step from its tail; otherwise it restarts from the query's
-state.  Either way the same loop extends the trail to chunk_len
-steps.  A hit is bit-exact: equal floats differ at most in the sign of a
-zero, which no distance the advance rule tests can see, and the emitted
-targets are waypoints picked by index.  In a clean closed loop the executed
-action is the predicted one, so nearly every query hits and costs one servo
-step instead of chunk_len; stale observations (latency) mostly miss.
+spent on it.  Positions are float triples throughout, as on the rest of the
+control path: the observation is ``SimState.ee_pos`` as it stands, and each
+waypoint is one triple, read by the servo kernel and carried as ``pos`` by
+the one :class:`~demoaug.ensemble.Action` that every noise-free chunk
+shares for that waypoint.  The predictor keeps the *trail* of its last
+rollout, the ``(v, k, steps_on)`` tuple before each of its chunk_len steps
+and after the last one.  When a query starts from exactly the trail's
+second state (tuple ``==``, which compares the three coordinates and both
+ints), the new rollout is the old one shifted by a step, so the trail
+drops its head and runs one more step from its tail; otherwise it restarts
+from the query's state.  Either way the same loop extends the trail to
+chunk_len steps.  A hit is bit-exact: equal floats differ at most in the
+sign of a zero, which no distance the advance rule tests can see, and the
+emitted targets are waypoints picked by index.  In a clean closed loop the
+executed action is the predicted one, so nearly every query hits and costs
+one servo step instead of chunk_len; stale observations (latency) mostly
+miss.
 
 Disturbance adapters then make the predictor imperfect in controlled ways:
 
@@ -83,13 +87,11 @@ class ScriptedPolicy:
         self.disturbances = disturbances or DisturbanceConfig()
         self.ctrl = ctrl
         self._positions = reference.positions()
-        # read-only, so the Actions that share its rows cannot be written through
-        self._positions.setflags(write=False)
         self._grippers = reference.grippers()
-        self._actions = tuple(Action(pos=p, gripper=float(g))
-                              for p, g in zip(self._positions, self._grippers))
-        # the waypoints as float triples, for the servo kernel
+        # the waypoints as float triples, for the servo kernel and the Actions
         self._targets = tuple(map(tuple, self._positions.tolist()))
+        self._actions = tuple(Action(pos=p, gripper=g)
+                              for p, g in zip(self._targets, self._grippers.tolist()))
         self._trail: deque[tuple[tuple[float, float, float], int, int]] = deque()
         self._last = len(self._positions) - 1
         self._timeout_steps = ctrl.timeout_steps
@@ -106,7 +108,7 @@ class ScriptedPolicy:
         return 0 if self._cursor is None else self._cursor
 
     def _effective_obs(self, ee_pos) -> tuple[float, float, float]:
-        self._obs_history.append(tuple(np.asarray(ee_pos, dtype=float).tolist()))
+        self._obs_history.append(tuple(ee_pos))
         return self._obs_history[0]
 
     def _advance_cursor(self, obs: tuple[float, float, float]) -> None:
@@ -149,7 +151,11 @@ class ScriptedPolicy:
         return [k for _, k, _ in islice(trail, self.chunk_len)]
 
     def predict(self, ee_pos, t: int) -> ActionChunk:
-        """Predicted action chunk for control steps t, t+1, ..."""
+        """Predicted action chunk for control steps t, t+1, ...
+
+        ``ee_pos`` is the observed end-effector position, an (x, y, z) float
+        triple such as ``SimState.ee_pos``.
+        """
         obs = self._effective_obs(ee_pos)
         self._advance_cursor(obs)
         start = min(self._cursor + self._hypothesis_offset(), self._last)
@@ -160,8 +166,8 @@ class ScriptedPolicy:
         if noise > 0:
             pos = self._positions[idx] + self._rng.uniform(-noise, noise,
                                                            size=(self.chunk_len, 3))
-            actions = tuple(Action(pos=p, gripper=float(g))
-                            for p, g in zip(pos, self._grippers[idx]))
+            actions = tuple(Action(pos=p, gripper=g)
+                            for p, g in zip(pos.tolist(), self._grippers[idx].tolist()))
         else:
             actions = tuple(self._actions[i] for i in idx)
         return ActionChunk(emitted_at=t, actions=actions)
@@ -170,7 +176,7 @@ class ScriptedPolicy:
         """Cursor at the final waypoint with the end effector settled on it."""
         if self._cursor is None or self._cursor < self._last:
             return False
-        x, y, z = np.asarray(ee_pos, dtype=float).tolist()
+        x, y, z = ee_pos
         gx, gy, gz = self._targets[self._last]
         dx, dy, dz = x - gx, y - gy, z - gz
         return math.sqrt(dx * dx + dy * dy + dz * dz) <= 2 * self.ctrl.waypoint_advance_radius

@@ -10,13 +10,16 @@ another block).  This keeps the parts of the task that augmentation quality
 and ensembling actually influence — grasp timing and placement accuracy —
 while staying cheap enough to replay thousands of trajectories.
 
-State layout (:class:`SimState`): ``ee_pos`` (3,), ``gripper``, ``blocks``
-(B, 3) block centers in scene order, ``held`` (index of the one block bound
-to the end effector, or None), ``grasp_offset`` (3,) of that block from the
-end effector (None when nothing is held) and ``time``.  States are never
-mutated: :func:`step` works on the state's values as Python floats and
-returns a new state with new arrays, so a replay keeps its states as the
-episode record and serialises them only when a dataset is written.
+State layout (:class:`SimState`): ``ee_pos``, an (x, y, z) triple of Python
+floats, ``gripper``, ``blocks``, a tuple of such triples (block centers in
+scene order), ``held`` (index of the one block bound to the end effector, or
+None), ``grasp_offset``, the triple of that block's offset from the end
+effector (None when nothing is held) and ``time``.  Positions are float
+triples everywhere on the control path, as :class:`~demoaug.ensemble.Action`
+targets are, so a step converts nothing.  States are never mutated:
+:func:`step` returns a new state, which reuses each block row that did not
+move, so a replay keeps its states as the episode record and serialises them
+only when a dataset is written.
 """
 
 from __future__ import annotations
@@ -83,11 +86,11 @@ class ControllerConfig:
 class SimState:
     """Simulator state; see the module docstring for the layout."""
 
-    ee_pos: np.ndarray
+    ee_pos: tuple[float, float, float]
     gripper: float
-    blocks: np.ndarray
+    blocks: tuple[tuple[float, float, float], ...]
     held: int | None = None
-    grasp_offset: np.ndarray | None = None
+    grasp_offset: tuple[float, float, float] | None = None
     time: float = 0.0
 
 
@@ -124,15 +127,15 @@ class Dataset:
         return 0.0 if self.attempts == 0 else 1.0 - self.successes / self.attempts
 
 
-def _settle(rows: list[list[float]], held: int | None) -> None:
+def _settle(rows: list[tuple[float, float, float]], held: int | None) -> None:
     """Rest every unheld block on its support (table or a block below it).
 
-    ``rows`` are the (x, y, z) lists of ``blocks.tolist()``; heights are
-    written into them in place.  A support only counts if its top is at or
-    below the block's center, so a block two layers up never hoists the one
-    beneath it; small downward interpenetration left by a low release is
-    resolved upward by at most half a block.  Ascending-height processing
-    keeps stacks deterministic.
+    ``rows`` is a list of (x, y, z) block triples; a block whose height
+    changes gets a new triple in place, any other keeps its own.  A support
+    only counts if its top is at or below the block's center, so a block two
+    layers up never hoists the one beneath it; small downward
+    interpenetration left by a low release is resolved upward by at most
+    half a block.  Ascending-height processing keeps stacks deterministic.
     """
     half = BLOCK_SIZE / 2.0
     order = sorted(range(len(rows)), key=lambda i: (rows[i][2], i))
@@ -147,7 +150,8 @@ def _settle(rows: list[list[float]], held: int | None) -> None:
             top = oz + half
             if max(abs(ox - x), abs(oy - y)) <= BLOCK_SIZE and top <= z + SETTLE_EPS:
                 rest = max(rest, top + half)
-        rows[i][2] = rest
+        if rest != z:
+            rows[i] = (x, y, rest)
 
 
 def servo(pos, target, ctrl: ControllerConfig) -> tuple[float, float, float]:
@@ -204,21 +208,21 @@ def advance(k: int, steps_on: int, pos, target, last: int,
 def step(state: SimState, action, cfg: ControllerConfig) -> SimState:
     """Advance one control period toward (target position, target gripper).
 
-    The target position is any (x, y, z) sequence, a list or tuple of
-    floats being the fastest.  The end effector moves by :func:`servo`; the
+    The target position is an (x, y, z) sequence of floats, such as
+    ``Action.pos``.  The end effector moves by :func:`servo`; the
     gripper slews at most max_gripper_speed.  Closing past the block width
     binds the nearest block within the capture radii, opening back past it
     releases; the held block keeps its offset from the end effector.
     ``state`` is left untouched.
     """
     target_pos, target_gripper = action
-    ee = servo(state.ee_pos.tolist(), target_pos, cfg)
+    ee = servo(state.ee_pos, target_pos, cfg)
     ex, ey, ez = ee
 
     slew = cfg.max_gripper_speed * cfg.dt
     gripper = state.gripper + min(max(float(target_gripper) - state.gripper, -slew), slew)
 
-    rows = state.blocks.tolist()
+    rows = list(state.blocks)
     held, offset = state.held, state.grasp_offset
     if held is None and state.gripper >= BLOCK_SIZE > gripper:
         best_dist = math.inf
@@ -230,23 +234,24 @@ def step(state: SimState, action, cfg: ControllerConfig) -> SimState:
                 if dist < best_dist:
                     held, best_dist = i, dist
         if held is not None:
-            offset = np.array([b - e for b, e in zip(rows[held], ee)])
+            bx, by, bz = rows[held]
+            offset = (bx - ex, by - ey, bz - ez)
     elif held is not None and state.gripper < BLOCK_SIZE <= gripper:
         held = offset = None
 
     if held is not None:
-        ox, oy, oz = offset.tolist()
-        rows[held] = [ex + ox, ey + oy, ez + oz]
+        ox, oy, oz = offset
+        rows[held] = (ex + ox, ey + oy, ez + oz)
     _settle(rows, held)
-    return SimState(ee_pos=np.array(ee), gripper=gripper, blocks=np.array(rows).reshape(-1, 3),
+    return SimState(ee_pos=ee, gripper=gripper, blocks=tuple(rows),
                     held=held, grasp_offset=offset, time=state.time + cfg.dt)
 
 
 def initial_state(traj: DemoTrajectory, scene: Scene) -> SimState:
     """Start the servo on the trajectory's first waypoint, blocks at rest."""
     w0 = traj.waypoints[0]
-    return SimState(ee_pos=np.array(w0.position, dtype=float), gripper=float(w0.gripper),
-                    blocks=np.array(scene.block_starts, dtype=float))
+    return SimState(ee_pos=tuple(map(float, w0.position)), gripper=float(w0.gripper),
+                    blocks=tuple(tuple(map(float, b)) for b in scene.block_starts))
 
 
 def replay(aug: DemoTrajectory, scene: Scene, cfg: ControllerConfig = ControllerConfig(),
@@ -276,7 +281,7 @@ def replay(aug: DemoTrajectory, scene: Scene, cfg: ControllerConfig = Controller
         targets.append(k)
         target = targets_xyz[k]
         state = step(state, (target, targets_g[k]), cfg)
-        k, steps_on_wp = advance(k, steps_on_wp, state.ee_pos.tolist(), target, n,
+        k, steps_on_wp = advance(k, steps_on_wp, state.ee_pos, target, n,
                                  timeout_steps, cfg.waypoint_advance_radius)
     for _ in range(cfg.settle_steps):
         states.append(state)

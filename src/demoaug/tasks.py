@@ -100,14 +100,13 @@ class SuccessSpec:
 
 
 def _distance(p, q) -> float:
-    """Euclidean distance between two 2- or 3-vectors, taken as :mod:`~demoaug.sim`
-    takes lengths: ``math.sqrt`` of the explicit left-to-right ``x*x + y*y
-    (+ z*z)``.  ``np.linalg.norm`` is a BLAS ``ddot``, which rounds as the
-    machine's kernel does."""
-    d = (p - q).tolist()
-    total = d[0] * d[0] + d[1] * d[1]
-    if len(d) == 3:
-        total += d[2] * d[2]
+    """Euclidean distance between two 2- or 3-sequences (float triples or
+    arrays), taken as :mod:`~demoaug.sim` takes lengths: ``math.sqrt`` of the
+    explicit left-to-right ``x*x + y*y (+ z*z)``.  ``np.linalg.norm`` is a
+    BLAS ``ddot``, which rounds as the machine's kernel does."""
+    total = 0.0
+    for a, b in zip(p, q):
+        total += (a - b) * (a - b)
     return math.sqrt(total)
 
 

@@ -98,8 +98,8 @@ def test_criterion_2_hand_oracle_ensembling():
     state.epoch_step = cfg.warmup_steps
     state.submit(_chunk(0, [0.0, 0.0, 0.0], 0.04))
     state.submit(_chunk(1, [1.0, 0.0, 0.0], 0.04))
-    res = ensemble_action(state, 1, cfg)
-    assert abs(res.action.pos[0] - 1.0 / (1.0 + math.exp(-0.5))) < 1e-12
+    action = ensemble_action(state, 1, cfg)
+    assert abs(action.pos[0] - 1.0 / (1.0 + math.exp(-0.5))) < 1e-12
 
     rng = np.random.default_rng(7)
     hull_buffers = identity_buffers = 0
@@ -113,7 +113,7 @@ def test_criterion_2_hand_oracle_ensembling():
             grip = float(rng.uniform(0, 0.08))
             st.submit(_chunk(0, pos, grip, length=6))
             out = ensemble_action(st, 0, cfg)
-            assert np.array_equal(out.action.pos, pos) and out.action.gripper == grip
+            assert np.array_equal(out.pos, pos) and out.gripper == grip
             identity_buffers += 1
         else:
             n = int(rng.integers(2, 7))
@@ -126,13 +126,13 @@ def test_criterion_2_hand_oracle_ensembling():
                 cand_pos.append(rows[n - 1 - tau])
                 cand_grip.append(grips[n - 1 - tau])
             out = ensemble_action(st, n - 1, cfg)
-            if out.diagnostics.triggered:
+            if st.stats[-1].triggered:
                 continue  # verbatim chunk output, trivially a candidate
             cand_pos, cand_grip = np.array(cand_pos), np.array(cand_grip)
             eps = 1e-12
-            assert np.all(out.action.pos >= cand_pos.min(axis=0) - eps)
-            assert np.all(out.action.pos <= cand_pos.max(axis=0) + eps)
-            assert cand_grip.min() - eps <= out.action.gripper <= cand_grip.max() + eps
+            assert np.all(np.array(out.pos) >= cand_pos.min(axis=0) - eps)
+            assert np.all(np.array(out.pos) <= cand_pos.max(axis=0) + eps)
+            assert cand_grip.min() - eps <= out.gripper <= cand_grip.max() + eps
             hull_buffers += 1
     _report("criterion 2 (hand-oracle ensembling)",
             f"worked case exact; {identity_buffers} identity + {hull_buffers} hull buffers")
@@ -166,12 +166,13 @@ def test_criterion_3_spread_algebra():
 
 
 def _stream(cfg, xs):
+    """Each step's action and, from ``state.stats``, its diagnostics."""
     state = EnsembleState.for_config(cfg)
-    results = []
+    actions = []
     for t, x in enumerate(xs):
         state.submit(_chunk(t, [x, 0.0, 0.0], 0.04, length=cfg.chunk_len))
-        results.append(ensemble_action(state, t, cfg))
-    return results
+        actions.append(ensemble_action(state, t, cfg))
+    return actions, state.stats
 
 
 def test_criterion_4_suspension_contract():
@@ -179,21 +180,22 @@ def test_criterion_4_suspension_contract():
         cfg = EnsembleConfig(mode=mode, beta=1.0, k_cutoff=0.01)
         n = cfg.effective_replay_n
         assert n == cfg.chunk_len // 2
-        results = _stream(cfg, [0.0] * 5 + [1.0] * 30)
-        modes = [r.diagnostics.mode_used for r in results]
+        actions, diags = _stream(cfg, [0.0] * 5 + [1.0] * 30)
+        assert len(diags) == len(actions)
+        modes = [d.mode_used for d in diags]
         # warm-up: fixed temperature for the first five steps of the run
         assert modes[:5] == ["warmup"] * 5
-        assert all(r.diagnostics.k_p == cfg.k_const for r in results[:5])
+        assert all(d.k_p == cfg.k_const for d in diags[:5])
         # trigger at the first post-warm-up disagreement, then exactly
         # replay_n consecutive outputs verbatim from the chunk emitted then
-        assert modes[5] == "trigger" and results[5].diagnostics.k_p > cfg.k_cutoff
+        assert modes[5] == "trigger" and diags[5].k_p > cfg.k_cutoff
         for t in range(5, 5 + n):
-            assert results[t].action.pos[0] == 1.0
-            assert results[t].diagnostics.suspended_from == 5
+            assert actions[t].pos[0] == 1.0
+            assert diags[t].suspended_from == 5
         assert modes[6:5 + n] == ["suspended"] * (n - 1)
         # warm-up applies afresh to the post-suspension buffer epoch
         assert modes[5 + n:10 + n] == ["warmup"] * 5
-        assert all(r.diagnostics.k_p == cfg.k_const for r in results[5 + n:10 + n])
+        assert all(d.k_p == cfg.k_const for d in diags[5 + n:10 + n])
     _report("criterion 4 (suspension contract)",
             f"replay_n={n} verbatim actions, 5-step warm-up per epoch, both reset modes")
 
@@ -213,16 +215,17 @@ def test_criterion_5_bimodality_separation():
 
     base_cfg = EnsembleConfig(mode=EnsembleMode.BASELINE)
     base_out = ensemble_action(clustered_state(base_cfg), 19, base_cfg)
-    assert 0.25 < base_out.action.pos[0] < 0.75, \
-        f"baseline landed at {base_out.action.pos[0]:.3f}, between neither cluster"
+    assert 0.25 < base_out.pos[0] < 0.75, \
+        f"baseline landed at {base_out.pos[0]:.3f}, between neither cluster"
 
     comb_cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0)
-    comb_out = ensemble_action(clustered_state(comb_cfg), 19, comb_cfg)
-    assert comb_out.diagnostics.triggered
-    assert abs(comb_out.action.pos[0] - 1.0) <= 0.01
+    comb_state = clustered_state(comb_cfg)
+    comb_out = ensemble_action(comb_state, 19, comb_cfg)
+    assert comb_state.stats[-1].triggered
+    assert abs(comb_out.pos[0] - 1.0) <= 0.01
     _report("criterion 5 (bimodality separation)",
-            f"baseline mid-gap at {base_out.action.pos[0]:.3f}; "
-            f"combined snapped to {comb_out.action.pos[0]:.4f}")
+            f"baseline mid-gap at {base_out.pos[0]:.3f}; "
+            f"combined snapped to {comb_out.pos[0]:.4f}")
 
 
 def test_criterion_6_filter_soundness_and_fidelity_floor():

@@ -34,9 +34,9 @@ def oracle_lines(episode: EpisodeRecord) -> list[str]:
     return [canonical_json({
         "t": s.time,
         "obs": {
-            "ee": s.ee_pos.tolist(),
+            "ee": list(s.ee_pos),
             "gripper": s.gripper,
-            "blocks": s.blocks.tolist(),
+            "blocks": [list(row) for row in s.blocks],
             "held": [i == s.held for i in range(len(s.blocks))],
             "goals": goals,
         },
@@ -58,8 +58,9 @@ def handmade_episode(zero: float = 0.0, other: float = -0.0) -> EpisodeRecord:
         ([[0.25, 0.1, other], [0.3, -0.2, zero]], 1, 0.08, 0.2),
         ([[0.25, 0.1, 0.02], [0.3, -0.2, 0.02]], None, 0.08, 0.25),
     ]
-    states = tuple(SimState(ee_pos=np.array([0.1 * k, zero if k % 2 else other, 0.2]),
-                            gripper=gripper, blocks=np.array(blocks), held=held, time=t)
+    states = tuple(SimState(ee_pos=(0.1 * k, zero if k % 2 else other, 0.2),
+                            gripper=gripper, blocks=tuple(map(tuple, blocks)), held=held,
+                            time=t)
                    for k, (blocks, held, gripper, t) in enumerate(rows))
     action_pos = np.array([[zero, 0.1, 0.12], [other, 0.1, 0.12], [other, 0.1, 0.12],
                            [0.1, 0.1, 0.12], [0.1, 0.1, 0.12], [0.2, zero, 0.12],
@@ -74,13 +75,12 @@ def nonfinite_episode(field: str, bad: float) -> EpisodeRecord:
     ep = handmade_episode()
     last = ep.states[-1]
     if field == "ee_pos":
-        last = SimState(ee_pos=np.array([0.1, bad, 0.2]), gripper=last.gripper,
+        last = SimState(ee_pos=(0.1, bad, 0.2), gripper=last.gripper,
                         blocks=last.blocks, time=last.time)
     elif field == "blocks":
-        blocks = last.blocks.copy()
-        blocks[1, 2] = bad
-        last = SimState(ee_pos=last.ee_pos, gripper=last.gripper, blocks=blocks,
-                        time=last.time)
+        x, y, _ = last.blocks[1]
+        last = SimState(ee_pos=last.ee_pos, gripper=last.gripper,
+                        blocks=(last.blocks[0], (x, y, bad)), time=last.time)
     elif field == "gripper":
         last = SimState(ee_pos=last.ee_pos, gripper=bad, blocks=last.blocks, time=last.time)
     action_pos = ep.action_pos.copy()
@@ -333,6 +333,21 @@ class TestStatsCommand:
         assert main(["stats", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and key in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+
+    @pytest.mark.parametrize("key", ["episodes", "task", "attempts", "discard_rate",
+                                     "complete", "steps"])
+    def test_malformed_manifest_rejected(self, tmp_path, capsys, key):
+        manifest = {"format_version": 1, "task": "push", "attempts": 2, "discard_rate": 0.5,
+                    "complete": True, "episodes": [{"file": "episodes/ep_00000.jsonl",
+                                                    "steps": 3}]}
+        del (manifest["episodes"][0] if key == "steps" else manifest)[key]
+        (tmp_path / "ds").mkdir()
+        (tmp_path / "ds" / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["stats", str(tmp_path / "ds")]) == 1
+        captured = capsys.readouterr()
+        where = "manifest episodes.0" if key == "steps" else "manifest"
+        assert captured.err.startswith("error: ") and f"{where} lacks {key}" in captured.err
         assert "Traceback" not in captured.err and not captured.out
 
 

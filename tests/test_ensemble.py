@@ -28,13 +28,14 @@ def chunk_from_rows(emitted_at, rows, grippers=None):
 
 
 def run_stream(cfg, xs):
-    """Feed one constant chunk per step with the given x values; return results."""
+    """Feed one constant chunk per step with the given x values; return the
+    state, whose ``stats`` hold each step's diagnostics, and the actions."""
     state = EnsembleState.for_config(cfg)
-    results = []
+    actions = []
     for t, x in enumerate(xs):
         state.submit(const_chunk(t, x, length=cfg.chunk_len))
-        results.append(ensemble_action(state, t, cfg))
-    return state, results
+        actions.append(ensemble_action(state, t, cfg))
+    return state, actions
 
 
 class TestCandidates:
@@ -134,24 +135,26 @@ class TestEnsembleAction:
 
     def test_worked_two_candidate_case(self):
         cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0, k_cutoff=0.5)
-        res = ensemble_action(self.worked_case_state(cfg), 1, cfg)
+        state = self.worked_case_state(cfg)
+        action = ensemble_action(state, 1, cfg)
+        diag = state.stats[-1]
         expected = 1.0 / (1.0 + math.exp(-0.5))
-        assert res.action.pos[0] == pytest.approx(expected, abs=1e-12)
-        assert res.diagnostics.k_p == pytest.approx(0.5, abs=1e-15)
-        assert not res.diagnostics.triggered  # 0.5 is not strictly above 0.5
+        assert action.pos[0] == pytest.approx(expected, abs=1e-12)
+        assert diag.k_p == pytest.approx(0.5, abs=1e-15)
+        assert not diag.triggered  # 0.5 is not strictly above 0.5
 
     def test_cutoff_below_spread_triggers(self):
         cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0, k_cutoff=0.4)
         state = self.worked_case_state(cfg)
-        res = ensemble_action(state, 1, cfg)
-        assert res.diagnostics.triggered
-        assert res.action.pos[0] == 1.0  # newest chunk, verbatim
+        action = ensemble_action(state, 1, cfg)
+        assert state.stats[-1].triggered
+        assert action.pos[0] == 1.0  # newest chunk, verbatim
         # the next replay_n - 1 outputs replay the same chunk
         for t in range(2, 2 + cfg.effective_replay_n - 1):
             state.submit(const_chunk(t, 5.0))  # discarded while suspended
             out = ensemble_action(state, t, cfg)
-            assert out.diagnostics.mode_used == "suspended"
-            assert out.action.pos[0] == 1.0
+            assert state.stats[-1].mode_used == "suspended"
+            assert out.pos[0] == 1.0
 
     def test_identical_candidates_exact_in_every_mode(self):
         for mode in EnsembleMode:
@@ -160,9 +163,9 @@ class TestEnsembleAction:
             state.epoch_step = cfg.warmup_steps
             for t in range(4):
                 state.submit(const_chunk(t, 0.125, gripper=0.0625))
-            res = ensemble_action(state, 3, cfg)
-            assert res.action.pos[0] == 0.125
-            assert res.action.gripper == 0.0625
+            action = ensemble_action(state, 3, cfg)
+            assert action.pos[0] == 0.125
+            assert action.gripper == 0.0625
 
     def test_single_candidate_identity_in_every_mode(self):
         for mode in EnsembleMode:
@@ -170,9 +173,9 @@ class TestEnsembleAction:
             state = EnsembleState.for_config(cfg)
             state.epoch_step = cfg.warmup_steps
             state.submit(chunk_from_rows(0, [[0.3, -0.2, 0.7]] * L, [0.017] * L))
-            res = ensemble_action(state, 0, cfg)
-            assert tuple(res.action.pos) == (0.3, -0.2, 0.7)
-            assert res.action.gripper == 0.017
+            action = ensemble_action(state, 0, cfg)
+            assert tuple(action.pos) == (0.3, -0.2, 0.7)
+            assert action.gripper == 0.017
 
     def test_empty_buffer(self):
         cfg = EnsembleConfig()
@@ -182,27 +185,29 @@ class TestEnsembleAction:
     def test_warmup_uses_fixed_temperature_all_modes(self):
         for mode in EnsembleMode:
             cfg = EnsembleConfig(mode=mode, beta=1.0, k_cutoff=1e-9)
-            _, results = run_stream(cfg, [0.0, 1.0, 0.0, 1.0, 0.0])
-            for res in results:
-                assert res.diagnostics.mode_used == "warmup"
-                assert res.diagnostics.k_p == cfg.k_const
+            state, _ = run_stream(cfg, [0.0, 1.0, 0.0, 1.0, 0.0])
+            assert len(state.stats) == 5
+            for diag in state.stats:
+                assert diag.mode_used == "warmup"
+                assert diag.k_p == cfg.k_const
 
     def test_suspension_contract_and_rewarm(self):
         cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0, k_cutoff=0.01)
         xs = [0.0] * 5 + [1.0] * 25
-        state, results = run_stream(cfg, xs)
-        modes = [r.diagnostics.mode_used for r in results]
+        state, actions = run_stream(cfg, xs)
+        diags = state.stats
+        modes = [d.mode_used for d in diags]
         n = cfg.effective_replay_n
         assert n == L // 2
         assert modes[:5] == ["warmup"] * 5
         assert modes[5] == "trigger"
-        assert results[5].diagnostics.triggered
-        assert results[5].diagnostics.k_p > cfg.k_cutoff
+        assert diags[5].triggered
+        assert diags[5].k_p > cfg.k_cutoff
         assert modes[6:5 + n] == ["suspended"] * (n - 1)
         # exactly replay_n outputs come verbatim from the chunk emitted at 5
         for t in range(5, 5 + n):
-            assert results[t].action.pos[0] == 1.0
-            assert results[t].diagnostics.suspended_from == 5
+            assert actions[t].pos[0] == 1.0
+            assert diags[t].suspended_from == 5
         # new buffer epoch re-warms for 5 steps
         assert modes[5 + n:10 + n] == ["warmup"] * 5
 
@@ -210,32 +215,32 @@ class TestEnsembleAction:
         cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0, k_cutoff=0.01,
                              clear_after_suspend=False)
         xs = [0.0] * 5 + [1.0] * 25
-        state, results = run_stream(cfg, xs)
-        modes = [r.diagnostics.mode_used for r in results]
+        state, _ = run_stream(cfg, xs)
+        modes = [d.mode_used for d in state.stats]
         first_after = modes[5 + cfg.effective_replay_n]
         assert first_after != "warmup"  # stale buffer retained, no new epoch
 
     def test_reset_only_uses_fixed_temperature_for_means(self):
         cfg = EnsembleConfig(mode=EnsembleMode.RESET_ONLY, beta=1.0, k_cutoff=10.0)
         xs = [0.0] * 5 + [1.0] * 10
-        _, results = run_stream(cfg, xs)
-        later = results[-1].diagnostics
+        state, _ = run_stream(cfg, xs)
+        later = state.stats[-1]
         assert later.mode_used == "fixed_k"
         assert later.k_p > 0  # spread measured and reported for the trigger test
 
     def test_dynamic_mode_never_suspends(self):
         cfg = EnsembleConfig(mode=EnsembleMode.DYNAMIC_K, beta=1.0, k_cutoff=1e-12)
         xs = [0.0] * 5 + [1.0] * 10
-        _, results = run_stream(cfg, xs)
-        assert all(r.diagnostics.mode_used != "suspended" for r in results)
-        assert all(not r.diagnostics.triggered for r in results)
+        state, _ = run_stream(cfg, xs)
+        assert all(d.mode_used != "suspended" for d in state.stats)
+        assert all(not d.triggered for d in state.stats)
 
     def test_baseline_never_suspends(self):
         cfg = EnsembleConfig(mode=EnsembleMode.BASELINE, beta=1.0, k_cutoff=1e-12)
         xs = [0.0] * 5 + [1.0] * 10
-        _, results = run_stream(cfg, xs)
-        assert all(not r.diagnostics.triggered for r in results)
-        assert results[-1].diagnostics.mode_used == "baseline"
+        state, _ = run_stream(cfg, xs)
+        assert all(not d.triggered for d in state.stats)
+        assert state.stats[-1].mode_used == "baseline"
 
 
 class TestAction:
@@ -252,9 +257,13 @@ class TestAction:
         with pytest.raises(ValueError, match="gripper"):
             Action(pos=[0.0, 0.0, 0.0], gripper=gripper)
 
-    def test_valid_action_kept_as_float_array(self):
-        a = Action(pos=[1, 2, 3], gripper=0.0)
-        assert a.pos.dtype == float and a.pos.tolist() == [1.0, 2.0, 3.0]
+    def test_valid_action_kept_as_float_tuple(self):
+        # a list, a tuple and a (3,) array give the same triple of Python floats
+        for pos in ([1, 2, 3], (1.0, 2.0, 3.0), np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0])):
+            a = Action(pos=pos, gripper=0)
+            assert a.pos == (1.0, 2.0, 3.0)
+            assert [type(x) for x in a.pos] == [float] * 3
+            assert type(a.gripper) is float
 
 
 class TestConfig:
@@ -294,6 +303,19 @@ class TestWeights:
         assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
         assert all(x > 0 for x in w)
 
+    def test_underflow_without_an_age_zero_candidate(self):
+        # exp(-1000 * age) underflows to 0.0 at ages 2 and 3; relative to the
+        # youngest the weights are exp(-1000) == 0.0 and exp(0) == 1.0
+        assert decay_weights([3, 2], 1000.0) == [0.0, 1.0]
+        cfg = EnsembleConfig(mode="baseline", k_const=1000.0)
+        state = EnsembleState.for_config(cfg)
+        state.epoch_step = cfg.warmup_steps
+        state.submit(const_chunk(0, 0.0))
+        state.submit(const_chunk(1, 1.0))
+        action = ensemble_action(state, 3, cfg)
+        assert action == Action(pos=[1.0, 0.0, 0.0], gripper=0.04)  # the newest chunk's
+        assert state.stats[-1].mode_used == "baseline"
+
 
 class TestBimodality:
     def build_clustered_state(self, cfg, jitter_seed=0):
@@ -310,15 +332,15 @@ class TestBimodality:
     def test_baseline_lands_between_clusters(self):
         cfg = EnsembleConfig(mode=EnsembleMode.BASELINE)
         state = self.build_clustered_state(cfg)
-        res = ensemble_action(state, 19, cfg)
-        assert 0.25 < res.action.pos[0] < 0.75
+        action = ensemble_action(state, 19, cfg)
+        assert 0.25 < action.pos[0] < 0.75
 
     def test_combined_snaps_to_newest_cluster(self):
         cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0, k_cutoff=0.01)
         state = self.build_clustered_state(cfg)
-        res = ensemble_action(state, 19, cfg)
-        assert res.diagnostics.triggered
-        assert abs(res.action.pos[0] - 1.0) <= 0.01
+        action = ensemble_action(state, 19, cfg)
+        assert state.stats[-1].triggered
+        assert abs(action.pos[0] - 1.0) <= 0.01
 
 
 @settings(max_examples=200, deadline=None)
@@ -335,13 +357,13 @@ def test_convex_hull_containment(n_chunks, seed, beta):
         rows_by_chunk.append((rows, grips))
         state.submit(chunk_from_rows(t, rows, grips))
     t = n_chunks - 1
-    res = ensemble_action(state, t, cfg)
+    action = ensemble_action(state, t, cfg)
     cand_pos = np.array([rows[t - tau] for tau, (rows, _) in enumerate(rows_by_chunk)])
     cand_grip = np.array([grips[t - tau] for tau, (_, grips) in enumerate(rows_by_chunk)])
     eps = 1e-12
-    assert np.all(res.action.pos >= cand_pos.min(axis=0) - eps)
-    assert np.all(res.action.pos <= cand_pos.max(axis=0) + eps)
-    assert cand_grip.min() - eps <= res.action.gripper <= cand_grip.max() + eps
+    assert np.all(np.array(action.pos) >= cand_pos.min(axis=0) - eps)
+    assert np.all(np.array(action.pos) <= cand_pos.max(axis=0) + eps)
+    assert cand_grip.min() - eps <= action.gripper <= cand_grip.max() + eps
 
 
 def exact_sum(terms) -> float:
@@ -363,7 +385,9 @@ def oracle_k(cands, beta):
 
 
 def oracle_weights(ages, k):
-    w = [math.exp(-k * age) for age in ages]
+    """exp(-k * age) with each age taken relative to the youngest, as
+    decay_weights does, then normalized by the exact total."""
+    w = [math.exp(-k * (age - min(ages))) for age in ages]
     total = exact_sum(w)
     return [x / total for x in w]
 
@@ -404,7 +428,7 @@ def random_candidate_state(rng, cfg, n):
             action = made[int(rng.integers(len(made)))]              # the same object
         elif made and roll < 0.3:
             prev = made[int(rng.integers(len(made)))]
-            action = Action(pos=prev.pos.copy(), gripper=prev.gripper)  # equal values
+            action = Action(pos=list(prev.pos), gripper=prev.gripper)  # equal values
         else:
             pos = centres[int(rng.integers(2))] + rng.normal(0, 10.0 ** rng.integers(-6, -1), 3)
             grip = (float(rng.choice([0.03, 0.08])) if rng.random() < 0.5
@@ -433,16 +457,17 @@ class TestExactOracle:
             beta = float(rng.choice([0.25, 0.5, 1.0, 3.0]))
             k = oracle_k(cands, beta)
             assert bits(compute_k(cands, beta)) == bits(k), (trial, n, ages)
-            res = ensemble_action(state, t, cfg)
+            action = ensemble_action(state, t, cfg)
             if mode is EnsembleMode.BASELINE:
                 k_p = k_g = cfg.k_const
             else:
                 k_p, k_g = oracle_k(cands, cfg.beta)
-                assert bits((res.diagnostics.k_p, res.diagnostics.k_g)) == bits((k_p, k_g))
+                diag = state.stats[-1]
+                assert bits((diag.k_p, diag.k_g)) == bits((k_p, k_g))
             expected = oracle_action(cands, ages, k_p, k_g)
-            got = (*res.action.xyz, res.action.gripper)
+            got = (*action.pos, action.gripper)
             assert bits(got) == bits(expected), (trial, n, ages)
-            assert bits(res.action.pos) == bits(expected[:3])
+            assert bits(action.pos) == bits(expected[:3])
         assert {1, 7} <= seen_ages
 
     @pytest.mark.parametrize("k", [K_CONST_DEFAULT, 0.0, 0.137, 2.5])
@@ -468,10 +493,11 @@ class TestExactOracle:
         state.epoch_step = cfg.warmup_steps
         for e, g in enumerate(widths):
             state.submit(const_chunk(L - n + e, 0.1, gripper=g))
-        res = ensemble_action(state, L - 1, cfg)
-        assert res.diagnostics.k_g == 0.0125
-        assert not res.diagnostics.triggered
-        assert res.diagnostics.mode_used == "dynamic_k"
+        ensemble_action(state, L - 1, cfg)
+        diag = state.stats[-1]
+        assert diag.k_g == 0.0125
+        assert not diag.triggered
+        assert diag.mode_used == "dynamic_k"
 
     @pytest.mark.parametrize("mode", list(EnsembleMode))
     @pytest.mark.parametrize("warm", [True, False])
@@ -489,10 +515,10 @@ class TestExactOracle:
             for e in (0, 3, 4, 9):
                 action = shared if same_object else Action(pos=list(pos), gripper=gripper)
                 state.submit(ActionChunk(e, (action,) * L))
-            res = ensemble_action(state, 9, cfg)
-            d = res.diagnostics
-            outputs.append((bits((*res.action.xyz, res.action.gripper, d.k_p, d.k_g)),
-                            bits(res.action.pos), d.mode_used))
+            action = ensemble_action(state, 9, cfg)
+            d = state.stats[-1]
+            outputs.append((bits((*action.pos, action.gripper, d.k_p, d.k_g)),
+                            bits(action.pos), d.mode_used))
         assert outputs[0] == outputs[1]
         # the full path's x0 + 0.0 turns -0.0 into 0.0, and the gripper is clipped
         expected = [x + 0.0 for x in pos] + [min(max(gripper + 0.0, 0.0), 0.08)]

@@ -2,13 +2,15 @@ from dataclasses import replace
 
 import pytest
 
+from demoaug import evaluation, sim
 from demoaug.ensemble import EnsembleConfig, EnsembleMode
 from demoaug.evaluation import (
     CellResult, EvalReport, closed_loop_eval, default_matrix, format_report, report_to_dict,
-    wilson_interval,
+    run_closed_loop_episode, wilson_interval,
 )
-from demoaug.policy import DisturbanceConfig
-from demoaug.tasks import TaskKind
+from demoaug.policy import DisturbanceConfig, ScriptedPolicy
+from demoaug.tasks import TaskKind, recorded_scene
+from demoaug.trajectory import augment_segmentwise, identity_anchors
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile, wilson_interval's default
 
@@ -136,3 +138,51 @@ class TestReportCell:
     def test_ambiguous_or_missing_cell_raises(self, mode, beta, k_cutoff):
         with pytest.raises(KeyError):
             self.report().cell(mode, beta, k_cutoff)
+
+
+class TestPositionFormat:
+    """Positions on the control path are (x, y, z) tuples of Python floats.
+    An ``np.float64`` that leaked back in would print as ``np.float64(...)``
+    under NumPy 2 and change the bytes of a written dataset."""
+
+    @pytest.mark.parametrize("task", list(TaskKind))
+    def test_every_coordinate_is_a_python_float(self, task, request, monkeypatch):
+        demo = request.getfixturevalue(f"{task.value}_demo")
+        states, actions = [], []
+        real_step, real_ensemble, real_predict = (sim.step, evaluation.ensemble_action,
+                                                  ScriptedPolicy.predict)
+
+        def recording_step(state, action, cfg):
+            states.append(real_step(state, action, cfg))
+            return states[-1]
+
+        def recording_ensemble(*args):
+            actions.append(real_ensemble(*args))
+            return actions[-1]
+
+        def recording_predict(self, ee_pos, t):
+            chunk = real_predict(self, ee_pos, t)
+            actions.extend(chunk.actions)
+            return chunk
+
+        monkeypatch.setattr(sim, "step", recording_step)
+        monkeypatch.setattr(evaluation, "ensemble_action", recording_ensemble)
+        monkeypatch.setattr(ScriptedPolicy, "predict", recording_predict)
+        states.extend(sim.replay(augment_segmentwise(demo, identity_anchors(demo)),
+                                 recorded_scene(demo)).states)
+        for disturbances in (DisturbanceConfig(),
+                             DisturbanceConfig(latency=3, bimodal_period=2, noise=0.01)):
+            run_closed_loop_episode(task, demo, seed=5, cfg=EnsembleConfig(),
+                                    disturbances=disturbances)
+
+        triples = [a.pos for a in actions]
+        for s in states:
+            triples += [s.ee_pos, *s.blocks]
+            if s.grasp_offset is not None:
+                triples.append(s.grasp_offset)
+            assert type(s.blocks) is tuple and type(s.gripper) is float
+        assert len(actions) > 1000
+        assert task is TaskKind.PUSH or any(s.grasp_offset is not None for s in states)
+        assert {type(p) for p in triples} == {tuple}
+        assert {len(p) for p in triples} == {3}
+        assert {type(x) for p in triples for x in p} == {float}

@@ -203,7 +203,7 @@ class TestNoise:
             obs = demo.waypoints[t].position
             cn = noisy.predict(obs, t)
             cc = clean.predict(obs, t)
-            diffs = np.array([n.pos - c.pos for n, c in zip(cn.actions, cc.actions)])
+            diffs = np.array([np.subtract(n.pos, c.pos) for n, c in zip(cn.actions, cc.actions)])
             assert np.all(np.abs(diffs) <= eta)
         assert np.any(diffs != 0)
 
@@ -309,6 +309,7 @@ class TestIncrementalRollout:
     def test_predicted_positions_are_read_only(self):
         demo = line_demo(0.008)
         chunk = ScriptedPolicy(demo).predict(demo.waypoints[0].position, 0)
-        with pytest.raises(ValueError):
+        # a position is a tuple, so no Action sharing it can be written through
+        with pytest.raises(TypeError):
             chunk.actions[0].pos[0] = 1.0
         assert demo.positions().flags.writeable

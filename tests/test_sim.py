@@ -18,9 +18,9 @@ CFG = ControllerConfig()
 
 
 def bare_state(ee=(0, 0, 0.1), gripper=0.08, blocks=(), held=None):
-    return SimState(ee_pos=np.asarray(ee, float), gripper=gripper,
-                    blocks=np.array(blocks, float).reshape(-1, 3), held=held,
-                    grasp_offset=None if held is None else np.zeros(3))
+    return SimState(ee_pos=tuple(map(float, ee)), gripper=gripper,
+                    blocks=tuple(tuple(map(float, b)) for b in blocks), held=held,
+                    grasp_offset=None if held is None else (0.0, 0.0, 0.0))
 
 
 class TestStep:
@@ -30,6 +30,7 @@ class TestStep:
         np.testing.assert_array_equal(out.ee_pos, state.ee_pos)
         assert out.gripper == state.gripper
         np.testing.assert_array_equal(out.blocks, state.blocks)
+        assert out.blocks[0] is state.blocks[0]  # a block that did not move keeps its row
         assert out.time == pytest.approx(CFG.dt)
 
     def test_speed_clamp(self):
@@ -65,10 +66,10 @@ class TestStep:
         out = step(state, (state.ee_pos, 0.0), CFG)
         assert out.held == 0
         # held block keeps a fixed offset from the end effector afterwards
-        offset = out.blocks[0] - out.ee_pos
+        offset = np.subtract(out.blocks[0], out.ee_pos)
         np.testing.assert_array_equal(out.grasp_offset, offset)
         out2 = step(out, (np.array([0.3, 0.1, 0.10]), 0.0), CFG)
-        np.testing.assert_allclose(out2.blocks[0] - out2.ee_pos, offset, atol=1e-12)
+        np.testing.assert_allclose(np.subtract(out2.blocks[0], out2.ee_pos), offset, atol=1e-12)
 
     def test_no_grasp_outside_capture(self):
         state = bare_state(ee=(0.2, 0.0, 0.03), gripper=0.045, blocks=[(0.26, 0.0, 0.02)])
@@ -79,14 +80,14 @@ class TestStep:
         held = bare_state(ee=(0.1, 0.1, 0.15), gripper=0.03, blocks=[(0.1, 0.1, 0.15)], held=0)
         out = step(held, (held.ee_pos, 0.08), CFG)
         assert out.held is None and out.grasp_offset is None
-        assert out.blocks[0, 2] == pytest.approx(0.02)
+        assert out.blocks[0][2] == pytest.approx(0.02)
 
     def test_release_stacks_on_support(self):
         held = bare_state(ee=(0.0, 0.0, 0.06), gripper=0.03,
                           blocks=[(0.0, 0.0, 0.06), (0.005, 0.0, 0.02)], held=0)
         out = step(held, (held.ee_pos, 0.08), CFG)
-        assert out.blocks[0, 2] == pytest.approx(0.06)
-        assert out.blocks[1, 2] == pytest.approx(0.02)
+        assert out.blocks[0][2] == pytest.approx(0.06)
+        assert out.blocks[1][2] == pytest.approx(0.02)
 
     def test_support_removed_drops_upper(self):
         # lower block held and carried away; the one resting on it falls
@@ -95,7 +96,7 @@ class TestStep:
         out = state
         for _ in range(20):
             out = step(out, (np.array([0.3, 0.0, 0.02]), 0.03), CFG)
-        assert out.blocks[1, 2] == pytest.approx(0.02)
+        assert out.blocks[1][2] == pytest.approx(0.02)
 
     @pytest.mark.parametrize("state, action", [
         # grasp: closing past the block width binds the block
@@ -164,7 +165,7 @@ class TestPortableNorm:
         for p, t in pairs:
             expected = servo_by_hand(p, t, CFG)
             assert servo(p, t, CFG) == expected
-            assert step(bare_state(ee=p), (t, 0.08), CFG).ee_pos.tolist() == list(expected)
+            assert step(bare_state(ee=p), (t, 0.08), CFG).ee_pos == tuple(expected)
         # the kept pairs tell the two formulas apart
         assert any(servo_by_hand(p, t, CFG, fused_sum_of_squares) != servo_by_hand(p, t, CFG)
                    for p, t in pairs)
@@ -218,14 +219,14 @@ class TestReplay:
                 if i != state.held:
                     assert pos[2] >= 0.02 - 1e-9
             if prev is not None:
-                moved = np.linalg.norm(state.ee_pos - prev.ee_pos)
+                moved = np.linalg.norm(np.subtract(state.ee_pos, prev.ee_pos))
                 assert moved <= CFG.max_speed * CFG.dt + 1e-12
             prev = state
 
     def test_held_block_keeps_fixed_offset(self, pick_place_demo):
         aug = augment_segmentwise(pick_place_demo, identity_anchors(pick_place_demo))
         ep = replay(aug, recorded_scene(pick_place_demo))
-        offsets = [s.blocks[0] - s.ee_pos for s in ep.states if s.held == 0]
+        offsets = [np.subtract(s.blocks[0], s.ee_pos) for s in ep.states if s.held == 0]
         assert offsets, "block was never held"
         for off in offsets[1:]:
             np.testing.assert_allclose(off, offsets[0], atol=1e-12)

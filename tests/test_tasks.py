@@ -13,7 +13,8 @@ from demoaug.trajectory import SegmentMismatch, ValidationError
 
 
 def state_with_blocks(positions):
-    return SimState(ee_pos=np.zeros(3), gripper=0.08, blocks=np.array(positions, float))
+    return SimState(ee_pos=(0.0, 0.0, 0.0), gripper=0.08,
+                    blocks=tuple(tuple(map(float, p)) for p in positions))
 
 
 class TestConfig:
