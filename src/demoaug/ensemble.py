@@ -35,6 +35,19 @@ same terms lands a unit in the last place above it and triggers one step
 early.  And NumPy's ``exp`` is dispatched to a SIMD kernel chosen by the
 CPU; on AVX-512 it rounds two of the nineteen default-temperature weights
 (ages 1 and 7) differently from ``math.exp``.
+
+Unanimous steps.  The scripted predictor shares one ``Action`` per waypoint,
+so in a clean closed loop the candidates are mostly one object, which is
+tested by identity.  Such a step forms no spread and no sums (each is
+exactly zero) and outputs what the weighted mean gives, ``x0 + 0.0`` per
+coordinate and the clipped ``g0 + 0.0``: the shared ``Action`` itself when
+those are its own bits (no coordinate is +-0.0, and ``0 < g0 <= g_max``),
+else a new one.
+
+Memo.  Fixed-temperature weights (warm-up, ``baseline``, ``fixed_k``) repeat
+step after step and are memoized on the temperature and the ages relative to
+the youngest.  A spread temperature is a new float nearly every step and is
+not memoized.
 """
 
 from __future__ import annotations
@@ -43,8 +56,12 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from itertools import repeat
 from math import fsum
 from numbers import Real
+from operator import is_
+from typing import NamedTuple
 
 from .trajectory import G_MAX_DEFAULT
 
@@ -95,13 +112,9 @@ class Action:
         object.__setattr__(self, "gripper", float(self.gripper))
 
 
-@dataclass(frozen=True)
-class ActionChunk:
+class ActionChunk(NamedTuple):
     emitted_at: int
     actions: tuple[Action, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(self.actions))
 
 
 # Calibrated default for the suspension cutoff: an ``ensemble-eval
@@ -173,10 +186,6 @@ class ChunkBuffer:
     def clear(self) -> None:
         self._chunks.clear()
 
-    def covering(self, t: int) -> list[ActionChunk]:
-        """Chunks holding a prediction for step t, oldest first."""
-        return [c for c in self._chunks if 0 <= t - c.emitted_at < self.chunk_len]
-
     def newest(self) -> ActionChunk:
         if not self._chunks:
             raise EmptyBuffer("buffer is empty")
@@ -185,11 +194,16 @@ class ChunkBuffer:
 
 def candidates(buffer: ChunkBuffer, t: int) -> tuple[list[Action], list[int]]:
     """Every stored prediction for step t and its age in steps, oldest chunk first."""
-    chunks = buffer.covering(t)
-    if not chunks:
+    chunk_len = buffer.chunk_len
+    cands, ages = [], []
+    for chunk in buffer._chunks:
+        age = t - chunk.emitted_at
+        if 0 <= age < chunk_len:
+            cands.append(chunk.actions[age])
+            ages.append(age)
+    if not cands:
         raise EmptyBuffer(f"no chunk covers step {t}")
-    ages = [t - c.emitted_at for c in chunks]
-    return [c.actions[age] for c, age in zip(chunks, ages)], ages
+    return cands, ages
 
 
 def compute_k(cands: list[Action], beta: float) -> tuple[float, float]:
@@ -227,29 +241,37 @@ def decay_weights(ages, k: float) -> list[float]:
     return [x / total for x in w]
 
 
-def _weighted_action(cands: list[Action], ages, k_p: float, k_g: float,
-                     g_max: float, unanimous: bool) -> Action:
+@lru_cache(maxsize=256)
+def _fixed_weights(k: float, relative_ages: tuple[int, ...]) -> tuple[float, ...]:
+    """``decay_weights`` memoized, for the fixed temperature only (see the
+    module docstring); the weights depend only on the relative ages."""
+    return tuple(decay_weights(relative_ages, k))
+
+
+def _unanimous_action(action: Action, g_max: float) -> Action:
+    # the weighted mean of candidates that are all this Action; see the module docstring
+    x0, y0, z0 = action.pos
+    g0 = action.gripper
+    if x0 and y0 and z0 and 0.0 < g0 <= g_max:
+        return action
+    return Action((x0 + 0.0, y0 + 0.0, z0 + 0.0), min(max(g0 + 0.0, 0.0), g_max))
+
+
+def _weighted_action(cands: list[Action], wp, wg, g_max: float) -> Action:
     # Means are anchored at the first candidate, each x0 + fsum(w * (x - x0)),
     # so unanimous candidates reproduce their action exactly, free of
-    # weight-normalization dust.  When every candidate is the same Action each
-    # term is w * 0.0, the sums are 0.0 and are not formed.
+    # weight-normalization dust.
     x0, y0, z0 = cands[0].pos
     g0 = cands[0].gripper
-    if unanimous:
-        x, y, z, g = x0 + 0.0, y0 + 0.0, z0 + 0.0, g0 + 0.0
-    else:
-        wp = decay_weights(ages, k_p)
-        wg = wp if k_g == k_p else decay_weights(ages, k_g)
-        xs, ys, zs = zip(*[c.pos for c in cands])
-        x = x0 + fsum([w * (v - x0) for w, v in zip(wp, xs)])
-        y = y0 + fsum([w * (v - y0) for w, v in zip(wp, ys)])
-        z = z0 + fsum([w * (v - z0) for w, v in zip(wp, zs)])
-        g = g0 + fsum([w * (c.gripper - g0) for w, c in zip(wg, cands)])
+    xs, ys, zs = zip(*[c.pos for c in cands])
+    x = x0 + fsum([w * (v - x0) for w, v in zip(wp, xs)])
+    y = y0 + fsum([w * (v - y0) for w, v in zip(wp, ys)])
+    z = z0 + fsum([w * (v - z0) for w, v in zip(wp, zs)])
+    g = g0 + fsum([w * (c.gripper - g0) for w, c in zip(wg, cands)])
     return Action((x, y, z), min(max(g, 0.0), g_max))
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
+class StepDiagnostics(NamedTuple):
     t: int
     mode_used: str            # warmup | baseline | fixed_k | dynamic_k | trigger | suspended
     candidate_count: int
@@ -293,8 +315,7 @@ def _suspended_output(state: EnsembleState, t: int) -> tuple[Action, StepDiagnos
     chunk = state.suspension.chunk
     state.suspension.steps_remaining -= 1
     return chunk.actions[t - chunk.emitted_at], StepDiagnostics(
-        t=t, mode_used="suspended", candidate_count=0, k_p=math.nan, k_g=math.nan,
-        suspended_from=chunk.emitted_at)
+        t, "suspended", 0, math.nan, math.nan, False, chunk.emitted_at)
 
 
 def _enter_suspension(state: EnsembleState, t: int, cfg: EnsembleConfig,
@@ -305,8 +326,7 @@ def _enter_suspension(state: EnsembleState, t: int, cfg: EnsembleConfig,
         raise EmptyBuffer(f"newest chunk does not cover step {t}")
     state.suspension = _Suspension(chunk=chunk, steps_remaining=cfg.effective_replay_n - 1)
     return chunk.actions[offset], StepDiagnostics(
-        t=t, mode_used="trigger", candidate_count=n_cands, k_p=k_p, k_g=k_g, triggered=True,
-        suspended_from=chunk.emitted_at)
+        t, "trigger", n_cands, k_p, k_g, True, chunk.emitted_at)
 
 
 def ensemble_action(state: EnsembleState, t: int, cfg: EnsembleConfig) -> Action:
@@ -333,7 +353,7 @@ def ensemble_action(state: EnsembleState, t: int, cfg: EnsembleConfig) -> Action
         n = len(cands)
         # the predictor shares one Action per waypoint, so agreement is mostly identity
         first = cands[0]
-        unanimous = all(c is first for c in cands)
+        unanimous = all(map(is_, cands, repeat(first)))
         warm = state.epoch_step < cfg.warmup_steps
         if warm or cfg.mode is EnsembleMode.BASELINE:
             mode_used, k_p, k_g = ("warmup" if warm else "baseline"), cfg.k_const, cfg.k_const
@@ -347,9 +367,17 @@ def ensemble_action(state: EnsembleState, t: int, cfg: EnsembleConfig) -> Action
         if mode_used == "trigger":
             action, diag = _enter_suspension(state, t, cfg, k_p, k_g, n)
         else:
-            temps = (k_p, k_g) if mode_used == "dynamic_k" else (cfg.k_const, cfg.k_const)
-            action = _weighted_action(cands, ages, *temps, cfg.g_max, unanimous)
-            diag = StepDiagnostics(t=t, mode_used=mode_used, candidate_count=n, k_p=k_p, k_g=k_g)
+            if unanimous:
+                action = _unanimous_action(first, cfg.g_max)
+            elif mode_used == "dynamic_k":
+                wp = decay_weights(ages, k_p)
+                wg = wp if k_g == k_p else decay_weights(ages, k_g)
+                action = _weighted_action(cands, wp, wg, cfg.g_max)
+            else:
+                youngest = ages[-1]   # candidates come oldest first
+                wp = _fixed_weights(cfg.k_const, tuple([a - youngest for a in ages]))
+                action = _weighted_action(cands, wp, wp, cfg.g_max)
+            diag = StepDiagnostics(t, mode_used, n, k_p, k_g)
             state.epoch_step += 1
     if state.suspension is not None and state.suspension.steps_remaining <= 0:
         state.suspension = None

@@ -22,18 +22,21 @@ control path: the observation is ``SimState.ee_pos`` as it stands, and each
 waypoint is one triple, read by the servo kernel and carried as ``pos`` by
 the one :class:`~demoaug.ensemble.Action` that every noise-free chunk
 shares for that waypoint.  The predictor keeps the *trail* of its last
-rollout, the ``(v, k, steps_on)`` tuple before each of its chunk_len steps
-and after the last one.  When a query starts from exactly the trail's
-second state (tuple ``==``, which compares the three coordinates and both
-ints), the new rollout is the old one shifted by a step, so the trail
-drops its head and runs one more step from its tail; otherwise it restarts
-from the query's state.  Either way the same loop extends the trail to
-chunk_len steps.  A hit is bit-exact: equal floats differ at most in the
-sign of a zero, which no distance the advance rule tests can see, and the
-emitted targets are waypoints picked by index.  In a clean closed loop the
-executed action is the predicted one, so nearly every query hits and costs
-one servo step instead of chunk_len; stale observations (latency) mostly
-miss.
+rollout, the ``(v, k, steps_on, action)`` tuple before each of its
+chunk_len steps and after the last one, ``action`` being waypoint ``k``'s
+shared Action.  A noise-free chunk is the ``action`` of the first chunk_len
+trail entries, taken as they stand; a noisy one reads their ``k`` and adds
+one ``(chunk_len, 3)`` draw to those waypoints.  When a query starts from
+exactly the trail's second state (tuple ``==``, which compares the three
+coordinates, both ints and the Action of the same waypoint), the new
+rollout is the old one shifted by a step, so the trail drops its head and
+runs one more step from its tail; otherwise it restarts from the query's
+state.  Either way the same loop extends the trail to chunk_len steps.  A
+hit is bit-exact: equal floats differ at most in the sign of a zero, which
+no distance the advance rule tests can see, and the emitted targets are
+waypoints picked by index.  In a clean closed loop the executed action is
+the predicted one, so nearly every query hits and costs one servo step
+instead of chunk_len; stale observations (latency) mostly miss.
 
 Disturbance adapters then make the predictor imperfect in controlled ways:
 
@@ -52,6 +55,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -92,7 +96,7 @@ class ScriptedPolicy:
         self._targets = tuple(map(tuple, self._positions.tolist()))
         self._actions = tuple(Action(pos=p, gripper=g)
                               for p, g in zip(self._targets, self._grippers.tolist()))
-        self._trail: deque[tuple[tuple[float, float, float], int, int]] = deque()
+        self._trail: deque[tuple[tuple[float, float, float], int, int, Action]] = deque()
         self._last = len(self._positions) - 1
         self._timeout_steps = ctrl.timeout_steps
         # the newest latency + 1 observations; the oldest is the one acted on
@@ -128,27 +132,27 @@ class ScriptedPolicy:
             return 0
         return d.bimodal_gap if (self._emissions // d.bimodal_period) % 2 else 0
 
-    def _rollout(self, obs: tuple[float, float, float], start: int) -> list[int]:
-        """Waypoint the tracking servo targets at each of chunk_len steps.
-
-        Reuses the trail of the previous rollout when this one starts from
-        its second state; see the module docstring.
+    def _rollout(self, obs: tuple[float, float, float], start: int) -> deque:
+        """The trail of a chunk_len-step servo rollout from ``obs`` on waypoint
+        ``start``, reusing the previous rollout's trail when this one starts
+        from its second state; see the module docstring.
         """
-        ctrl, targets, last = self.ctrl, self._targets, self._last
+        ctrl, targets, actions, last = self.ctrl, self._targets, self._actions, self._last
         timeout_steps, radius = self._timeout_steps, ctrl.waypoint_advance_radius
         trail = self._trail
-        if len(trail) > 1 and trail[1] == (obs, start, self._steps_on_cursor):
+        head = (obs, start, self._steps_on_cursor, actions[start])
+        if len(trail) > 1 and trail[1] == head:
             trail.popleft()
         else:
             trail.clear()
-            trail.append((obs, start, self._steps_on_cursor))
-        v, k, s_on = trail[-1]
+            trail.append(head)
+        v, k, s_on, _ = trail[-1]
         for _ in range(self.chunk_len + 1 - len(trail)):
             target = targets[k]
             v = servo(v, target, ctrl)
             k, s_on = advance(k, s_on, v, target, last, timeout_steps, radius)
-            trail.append((v, k, s_on))
-        return [k for _, k, _ in islice(trail, self.chunk_len)]
+            trail.append((v, k, s_on, actions[k]))
+        return trail
 
     def predict(self, ee_pos, t: int) -> ActionChunk:
         """Predicted action chunk for control steps t, t+1, ...
@@ -161,16 +165,17 @@ class ScriptedPolicy:
         start = min(self._cursor + self._hypothesis_offset(), self._last)
         self._emissions += 1
 
-        idx = self._rollout(obs, start)
+        steps = islice(self._rollout(obs, start), self.chunk_len)
         noise = self.disturbances.noise
         if noise > 0:
+            idx = [k for _, k, _, _ in steps]
             pos = self._positions[idx] + self._rng.uniform(-noise, noise,
                                                            size=(self.chunk_len, 3))
             actions = tuple(Action(pos=p, gripper=g)
                             for p, g in zip(pos.tolist(), self._grippers[idx].tolist()))
         else:
-            actions = tuple(self._actions[i] for i in idx)
-        return ActionChunk(emitted_at=t, actions=actions)
+            actions = tuple(map(itemgetter(3), steps))
+        return ActionChunk(t, actions)
 
     def finished(self, ee_pos) -> bool:
         """Cursor at the final waypoint with the end effector settled on it."""

@@ -20,12 +20,18 @@ targets are, so a step converts nothing.  States are never mutated:
 :func:`step` returns a new state, which reuses each block row that did not
 move, so a replay keeps its states as the episode record and serialises them
 only when a dataset is written.
+
+Settling.  Every state the module produces has its unheld blocks at rest.
+:func:`initial_state` settles the scene (sampled scenes already rest), and
+:func:`step` settles only when a block is held before or after the step;
+with none held, blocks at rest stay so and their rows are kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +88,7 @@ class ControllerConfig:
         return max(1, round(self.settle_time / self.dt))
 
 
-@dataclass(frozen=True)
-class SimState:
+class SimState(NamedTuple):
     """Simulator state; see the module docstring for the layout."""
 
     ee_pos: tuple[float, float, float]
@@ -222,11 +227,11 @@ def step(state: SimState, action, cfg: ControllerConfig) -> SimState:
     slew = cfg.max_gripper_speed * cfg.dt
     gripper = state.gripper + min(max(float(target_gripper) - state.gripper, -slew), slew)
 
-    rows = list(state.blocks)
+    blocks = state.blocks
     held, offset = state.held, state.grasp_offset
     if held is None and state.gripper >= BLOCK_SIZE > gripper:
         best_dist = math.inf
-        for i, (bx, by, bz) in enumerate(rows):
+        for i, (bx, by, bz) in enumerate(blocks):
             dx, dy, dz = bx - ex, by - ey, bz - ez
             if (math.sqrt(dx * dx + dy * dy) <= CAPTURE_RADIUS_XY
                     and abs(dz) <= CAPTURE_RADIUS_Z):
@@ -234,24 +239,29 @@ def step(state: SimState, action, cfg: ControllerConfig) -> SimState:
                 if dist < best_dist:
                     held, best_dist = i, dist
         if held is not None:
-            bx, by, bz = rows[held]
+            bx, by, bz = blocks[held]
             offset = (bx - ex, by - ey, bz - ez)
     elif held is not None and state.gripper < BLOCK_SIZE <= gripper:
         held = offset = None
 
-    if held is not None:
-        ox, oy, oz = offset
-        rows[held] = (ex + ox, ey + oy, ez + oz)
-    _settle(rows, held)
-    return SimState(ee_pos=ee, gripper=gripper, blocks=tuple(rows),
-                    held=held, grasp_offset=offset, time=state.time + cfg.dt)
+    # see Settling in the module docstring
+    if held is not None or state.held is not None:
+        rows = list(blocks)
+        if held is not None:
+            ox, oy, oz = offset
+            rows[held] = (ex + ox, ey + oy, ez + oz)
+        _settle(rows, held)
+        blocks = tuple(rows)
+    return SimState(ee, gripper, blocks, held, offset, state.time + cfg.dt)
 
 
 def initial_state(traj: DemoTrajectory, scene: Scene) -> SimState:
     """Start the servo on the trajectory's first waypoint, blocks at rest."""
     w0 = traj.waypoints[0]
+    rows = [tuple(map(float, b)) for b in scene.block_starts]
+    _settle(rows, None)
     return SimState(ee_pos=tuple(map(float, w0.position)), gripper=float(w0.gripper),
-                    blocks=tuple(tuple(map(float, b)) for b in scene.block_starts))
+                    blocks=tuple(rows))
 
 
 def replay(aug: DemoTrajectory, scene: Scene, cfg: ControllerConfig = ControllerConfig(),

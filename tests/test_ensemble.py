@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from demoaug.ensemble import (
     K_CONST_DEFAULT, Action, ActionChunk, ChunkBuffer, EmptyBuffer, EnsembleConfig,
-    EnsembleMode, EnsembleState, InsufficientCandidates, candidates, compute_k, decay_weights,
-    ensemble_action,
+    EnsembleMode, EnsembleState, InsufficientCandidates, _fixed_weights, candidates, compute_k,
+    decay_weights, ensemble_action,
 )
+from demoaug.evaluation import run_closed_loop_episode
+from demoaug.policy import DisturbanceConfig
 
 L = 20
 
@@ -70,6 +72,21 @@ class TestCandidates:
         buf.push(const_chunk(0, 1.0))
         with pytest.raises(EmptyBuffer):
             candidates(buf, L)  # prediction horizon ended at L - 1
+
+    def test_only_chunks_covering_the_step(self):
+        # a chunk covers steps emitted_at .. emitted_at + L - 1: at t = 7 the
+        # chunk emitted at 10 is in the future, at t = 21 the one at 0 has expired
+        buf = ChunkBuffer(L)
+        for e in (0, 5, 10):
+            buf.push(chunk_from_rows(e, [[e + i / 100, 0, 0] for i in range(L)]))
+        cands, ages = candidates(buf, 7)
+        assert ages == [7, 2]
+        assert [c.pos[0] for c in cands] == [0.07, 5.02]
+        cands, ages = candidates(buf, 21)
+        assert ages == [16, 11]
+        assert [c.pos[0] for c in cands] == [5.16, 10.11]
+        with pytest.raises(EmptyBuffer):
+            candidates(buf, -1)
 
     def test_empty(self):
         with pytest.raises(EmptyBuffer):
@@ -409,6 +426,11 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+def same_float(a: float, b: float) -> bool:
+    """Equal values with equal signs, so -0.0 and 0.0 differ."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def random_candidate_state(rng, cfg, n):
     """A state past warm-up whose n candidates for step L - 1 have gapped ages.
 
@@ -504,22 +526,67 @@ class TestExactOracle:
     @pytest.mark.parametrize("pos, gripper", [
         ([-0.0, 0.0, 0.25], -0.0), ([0.0, -0.0, -0.0], 0.0),
         ([-0.125, 3.0, -0.0], 0.5), ([0.1, -0.2, 0.3], -0.01),
+        ([0.1, -0.2, 0.3], 0.05), ([0.1, -0.2, 0.3], 0.0), ([0.1, -0.2, 0.3], -0.0),
+        ([0.1, -0.2, 0.3], 0.08), ([0.1, -0.2, 0.3], 0.09),
+        ([-0.0, 0.2, 0.3], 0.05), ([0.1, 0.2, 0.0], 0.05),
     ])
     def test_unanimous_short_circuit_equals_full_path(self, mode, warm, pos, gripper):
         cfg = EnsembleConfig(mode=mode, beta=1.0)
         shared = Action(pos=pos, gripper=gripper)
+        # the shared Action passes through exactly when x0 + 0.0 and the clip
+        # give back its bits: no coordinate is +-0.0 and 0 < g0 <= g_max
+        passes_through = all(pos) and 0.0 < gripper <= cfg.g_max
         outputs = []
         for same_object in (True, False):
             state = EnsembleState.for_config(cfg)
             state.epoch_step = 0 if warm else cfg.warmup_steps
-            for e in (0, 3, 4, 9):
-                action = shared if same_object else Action(pos=list(pos), gripper=gripper)
+            submitted = [shared if same_object else Action(pos=list(pos), gripper=gripper)
+                         for _ in range(4)]
+            for e, action in zip((0, 3, 4, 9), submitted):
                 state.submit(ActionChunk(e, (action,) * L))
             action = ensemble_action(state, 9, cfg)
+            assert (action is shared) == (same_object and passes_through)
+            assert same_object or all(action is not a for a in submitted)
             d = state.stats[-1]
             outputs.append((bits((*action.pos, action.gripper, d.k_p, d.k_g)),
                             bits(action.pos), d.mode_used))
+            # the full path's x0 + 0.0 turns -0.0 into 0.0, and the gripper is clipped
+            expected = [x + 0.0 for x in pos] + [min(max(gripper + 0.0, 0.0), cfg.g_max)]
+            assert all(map(same_float, (*action.pos, action.gripper), expected))
         assert outputs[0] == outputs[1]
-        # the full path's x0 + 0.0 turns -0.0 into 0.0, and the gripper is clipped
-        expected = [x + 0.0 for x in pos] + [min(max(gripper + 0.0, 0.0), 0.08)]
-        assert outputs[0][0][:4] == bits(expected)
+
+
+class TestFixedWeightsMemo:
+    @pytest.mark.parametrize("k", [K_CONST_DEFAULT, 0.0, 0.137, 1000.0])
+    def test_equals_decay_weights(self, k):
+        for ages in (tuple(range(L - 1, -1, -1)), (19, 7, 1, 0), (0,), (3, 2, 0)):
+            assert bits(_fixed_weights(k, ages)) == bits(decay_weights(ages, k))
+        assert _fixed_weights(k, (3, 2, 0)) is _fixed_weights(k, (3, 2, 0))
+
+    def test_relative_ages_key_gives_the_absolute_weights(self):
+        cfg = EnsembleConfig(mode=EnsembleMode.BASELINE)
+        state = EnsembleState.for_config(cfg)
+        state.epoch_step = cfg.warmup_steps
+        xs = [0.0, 0.25, 0.5]
+        for e, x in zip((0, 2, 3), xs):
+            state.submit(const_chunk(e, x))
+        cands, ages = candidates(state.buffer, 9)
+        assert ages == [9, 7, 6]
+        action = ensemble_action(state, 9, cfg)
+        expected = oracle_action(cands, ages, cfg.k_const, cfg.k_const)
+        assert bits((*action.pos, action.gripper)) == bits(expected)
+
+    def test_spread_temperature_is_not_memoized(self, stack_demo):
+        # a dynamic_k episode reads the memo only in its warm-up steps
+        _fixed_weights.cache_clear()
+        cfg = EnsembleConfig(mode=EnsembleMode.DYNAMIC_K, beta=1.0)
+        _, stats = run_closed_loop_episode(
+            "stack", stack_demo, seed=5, cfg=cfg,
+            disturbances=DisturbanceConfig(latency=3, bimodal_period=2),
+            collect_diagnostics=True)
+        dynamic = [s for s in stats if s.mode_used == "dynamic_k"]
+        assert len(dynamic) > 100
+        assert len({(s.k_p, s.k_g) for s in dynamic}) > 50
+        warm = [s for s in stats if s.mode_used == "warmup"]
+        assert len(warm) == cfg.warmup_steps
+        assert _fixed_weights.cache_info().currsize <= len(warm)

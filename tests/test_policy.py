@@ -216,8 +216,8 @@ class TestNoise:
 
 
 def scratch_rollout(policy, obs, start, steps_on):
-    """Targets of a chunk_len-step servo rollout, simulated from scratch."""
-    positions, grippers = policy.reference.positions(), policy.reference.grippers()
+    """Waypoint indices a chunk_len-step servo rollout targets, simulated from scratch."""
+    positions = policy.reference.positions()
     ctrl, last = policy.ctrl, len(positions) - 1
     v, k = obs, start
     idx = []
@@ -227,13 +227,15 @@ def scratch_rollout(policy, obs, start, steps_on):
         v = servo(v, target, ctrl)
         k, steps_on = advance(k, steps_on, v, target, last, ctrl.timeout_steps,
                               ctrl.waypoint_advance_radius)
-    return positions[idx], grippers[idx]
+    return idx
 
 
 @pytest.fixture
 def checked_chunks(monkeypatch):
     """Check every chunk ScriptedPolicy.predict emits against a scratch
-    rollout from the same start; returns the list of checked steps."""
+    rollout from the start it asked ``_rollout`` for; returns the list of
+    checked steps.  A noise-free chunk must also hold each waypoint's one
+    shared Action, which the ensembler's unanimity test relies on."""
     real_rollout, real_predict = ScriptedPolicy._rollout, ScriptedPolicy.predict
     starts, rngs, checked = [], {}, []
 
@@ -243,11 +245,14 @@ def checked_chunks(monkeypatch):
 
     def checked_predict(self, ee_pos, t):
         chunk = real_predict(self, ee_pos, t)
-        pos, grip = scratch_rollout(self, *starts.pop())
+        idx = scratch_rollout(self, *starts.pop())
+        pos, grip = self.reference.positions()[idx], self.reference.grippers()[idx]
         noise = self.disturbances.noise
         if noise > 0:
             rng = rngs.setdefault(id(self), np.random.default_rng(self.disturbances.seed))
             pos = pos + rng.uniform(-noise, noise, size=pos.shape)
+        else:
+            assert all(a is self._actions[k] for a, k in zip(chunk.actions, idx))
         assert np.array_equal(np.array([a.pos for a in chunk.actions]), pos)
         assert np.array_equal(np.array([a.gripper for a in chunk.actions]), grip)
         checked.append(t)

@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from demoaug import trajectory
+from demoaug import sim, trajectory
 from demoaug.dataset import episode_lines
 from demoaug.sim import (
     AttemptCapExceeded, ControllerConfig, SimState,
-    advance, replay, run_campaign, scene_seed_for, servo, step,
+    advance, initial_state, replay, run_campaign, scene_seed_for, servo, step,
 )
-from demoaug.tasks import Scene, SuccessSpec, TaskKind, recorded_scene
+from demoaug.tasks import Scene, SuccessSpec, TaskKind, Workspace, recorded_scene, sample_scene
 from demoaug.trajectory import augment_segmentwise, identity_anchors
 
 CFG = ControllerConfig()
@@ -119,6 +119,50 @@ class TestStep:
             np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
         assert (state.gripper, state.held, state.time) == \
             (before.gripper, before.held, before.time)
+
+
+def at_rest(blocks) -> bool:
+    """Whether settling leaves every block row the very object it was."""
+    rows = list(blocks)
+    sim._settle(rows, None)
+    return all(a is b for a, b in zip(rows, blocks))
+
+
+class TestSettling:
+    """Blocks at rest stay at rest until one is held, so a step settles only
+    when a block is held before or after it, and every state the module
+    produces without a held block is at rest."""
+
+    @pytest.mark.parametrize("task", list(TaskKind))
+    def test_sampled_initial_states_are_at_rest(self, task, request):
+        demo = request.getfixturevalue(f"{task.value}_demo")
+        for seed in range(200):
+            scene = sample_scene(task, Workspace(), seed)
+            state = initial_state(demo, scene)
+            assert state.blocks == tuple(tuple(map(float, b)) for b in scene.block_starts)
+            assert at_rest(state.blocks), seed
+
+    def test_initial_state_settles_a_floating_block(self, push_demo):
+        scene = Scene(block_starts=([0.1, 0.0, 0.3],), block_goals=([0.2, 0.0, 0.02],))
+        assert initial_state(push_demo, scene).blocks == ((0.1, 0.0, 0.02),)
+
+    def test_step_with_nothing_held_keeps_block_rows(self):
+        # two stacked blocks and a third on the table; the gripper stays open
+        state = bare_state(ee=(0.3, 0.3, 0.2),
+                           blocks=[(0.0, 0.0, 0.02), (0.0, 0.0, 0.06), (0.2, 0.1, 0.02)])
+        out = step(state, ((0.0, 0.0, 0.1), 0.08), CFG)
+        assert out.held is None
+        assert out.ee_pos != state.ee_pos
+        assert all(a is b for a, b in zip(out.blocks, state.blocks))
+
+    @pytest.mark.parametrize("task", list(TaskKind))
+    def test_replayed_states_without_a_held_block_are_at_rest(self, task, request):
+        demo = request.getfixturevalue(f"{task.value}_demo")
+        ds = run_campaign(demo, task, count=3, rng_seed=5)
+        states = [s for ep in ds.episodes for s in ep.states if s.held is None]
+        assert any(s.held is not None for ep in ds.episodes for s in ep.states)
+        assert len(states) > 50
+        assert all(at_rest(s.blocks) for s in states)
 
 
 def fma(a, b, c):
