@@ -5,14 +5,15 @@ Layout, one directory per campaign::
     <out>/manifest.json            accounting, config echo, episode index
     <out>/episodes/ep_00000.jsonl  one JSON object per control step
 
-Episodes are held in memory as the simulator's own states and action arrays
-(:class:`~demoaug.sim.EpisodeRecord`) and serialised into step records only
-here, at write time.  Every record is canonical JSON: keys sorted, no
-whitespace, floats as ``repr``, so identical campaigns produce byte-identical
-directories.  The manifest goes through :func:`canonical_json`.  The step
-records are the same bytes, but are written from one template per episode
-with the keys already in sorted order, and the text of a repeated value is
-reused unless the value holds a zero (see :func:`episode_lines`).
+Episodes are held in memory as the simulator's own states and shared
+``(position, gripper)`` action pairs (:class:`~demoaug.sim.EpisodeRecord`)
+and serialised into step records only here, at write time.  Every record is
+canonical JSON: keys sorted, no whitespace, floats as ``repr``, so identical
+campaigns produce byte-identical directories.  The manifest goes through
+:func:`canonical_json`.  The step records are the same bytes, but are
+written from one template per episode with the keys already in sorted
+order, and the text of a value is reused while the step holds the same
+object (see :func:`episode_lines`).
 """
 
 from __future__ import annotations
@@ -57,14 +58,15 @@ def episode_lines(episode: EpisodeRecord, times: dict | None = None) -> list[str
     written without ``json.dumps``.  Each episode has one template that holds
     the keys, already in sorted order, and the text fixed for the episode:
     ``goals`` and the ``held`` flag list of each held index.  Each step fills
-    in its numbers, floats as ``repr``.  ``repr`` is most of the cost, so the
-    text of a value is reused while the value is unchanged: the action
-    position and gripper, the observed gripper and each block row from one
-    step to the next, and the time across every episode given the same
-    ``times`` dict (step time -> text; pass one to every episode of a
-    dataset).  Only values without a zero are reused, since ``0.0 == -0.0``
-    but the two print differently.  An episode's states share one block
-    count.  A NaN or inf raises ValueError, as ``allow_nan=False`` does.
+    in its numbers, floats as ``repr``.  ``repr`` is most of the cost, so
+    text is reused from one step to the next: an action's while the step
+    holds the same pair object, a block row's while it is the same object,
+    and the observed gripper's while it is equal and not zero (``0.0 ==
+    -0.0``, but the two print differently; one object has one set of bits).
+    The time's text is reused across every episode given the same ``times``
+    dict (step time -> text; pass one to every episode of a dataset).  An
+    episode's states share one block count.  A NaN or inf raises
+    ValueError, as ``allow_nan=False`` does.
     """
     if times is None:
         times = {}
@@ -72,32 +74,27 @@ def episode_lines(episode: EpisodeRecord, times: dict | None = None) -> list[str
     held_texts = {held: canonical_json([i == held for i in range(n_blocks)])
                   for held in (None, *range(n_blocks))}
     template = ('{"action":{"gripper":%s,"pos":%s},"obs":{"blocks":%s,"ee":%s,"goals":'
-                + canonical_json(episode.goals.tolist())
+                + canonical_json(episode.goals)
                 + ',"gripper":%s,"held":%s},"t":%s}')
 
-    # a value holding a zero is remembered as None, which no value equals
     lines = []
-    last_pos = last_act_g = last_g = None
-    last_rows: tuple = (None,) * n_blocks
+    last_action = last_g = None
+    last_rows = [None] * n_blocks  # a list is never a state's rows, even with no blocks
     row_texts = [""] * n_blocks
-    for s, pos, act_g in zip(episode.states, episode.action_pos.tolist(),
-                             episode.action_gripper.tolist()):
-        if pos != last_pos:
-            pos_text = _row(pos)
-            last_pos = None if 0.0 in pos else pos
-        if act_g != last_act_g:
-            act_g_text = _number(act_g)
-            last_act_g = act_g or None
+    for s, action in zip(episode.states, episode.actions):
+        if action is not last_action:
+            pos_text, act_g_text = _row(action[0]), _number(action[1])
+            last_action = action
         g = s.gripper
         if g != last_g:
             g_text = _number(g)
-            last_g = g or None
+            last_g = g or None  # a zero is remembered as None, which no value equals
         rows = s.blocks
-        if rows != last_rows:
+        if rows is not last_rows:
             for i, row in enumerate(rows):
-                if row != last_rows[i]:
+                if row is not last_rows[i]:
                     row_texts[i] = _row(row)
-            last_rows = tuple(None if 0.0 in row else row for row in rows)
+            last_rows = rows
             blocks_text = "[" + ",".join(row_texts) + "]"
         t = s.time
         t_text = times.get(t)

@@ -19,15 +19,16 @@ The rollout is a pure function of its start state ``(v, k, steps_on)``:
 servo position as an (x, y, z) float triple, targeted waypoint and steps
 spent on it.  Positions are float triples throughout, as on the rest of the
 control path: the observation is ``SimState.ee_pos`` as it stands, and each
-waypoint is one triple, read by the servo kernel and carried as ``pos`` by
-the one :class:`~demoaug.ensemble.Action` that every noise-free chunk
-shares for that waypoint.  The predictor keeps the *trail* of its last
-rollout, the ``(v, k, steps_on, action)`` tuple before each of its
-chunk_len steps and after the last one, ``action`` being waypoint ``k``'s
-shared Action.  A noise-free chunk is the ``action`` of the first chunk_len
-trail entries, taken as they stand; a noisy one reads their ``k`` and adds
-one ``(chunk_len, 3)`` draw to those waypoints.  When a query starts from
-exactly the trail's second state (tuple ``==``, which compares the three
+waypoint's ``position`` is read by the servo kernel as it stands and carried
+as ``pos``, with its gripper, by the one :class:`~demoaug.ensemble.Action`
+that every noise-free chunk shares for that waypoint.  The predictor keeps
+the *trail* of its last rollout, the ``(v, k, steps_on, action)`` tuple
+before each of its chunk_len steps and after the last one, ``action`` being
+waypoint ``k``'s shared Action.  A noise-free chunk is the ``action`` of the
+first chunk_len trail entries, taken as they stand; a noisy one adds the
+rows of one ``(chunk_len, 3)`` uniform draw to their triples, one float add
+per coordinate as NumPy would make it.  When a query starts from exactly
+the trail's second state (tuple ``==``, which compares the three
 coordinates, both ints and the Action of the same waypoint), the new
 rollout is the old one shifted by a step, so the trail drops its head and
 runs one more step from its tail; otherwise it restarts from the query's
@@ -55,7 +56,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -90,14 +91,11 @@ class ScriptedPolicy:
         self.chunk_len = chunk_len
         self.disturbances = disturbances or DisturbanceConfig()
         self.ctrl = ctrl
-        self._positions = reference.positions()
-        self._grippers = reference.grippers()
-        # the waypoints as float triples, for the servo kernel and the Actions
-        self._targets = tuple(map(tuple, self._positions.tolist()))
-        self._actions = tuple(Action(pos=p, gripper=g)
-                              for p, g in zip(self._targets, self._grippers.tolist()))
+        self._targets = tuple(w.position for w in reference.waypoints)
+        self._actions = tuple(Action(pos=w.position, gripper=w.gripper)
+                              for w in reference.waypoints)
         self._trail: deque[tuple[tuple[float, float, float], int, int, Action]] = deque()
-        self._last = len(self._positions) - 1
+        self._last = len(self._targets) - 1
         self._timeout_steps = ctrl.timeout_steps
         # the newest latency + 1 observations; the oldest is the one acted on
         self._obs_history: deque[tuple[float, float, float]] = deque(
@@ -117,7 +115,7 @@ class ScriptedPolicy:
 
     def _advance_cursor(self, obs: tuple[float, float, float]) -> None:
         if self._cursor is None:
-            self._cursor = int(np.argmin(np.linalg.norm(self._positions - obs, axis=1)))
+            self._cursor = int(np.argmin(np.linalg.norm(np.array(self._targets) - obs, axis=1)))
             return
         # timeout T + 1, not T: the cursor holds an unreached waypoint one
         # query longer than replay and rollout hold it, and the pinned
@@ -168,11 +166,9 @@ class ScriptedPolicy:
         steps = islice(self._rollout(obs, start), self.chunk_len)
         noise = self.disturbances.noise
         if noise > 0:
-            idx = [k for _, k, _, _ in steps]
-            pos = self._positions[idx] + self._rng.uniform(-noise, noise,
-                                                           size=(self.chunk_len, 3))
-            actions = tuple(Action(pos=p, gripper=g)
-                            for p, g in zip(pos.tolist(), self._grippers[idx].tolist()))
+            draw = self._rng.uniform(-noise, noise, size=(self.chunk_len, 3)).tolist()
+            actions = tuple(Action(tuple(map(add, a.pos, row)), a.gripper)
+                            for (_, _, _, a), row in zip(steps, draw))
         else:
             actions = tuple(map(itemgetter(3), steps))
         return ActionChunk(t, actions)

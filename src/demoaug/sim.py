@@ -21,6 +21,11 @@ targets are, so a step converts nothing.  States are never mutated:
 move, so a replay keeps its states as the episode record and serialises them
 only when a dataset is written.
 
+Episode record (:class:`EpisodeRecord`): the state before each control step
+and the ``(position, gripper)`` action pair of the step.  A replay builds one
+pair per waypoint, from its own triple and gripper, and every step on that
+waypoint holds the same pair, whose text the dataset writer then reuses.
+
 Settling.  Every state the module produces has its unheld blocks at rest.
 :func:`initial_state` settles the scene (sampled scenes already rest), and
 :func:`step` settles only when a block is held before or after the step;
@@ -101,15 +106,13 @@ class SimState(NamedTuple):
 
 @dataclass(frozen=True)
 class EpisodeRecord:
-    """One replay: the state before each of its T control steps and the
-    waypoint commanded at that step, ``action_pos`` (T, 3) and
-    ``action_gripper`` (T,); ``goals`` is (B, 3)."""
+    """One replay, laid out as the module docstring says; ``goals`` is the
+    scene's ``block_goals``."""
 
     states: tuple[SimState, ...]
-    action_pos: np.ndarray
-    action_gripper: np.ndarray
+    actions: tuple[tuple[tuple[float, float, float], float], ...]
     success: bool
-    goals: np.ndarray
+    goals: tuple[tuple[float, float, float], ...]
     provenance: dict = field(default_factory=dict)
 
 
@@ -258,10 +261,9 @@ def step(state: SimState, action, cfg: ControllerConfig) -> SimState:
 def initial_state(traj: DemoTrajectory, scene: Scene) -> SimState:
     """Start the servo on the trajectory's first waypoint, blocks at rest."""
     w0 = traj.waypoints[0]
-    rows = [tuple(map(float, b)) for b in scene.block_starts]
+    rows = list(scene.block_starts)
     _settle(rows, None)
-    return SimState(ee_pos=tuple(map(float, w0.position)), gripper=float(w0.gripper),
-                    blocks=tuple(rows))
+    return SimState(ee_pos=w0.position, gripper=w0.gripper, blocks=tuple(rows))
 
 
 def replay(aug: DemoTrajectory, scene: Scene, cfg: ControllerConfig = ControllerConfig(),
@@ -274,35 +276,30 @@ def replay(aug: DemoTrajectory, scene: Scene, cfg: ControllerConfig = Controller
     final waypoint the controller holds it for the settle time.  Failures
     are recorded in the success flag, never raised.
     """
-    positions = aug.positions()
-    grippers = aug.grippers()
-    targets_xyz = positions.tolist()
-    targets_g = grippers.tolist()
-    n = len(positions)
+    pairs = [(w.position, w.gripper) for w in aug.waypoints]
+    n = len(pairs)
     timeout_steps = cfg.timeout_steps
 
     state = initial_state(aug, scene)
     states = []
-    targets = []
+    actions = []
     k = 0
     steps_on_wp = 0
     while k < n:
         states.append(state)
-        targets.append(k)
-        target = targets_xyz[k]
-        state = step(state, (target, targets_g[k]), cfg)
-        k, steps_on_wp = advance(k, steps_on_wp, state.ee_pos, target, n,
+        action = pairs[k]
+        actions.append(action)
+        state = step(state, action, cfg)
+        k, steps_on_wp = advance(k, steps_on_wp, state.ee_pos, action[0], n,
                                  timeout_steps, cfg.waypoint_advance_radius)
     for _ in range(cfg.settle_steps):
         states.append(state)
-        targets.append(n - 1)
-        state = step(state, (targets_xyz[-1], targets_g[-1]), cfg)
+        actions.append(pairs[-1])
+        state = step(state, pairs[-1], cfg)
 
     ok = tasks.success(aug.task, state, scene, spec)
-    return EpisodeRecord(states=tuple(states), action_pos=positions[targets],
-                         action_gripper=grippers[targets], success=ok,
-                         goals=np.array(scene.block_goals, dtype=float),
-                         provenance=provenance or {})
+    return EpisodeRecord(states=tuple(states), actions=tuple(actions), success=ok,
+                         goals=scene.block_goals, provenance=provenance or {})
 
 
 def scene_seed_for(root_seed: int, attempt: int) -> int:
@@ -320,8 +317,8 @@ def attempt_episode(demo, task, ws, cfg, spec, root_seed, attempt):
     provenance = {
         "attempt": attempt,
         "scene_seed": seed,
-        "anchors": [{"r_s": a.r_s.tolist(), "r_g": a.r_g.tolist(),
-                     "g_s": a.g_s.tolist(), "g_g": a.g_g.tolist()} for a in anchors],
+        "anchors": [{"r_s": a.r_s, "r_g": a.r_g, "g_s": a.g_s, "g_g": a.g_g}
+                    for a in anchors],
         "transforms": [{"scale": t.scale, "rotation": t.rotation.tolist(),
                         "translation": t.translation.tolist(),
                         "vertical_fallback": t.vertical_fallback} for t in transforms],

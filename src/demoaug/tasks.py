@@ -9,8 +9,10 @@ a 0.70 m square workspace centered at the origin, table surface at z = 0.
 from __future__ import annotations
 
 import math
+from collections.abc import Sized
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -65,17 +67,25 @@ class Workspace:
 
 @dataclass(frozen=True)
 class Scene:
-    """Randomized block start/goal layout, fully determined by its seed."""
+    """Randomized block start/goal layout, fully determined by its seed.
+    Block ``i`` starts at ``block_starts[i]`` and belongs at ``block_goals[i]``;
+    each row is stored as an (x, y, z) float triple."""
 
-    block_starts: tuple
-    block_goals: tuple
+    block_starts: tuple[tuple[float, float, float], ...]
+    block_goals: tuple[tuple[float, float, float], ...]
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "block_starts",
-                           tuple(np.asarray(p, dtype=float) for p in self.block_starts))
-        object.__setattr__(self, "block_goals",
-                           tuple(np.asarray(p, dtype=float) for p in self.block_goals))
+        for name in ("block_starts", "block_goals"):
+            rows = tuple(getattr(self, name))
+            for i, row in enumerate(rows):
+                if not (isinstance(row, Sized) and len(row) == 3
+                        and all(isinstance(c, Real) and math.isfinite(c) for c in row)):
+                    raise ValueError(f"Scene {name} row {i} is not 3 finite reals: {row!r}")
+            object.__setattr__(self, name, tuple(tuple(map(float, row)) for row in rows))
+        if len(self.block_starts) != len(self.block_goals):
+            raise ValueError(f"Scene has {len(self.block_starts)} block_starts but "
+                             f"{len(self.block_goals)} block_goals")
 
 
 @dataclass(frozen=True)
@@ -100,9 +110,9 @@ class SuccessSpec:
 
 
 def _distance(p, q) -> float:
-    """Euclidean distance between two 2- or 3-sequences (float triples or
-    arrays), taken as :mod:`~demoaug.sim` takes lengths: ``math.sqrt`` of the
-    explicit left-to-right ``x*x + y*y (+ z*z)``.  ``np.linalg.norm`` is a
+    """Euclidean distance between two 2- or 3-sequences of floats, taken as
+    :mod:`~demoaug.sim` takes lengths: ``math.sqrt`` of the explicit
+    left-to-right ``x*x + y*y (+ z*z)``.  ``np.linalg.norm`` is a
     BLAS ``ddot``, which rounds as the machine's kernel does."""
     total = 0.0
     for a, b in zip(p, q):
@@ -110,8 +120,8 @@ def _distance(p, q) -> float:
     return math.sqrt(total)
 
 
-def _xy(rng: np.random.Generator, ws: Workspace) -> np.ndarray:
-    return rng.uniform(-ws.half, ws.half, size=2)
+def _xy(rng: np.random.Generator, ws: Workspace) -> tuple[float, float]:
+    return tuple(rng.uniform(-ws.half, ws.half, size=2).tolist())
 
 
 def sample_scene(task, ws: Workspace = Workspace(), rng_seed: int = 0) -> Scene:
@@ -129,26 +139,26 @@ def sample_scene(task, ws: Workspace = Workspace(), rng_seed: int = 0) -> Scene:
 
     for _ in range(MAX_REJECTS):
         if task is TaskKind.PUSH:
-            start = np.append(_xy(rng, ws), rest_z)
-            goal = np.append(_xy(rng, ws), rest_z)
+            start = (*_xy(rng, ws), rest_z)
+            goal = (*_xy(rng, ws), rest_z)
             if _distance(start, goal) < min_sep:
                 continue
             return Scene(block_starts=(start,), block_goals=(goal,), seed=rng_seed)
         if task is TaskKind.PICK_PLACE:
-            start = np.append(_xy(rng, ws), rest_z)
-            goal = np.append(_xy(rng, ws), rng.uniform(*ws.pick_goal_z))
+            start = (*_xy(rng, ws), rest_z)
+            goal = (*_xy(rng, ws), rng.uniform(*ws.pick_goal_z))
             if _distance(start, goal) < min_sep:
                 continue
             return Scene(block_starts=(start,), block_goals=(goal,), seed=rng_seed)
         # stack: two starts plus one goal column, lower then upper goal
-        s1 = np.append(_xy(rng, ws), rest_z)
-        s2 = np.append(_xy(rng, ws), rest_z)
+        s1 = (*_xy(rng, ws), rest_z)
+        s2 = (*_xy(rng, ws), rest_z)
         col = _xy(rng, ws)
         if _distance(s1, s2) < min_sep:
             continue
         if _distance(s1[:2], col) < min_sep or _distance(s2[:2], col) < min_sep:
             continue
-        goals = (np.append(col, rest_z), np.append(col, rest_z + BLOCK_SIZE))
+        goals = ((*col, rest_z), (*col, rest_z + BLOCK_SIZE))
         return Scene(block_starts=(s1, s2), block_goals=goals, seed=rng_seed)
     raise SamplingExhausted(
         f"no valid {task.value} scene in {MAX_REJECTS} draws; workspace too small?")

@@ -5,20 +5,27 @@ A demonstration is an ordered list of timestamped end-effector waypoints
 Each segment carries the annotated manipulation endpoints (pickup point and
 object goal) recorded with the demo; those endpoints are the recorded half
 of the anchor pair that pins the segment's warp.
+
+Every position is an (x, y, z) tuple of Python floats: waypoint positions,
+segment anchors, :class:`AnchorPair` fields and ``Scene`` rows, which the
+simulator, predictor and dataset writer take as they stand.  NumPy stays in
+:mod:`~demoaug.geometry`; :func:`augment_segmentwise` feeds it one segment's
+rows at a time.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+import math
+from dataclasses import dataclass, replace
 
 from .geometry import EPS_LEN, GeometryError, transform_from_anchors
 
 DEMO_FORMAT_VERSION = 1
 G_MAX_DEFAULT = 0.08      # m; parallel-plate gripper fully open
 POSITION_MARGIN = 0.2     # m; slack around the nominal workspace at parse time
+
+Vec3 = tuple[float, float, float]
 
 
 class ParseError(ValueError):
@@ -33,21 +40,21 @@ class SegmentMismatch(ValueError):
     """Segment count does not match what the task or anchors require."""
 
 
-def default_position_bounds() -> tuple[np.ndarray, np.ndarray]:
+def default_position_bounds() -> tuple[Vec3, Vec3]:
     """Axis-aligned box accepted for recorded waypoints.
 
     The default 0.70 m square workspace around the origin with goals up to
     0.20 m, padded by POSITION_MARGIN on every side.
     """
-    lo = np.array([-0.35, -0.35, 0.0]) - POSITION_MARGIN
-    hi = np.array([0.35, 0.35, 0.20]) + POSITION_MARGIN
+    lo = tuple(x - POSITION_MARGIN for x in (-0.35, -0.35, 0.0))
+    hi = tuple(x + POSITION_MARGIN for x in (0.35, 0.35, 0.20))
     return lo, hi
 
 
 @dataclass(frozen=True)
 class Waypoint:
     time: float
-    position: np.ndarray
+    position: Vec3
     gripper: float
 
 
@@ -59,25 +66,26 @@ class Segment:
     label: str
     start: int
     stop: int
-    anchor_start: np.ndarray
-    anchor_goal: np.ndarray
+    anchor_start: Vec3
+    anchor_goal: Vec3
 
 
 @dataclass(frozen=True)
 class AnchorPair:
-    """Recorded and generated (start, goal) pinning one segment's warp."""
+    """Recorded and generated (start, goal) pinning one segment's warp, as triples."""
 
-    r_s: np.ndarray
-    r_g: np.ndarray
-    g_s: np.ndarray
-    g_g: np.ndarray
+    r_s: Vec3
+    r_g: Vec3
+    g_s: Vec3
+    g_g: Vec3
 
     def __post_init__(self):
         for name in ("r_s", "r_g", "g_s", "g_g"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if np.linalg.norm(self.r_g - self.r_s) <= EPS_LEN:
+            x, y, z = getattr(self, name)
+            object.__setattr__(self, name, (float(x), float(y), float(z)))
+        if math.dist(self.r_g, self.r_s) <= EPS_LEN:
             raise ValidationError("recorded start and goal coincide")
-        if np.linalg.norm(self.g_g - self.g_s) <= EPS_LEN:
+        if math.dist(self.g_g, self.g_s) <= EPS_LEN:
             raise ValidationError("generated start and goal coincide")
 
 
@@ -109,38 +117,32 @@ class DemoTrajectory:
         if expected_start != len(self.waypoints):
             raise ValidationError(
                 f"segments cover {expected_start} waypoints, trajectory has {len(self.waypoints)}")
-        times = self.times()
-        bad = np.nonzero(np.diff(times) <= 0)[0]
-        if bad.size:
-            raise ValidationError(f"timestamps not strictly increasing at waypoint {bad[0] + 1}")
-
-    def times(self) -> np.ndarray:
-        return np.array([w.time for w in self.waypoints])
-
-    def positions(self) -> np.ndarray:
-        return np.array([w.position for w in self.waypoints])
-
-    def grippers(self) -> np.ndarray:
-        return np.array([w.gripper for w in self.waypoints])
+        for i in range(1, len(self.waypoints)):
+            if self.waypoints[i].time - self.waypoints[i - 1].time <= 0:
+                raise ValidationError(f"timestamps not strictly increasing at waypoint {i}")
 
 
-def _require(doc: dict, key: str, kind, where: str = "document"):
+def _require(doc: dict, key, kind, where: str = "document"):
     if key not in doc:
         raise ParseError(f"{where} missing key {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    # JSON true and false load as bools, which isinstance counts as ints
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ParseError(f"{where} key {key!r} has type {type(value).__name__}")
-    return value
+    try:  # kind float takes any JSON number, and an integer may lie past the float range
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise ParseError(f"{where} key {key!r} is too large for a float") from None
 
 
-def _vec3(value, where: str) -> np.ndarray:
-    if not isinstance(value, (list, tuple)) or len(value) != 3 or \
-            not all(isinstance(x, (int, float)) for x in value):
-        raise ParseError(f"{where} is not a 3-number list")
-    v = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{where} has non-finite components")
-    return v
+def _vec3(doc: dict, key: str, where: str) -> Vec3:
+    coords = dict(enumerate(_require(doc, key, (list, tuple), where)))
+    if len(coords) != 3:
+        raise ParseError(f"{where} key {key!r} is not a 3-number list")
+    x, y, z = (_require(coords, j, float, f"{where} key {key!r} entry") for j in range(3))
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValidationError(f"{where} key {key!r} has non-finite components")
+    return (x, y, z)
 
 
 def parse_demo(document) -> DemoTrajectory:
@@ -163,7 +165,7 @@ def parse_demo(document) -> DemoTrajectory:
     if version != DEMO_FORMAT_VERSION:
         raise ParseError(f"unknown format_version {version} (supported: {DEMO_FORMAT_VERSION})")
     task = _require(document, "task", str)
-    g_max = float(_require(document, "g_max", (int, float)))
+    g_max = _require(document, "g_max", float)
     if g_max <= 0:
         raise ValidationError(f"g_max must be positive, got {g_max}")
     source_id = document.get("source_id", "unnamed")
@@ -173,10 +175,9 @@ def parse_demo(document) -> DemoTrajectory:
     for i, entry in enumerate(raw_waypoints):
         if not isinstance(entry, dict):
             raise ParseError(f"waypoint {i} is not an object")
-        t = _require(entry, "t", (int, float), f"waypoint {i}")
-        g = _require(entry, "g", (int, float), f"waypoint {i}")
-        p = _vec3(_require(entry, "p", (list, tuple), f"waypoint {i}"), f"waypoint {i} position")
-        waypoints.append(Waypoint(time=float(t), position=p, gripper=float(g)))
+        t = _require(entry, "t", float, f"waypoint {i}")
+        g = _require(entry, "g", float, f"waypoint {i}")
+        waypoints.append(Waypoint(time=t, position=_vec3(entry, "p", f"waypoint {i}"), gripper=g))
 
     raw_segments = _require(document, "segments", list)
     segments = []
@@ -186,12 +187,9 @@ def parse_demo(document) -> DemoTrajectory:
             raise ParseError(f"segment {i} is not an object")
         label = _require(entry, "label", str, f"segment {i}")
         count = _require(entry, "count", int, f"segment {i}")
-        anchor_start = _vec3(_require(entry, "anchor_start", (list, tuple), f"segment {i}"),
-                             f"segment {i} anchor_start")
-        anchor_goal = _vec3(_require(entry, "anchor_goal", (list, tuple), f"segment {i}"),
-                            f"segment {i} anchor_goal")
         segments.append(Segment(label=label, start=cursor, stop=cursor + count,
-                                anchor_start=anchor_start, anchor_goal=anchor_goal))
+                                anchor_start=_vec3(entry, "anchor_start", f"segment {i}"),
+                                anchor_goal=_vec3(entry, "anchor_goal", f"segment {i}")))
         cursor += count
 
     demo = DemoTrajectory(waypoints=tuple(waypoints), segments=tuple(segments),
@@ -199,12 +197,12 @@ def parse_demo(document) -> DemoTrajectory:
 
     lo, hi = default_position_bounds()
     for i, w in enumerate(demo.waypoints):
-        if not np.all(np.isfinite(w.position)) or not np.isfinite(w.time) or not np.isfinite(w.gripper):
+        if not (math.isfinite(w.time) and math.isfinite(w.gripper)):
             raise ValidationError(f"waypoint {i} has non-finite values")
         if not (0.0 <= w.gripper <= g_max):
             raise ValidationError(f"waypoint {i} gripper {w.gripper} outside [0, {g_max}]")
-        if np.any(w.position < lo) or np.any(w.position > hi):
-            raise ValidationError(f"waypoint {i} position {w.position.tolist()} outside bounds")
+        if not all(l <= x <= h for x, l, h in zip(w.position, lo, hi)):
+            raise ValidationError(f"waypoint {i} position {list(w.position)} outside bounds")
     return demo
 
 
@@ -222,11 +220,11 @@ def demo_to_document(demo: DemoTrajectory) -> dict:
         "g_max": demo.g_max,
         "segments": [
             {"label": s.label, "count": s.stop - s.start,
-             "anchor_start": s.anchor_start.tolist(), "anchor_goal": s.anchor_goal.tolist()}
+             "anchor_start": list(s.anchor_start), "anchor_goal": list(s.anchor_goal)}
             for s in demo.segments
         ],
         "waypoints": [
-            {"t": w.time, "p": w.position.tolist(), "g": w.gripper} for w in demo.waypoints
+            {"t": w.time, "p": list(w.position), "g": w.gripper} for w in demo.waypoints
         ],
     }
 
@@ -262,15 +260,13 @@ def augment_segmentwise(demo: DemoTrajectory, anchors, transforms=None) -> DemoT
     """
     if transforms is None:
         transforms = segment_transforms(demo, anchors)
-    positions = demo.positions()
-    new_waypoints = list(demo.waypoints)
+    new_waypoints = []
     new_segments = []
     for seg, pair, tf in zip(demo.segments, anchors, transforms):
-        warped = tf.apply(positions[seg.start:seg.stop])
-        for offset, idx in enumerate(range(seg.start, seg.stop)):
-            w = demo.waypoints[idx]
-            new_waypoints[idx] = Waypoint(time=w.time, position=warped[offset], gripper=w.gripper)
-        new_segments.append(replace(seg, anchor_start=np.asarray(pair.g_s, dtype=float),
-                                    anchor_goal=np.asarray(pair.g_g, dtype=float)))
+        recorded = demo.waypoints[seg.start:seg.stop]
+        warped = tf.apply([w.position for w in recorded]).tolist()
+        new_waypoints += [Waypoint(w.time, (x, y, z), w.gripper)
+                          for w, (x, y, z) in zip(recorded, warped)]
+        new_segments.append(replace(seg, anchor_start=pair.g_s, anchor_goal=pair.g_g))
     return DemoTrajectory(waypoints=tuple(new_waypoints), segments=tuple(new_segments),
                           task=demo.task, source_id=demo.source_id, g_max=demo.g_max)

@@ -260,7 +260,7 @@ def test_criterion_6_filter_soundness_and_fidelity_floor():
             assert ep.success
             final = ep.states[-1]
             for pos, goal in zip(final.blocks, ep.goals):
-                assert np.linalg.norm(pos - goal) <= cutoff
+                assert np.linalg.norm(np.subtract(pos, goal)) <= cutoff
     _report("criterion 6 (filter soundness + fidelity floor)",
             f"identity replays ok; 200-scene rate {rate:.3f} >= 0.90; "
             f"400 episodes in {elapsed:.0f}s; all stored episodes within cutoffs")

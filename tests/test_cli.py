@@ -2,7 +2,6 @@ import filecmp
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from demoaug import evaluation, sim
@@ -11,7 +10,7 @@ from demoaug.dataset import (canonical_json, episode_lines, read_episode_steps, 
                              write_dataset)
 from demoaug.demos import reference_demo
 from demoaug.sim import EpisodeRecord, SimState, run_campaign
-from demoaug.tasks import TaskKind
+from demoaug.tasks import Scene, TaskKind
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "src" / "demoaug" / "demos"
 PUSH = str(DEMO_DIR / "push.json")
@@ -30,7 +29,7 @@ def assert_trees_identical(a: Path, b: Path):
 def oracle_lines(episode: EpisodeRecord) -> list[str]:
     """The step records as a nested dict through ``canonical_json``: the
     reference that ``episode_lines`` must match byte for byte."""
-    goals = episode.goals.tolist()
+    goals = [list(row) for row in episode.goals]
     return [canonical_json({
         "t": s.time,
         "obs": {
@@ -40,15 +39,15 @@ def oracle_lines(episode: EpisodeRecord) -> list[str]:
             "held": [i == s.held for i in range(len(s.blocks))],
             "goals": goals,
         },
-        "action": {"pos": pos, "gripper": gripper},
-    }) for s, pos, gripper in zip(episode.states, episode.action_pos.tolist(),
-                                  episode.action_gripper.tolist())]
+        "action": {"pos": list(pos), "gripper": gripper},
+    }) for s, (pos, gripper) in zip(episode.states, episode.actions)]
 
 
 def handmade_episode(zero: float = 0.0, other: float = -0.0) -> EpisodeRecord:
     """Two blocks, signed zeros that flip between steps in every reused
     value, a held index that switches on and off, and action rows that
-    repeat and change."""
+    repeat and change.  Every step has its own action pair and block rows,
+    so a value that only flips its zero's sign is a new object."""
     rows = [
         ([[zero, 0.1, 0.02], [0.3, -0.2, 0.02]], None, 0.08, zero),
         ([[other, 0.1, 0.02], [0.3, -0.2, 0.02]], 0, zero, other),
@@ -62,12 +61,13 @@ def handmade_episode(zero: float = 0.0, other: float = -0.0) -> EpisodeRecord:
                             gripper=gripper, blocks=tuple(map(tuple, blocks)), held=held,
                             time=t)
                    for k, (blocks, held, gripper, t) in enumerate(rows))
-    action_pos = np.array([[zero, 0.1, 0.12], [other, 0.1, 0.12], [other, 0.1, 0.12],
-                           [0.1, 0.1, 0.12], [0.1, 0.1, 0.12], [0.2, zero, 0.12],
-                           [0.2, other, 0.12]])
-    action_gripper = np.array([zero, other, other, 0.08, 0.08, zero, zero])
-    return EpisodeRecord(states=states, action_pos=action_pos, action_gripper=action_gripper,
-                         success=True, goals=np.array([[zero, 0.1, 0.02], [other, 0.1, 0.06]]))
+    action_pos = [(zero, 0.1, 0.12), (other, 0.1, 0.12), (other, 0.1, 0.12),
+                  (0.1, 0.1, 0.12), (0.1, 0.1, 0.12), (0.2, zero, 0.12),
+                  (0.2, other, 0.12)]
+    action_gripper = [zero, other, other, 0.08, 0.08, zero, zero]
+    actions = tuple((tuple(pos), gripper) for pos, gripper in zip(action_pos, action_gripper))
+    return EpisodeRecord(states=states, actions=actions, success=True,
+                         goals=((zero, 0.1, 0.02), (other, 0.1, 0.06)))
 
 
 def nonfinite_episode(field: str, bad: float) -> EpisodeRecord:
@@ -83,14 +83,13 @@ def nonfinite_episode(field: str, bad: float) -> EpisodeRecord:
                         blocks=(last.blocks[0], (x, y, bad)), time=last.time)
     elif field == "gripper":
         last = SimState(ee_pos=last.ee_pos, gripper=bad, blocks=last.blocks, time=last.time)
-    action_pos = ep.action_pos.copy()
-    action_gripper = ep.action_gripper.copy()
+    action = pos, gripper = ep.actions[-1]
     if field == "action_pos":
-        action_pos[-1, 0] = bad
+        action = ((bad, *pos[1:]), gripper)
     elif field == "action_gripper":
-        action_gripper[-1] = bad
-    return EpisodeRecord(states=ep.states[:-1] + (last,), action_pos=action_pos,
-                         action_gripper=action_gripper, success=True, goals=ep.goals)
+        action = (pos, bad)
+    return EpisodeRecord(states=ep.states[:-1] + (last,), actions=ep.actions[:-1] + (action,),
+                         success=True, goals=ep.goals)
 
 
 class TestDatasetIO:
@@ -110,6 +109,11 @@ class TestDatasetIO:
         # the times dict carries text from one episode to the next
         flipped = handmade_episode(other, zero)
         assert episode_lines(flipped, times) == oracle_lines(flipped)
+
+    def test_episode_without_blocks(self, push_demo):
+        ep = sim.replay(push_demo, Scene(block_starts=(), block_goals=()))
+        assert ep.states[0].blocks == ()
+        assert episode_lines(ep) == oracle_lines(ep)
 
     @pytest.mark.parametrize("field", ["ee_pos", "blocks", "action_pos", "gripper",
                                        "action_gripper"])

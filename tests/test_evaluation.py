@@ -1,4 +1,6 @@
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,7 @@ from demoaug.evaluation import (
     run_closed_loop_episode, wilson_interval,
 )
 from demoaug.policy import DisturbanceConfig, ScriptedPolicy
-from demoaug.tasks import TaskKind, recorded_scene
+from demoaug.tasks import TaskKind, Workspace, anchors_for_scene, recorded_scene, sample_scene
 from demoaug.trajectory import augment_segmentwise, identity_anchors
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile, wilson_interval's default
@@ -186,3 +188,51 @@ class TestPositionFormat:
         assert {type(p) for p in triples} == {tuple}
         assert {len(p) for p in triples} == {3}
         assert {type(x) for p in triples for x in p} == {float}
+
+    @pytest.mark.parametrize("task", list(TaskKind))
+    def test_augmentation_path_holds_float_triples(self, task, request):
+        demo = request.getfixturevalue(f"{task.value}_demo")  # from parse_demo
+        scene = sample_scene(task, Workspace(), 5)
+        anchors = anchors_for_scene(task, demo, scene)
+        aug = augment_segmentwise(demo, anchors)
+        ep = sim.replay(aug, scene)
+        assert ep.goals is scene.block_goals
+        triples = [*scene.block_starts, *scene.block_goals, *(pos for pos, _ in ep.actions)]
+        for d in (demo, aug):
+            triples += [w.position for w in d.waypoints]
+            triples += [p for s in d.segments for p in (s.anchor_start, s.anchor_goal)]
+        triples += [p for a in anchors for p in (a.r_s, a.r_g, a.g_s, a.g_g)]
+        assert {type(p) for p in triples} == {tuple}
+        assert {len(p) for p in triples} == {3}
+        assert {type(x) for p in triples for x in p} == {float}
+        assert {type(g) for _, g in ep.actions} == {float}
+
+    @pytest.mark.parametrize("task", list(TaskKind))
+    def test_replay_shares_one_action_pair_per_waypoint(self, task, request):
+        # the dataset writer reuses an action's text while the pair is the same object
+        demo = request.getfixturevalue(f"{task.value}_demo")
+        scene = sample_scene(task, Workspace(), 5)
+        aug = augment_segmentwise(demo, anchors_for_scene(task, demo, scene))
+        ep = sim.replay(aug, scene)
+        waypoint_of = {id(w.position): k for k, w in enumerate(aug.waypoints)}
+        assert len(waypoint_of) == len(aug.waypoints)
+        pairs, targeted = {}, []
+        for action in ep.actions:
+            k = waypoint_of[id(action[0])]
+            assert action is pairs.setdefault(k, action)
+            assert action[1] == aug.waypoints[k].gripper
+            targeted.append(k)
+        assert targeted == sorted(targeted)
+        assert set(targeted) == set(range(len(aug.waypoints)))
+        assert len(ep.actions) > 2 * len(pairs)
+
+    @pytest.mark.parametrize("module", ["trajectory", "dataset", "ensemble", "evaluation", "cli"])
+    def test_module_imports_no_numpy(self, module):
+        tree = ast.parse((Path(sim.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        assert imported and "numpy" not in imported

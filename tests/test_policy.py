@@ -15,8 +15,8 @@ from demoaug.trajectory import DemoTrajectory, Segment, Waypoint
 
 def line_demo(spacing, n=60, gripper=0.08):
     """Straight line along x with uniform waypoint spacing."""
-    wps = tuple(Waypoint(time=0.05 * i, position=np.array([i * spacing, 0.0, 0.05]),
-                         gripper=gripper) for i in range(n))
+    wps = tuple(Waypoint(time=0.05 * i, position=(i * spacing, 0.0, 0.05), gripper=gripper)
+                for i in range(n))
     seg = Segment(label="line", start=0, stop=n,
                   anchor_start=wps[0].position, anchor_goal=wps[-1].position)
     return DemoTrajectory(waypoints=wps, segments=(seg,), task="push")
@@ -71,7 +71,7 @@ class TestWaypointSchedules:
     def test_replay_holds_each_waypoint_t_steps(self):
         scene = Scene(block_starts=([0.5, 3.0, 0.02],), block_goals=([1.5, 3.0, 0.02],))
         ep = replay(self.demo(), scene, self.CTRL)
-        targets = [round(x) for x in ep.action_pos[:, 0]]
+        targets = [round(pos[0]) for pos, _ in ep.actions]
         held = [k for k in range(1, self.N) for _ in range(2)]
         assert targets == [0] + held + [self.N - 1] * self.CTRL.settle_steps
 
@@ -217,7 +217,7 @@ class TestNoise:
 
 def scratch_rollout(policy, obs, start, steps_on):
     """Waypoint indices a chunk_len-step servo rollout targets, simulated from scratch."""
-    positions = policy.reference.positions()
+    positions = [w.position for w in policy.reference.waypoints]
     ctrl, last = policy.ctrl, len(positions) - 1
     v, k = obs, start
     idx = []
@@ -246,7 +246,9 @@ def checked_chunks(monkeypatch):
     def checked_predict(self, ee_pos, t):
         chunk = real_predict(self, ee_pos, t)
         idx = scratch_rollout(self, *starts.pop())
-        pos, grip = self.reference.positions()[idx], self.reference.grippers()[idx]
+        waypoints = [self.reference.waypoints[k] for k in idx]
+        pos = np.array([w.position for w in waypoints])
+        grip = np.array([w.gripper for w in waypoints])
         noise = self.disturbances.noise
         if noise > 0:
             rng = rngs.setdefault(id(self), np.random.default_rng(self.disturbances.seed))
@@ -317,4 +319,4 @@ class TestIncrementalRollout:
         # a position is a tuple, so no Action sharing it can be written through
         with pytest.raises(TypeError):
             chunk.actions[0].pos[0] = 1.0
-        assert demo.positions().flags.writeable
+        assert type(demo.waypoints[0].position) is tuple

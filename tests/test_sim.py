@@ -139,7 +139,7 @@ class TestSettling:
         for seed in range(200):
             scene = sample_scene(task, Workspace(), seed)
             state = initial_state(demo, scene)
-            assert state.blocks == tuple(tuple(map(float, b)) for b in scene.block_starts)
+            assert state.blocks == scene.block_starts
             assert at_rest(state.blocks), seed
 
     def test_initial_state_settles_a_floating_block(self, push_demo):
@@ -239,7 +239,7 @@ class TestReplay:
     def test_displaced_grasp_fails_without_touching_block(self, pick_place_demo):
         demo = pick_place_demo
         scene = recorded_scene(demo)
-        shifted = Scene(block_starts=(scene.block_starts[0] + np.array([0.10, 0, 0]),),
+        shifted = Scene(block_starts=(np.add(scene.block_starts[0], [0.10, 0, 0]),),
                         block_goals=scene.block_goals, seed=0)
         aug = augment_segmentwise(demo, identity_anchors(demo))
         ep = replay(aug, shifted)

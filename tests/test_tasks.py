@@ -33,6 +33,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             SuccessSpec(**{name: value})
 
+    @pytest.mark.parametrize("starts, goals, match", [
+        (([0.1, 0.2],), ([math.nan, 0.0, 0.02],), "block_starts row 0"),
+        (([0.1, 0.2, 0.02],), ([math.nan, 0.0, 0.02],), "block_goals row 0"),
+        (([0.1, 0.2, 0.02], [0.3, 0.2, math.inf]), ([0.0, 0.0, 0.02], [0.0, 0.0, 0.06]),
+         "block_starts row 1"),
+        (([0.1, 0.2, 0.02],), ([0.0, 0.0, 0.02, 0.0],), "block_goals row 0"),
+        (([0.1, 0.2, 0.02],), ([0.0, "0.1", 0.02],), "block_goals row 0"),
+        (([0.1, 0.2, 0.02],), (0.5,), "block_goals row 0"),
+        (([0.1, 0.2, 0.02],), ([0.0, 0.0, 0.02], [0.0, 0.0, 0.06]),
+         "1 block_starts but 2 block_goals"),
+    ])
+    def test_bad_scene_rejected(self, starts, goals, match):
+        # sim.replay would fail part-way on each of these, or grade a block
+        # against no goal
+        with pytest.raises(ValueError, match=match):
+            Scene(block_starts=starts, block_goals=goals)
+
 
 class TestSampling:
     @pytest.mark.parametrize("task", list(TaskKind))
@@ -58,7 +75,7 @@ class TestSampling:
             assert np.all(np.abs(start[:2]) <= ws.half)
             assert np.all(np.abs(goal[:2]) <= ws.half)
             assert ws.pick_goal_z[0] <= goal[2] <= ws.pick_goal_z[1]
-            assert np.linalg.norm(start - goal) >= min_sep
+            assert np.linalg.norm(np.subtract(start, goal)) >= min_sep
             xs.append(goal[0])
             zs.append(goal[2])
         # uniform coverage reaches near the extremes
@@ -70,12 +87,12 @@ class TestSampling:
             scene = sample_scene(TaskKind.STACK, Workspace(), seed)
             s1, s2 = scene.block_starts
             g1, g2 = scene.block_goals
-            assert np.linalg.norm(s1 - s2) >= 2 * BLOCK_SIZE
+            assert np.linalg.norm(np.subtract(s1, s2)) >= 2 * BLOCK_SIZE
             np.testing.assert_array_equal(g1[:2], g2[:2])
             assert g1[2] == pytest.approx(0.02)
             assert g2[2] == pytest.approx(0.06)
             for s in (s1, s2):
-                assert np.linalg.norm(s[:2] - g1[:2]) >= 2 * BLOCK_SIZE
+                assert np.linalg.norm(np.subtract(s[:2], g1[:2])) >= 2 * BLOCK_SIZE
 
     def test_exhaustion_on_tiny_workspace(self):
         with pytest.raises(SamplingExhausted):
@@ -103,8 +120,8 @@ class TestAnchors:
             anchors_for_scene(TaskKind.PUSH, stack_demo, scene)
 
     def test_degenerate_scene_rejected(self, pick_place_demo):
-        block = np.array([0.1, 0.1, 0.02])
-        scene = Scene(block_starts=(block,), block_goals=(block.copy(),), seed=0)
+        block = (0.1, 0.1, 0.02)
+        scene = Scene(block_starts=(block,), block_goals=(block,), seed=0)
         with pytest.raises(ValidationError):
             anchors_for_scene(TaskKind.PICK_PLACE, pick_place_demo, scene)
 
@@ -120,10 +137,10 @@ class TestSuccess:
         assert success(TaskKind.PUSH, state_with_blocks([[0.1, 0.1, 0.02]]), scene)
 
     def test_cutoff_is_five_centimeters(self):
-        goal = np.array([0.0, 0.0, 0.02])
+        goal = (0.0, 0.0, 0.02)
         scene = Scene(block_starts=([0.2, 0, 0.02],), block_goals=(goal,), seed=0)
-        just_inside = state_with_blocks([goal + [0.05, 0, 0]])
-        just_outside = state_with_blocks([goal + [0.051, 0, 0]])
+        just_inside = state_with_blocks([np.add(goal, [0.05, 0, 0])])
+        just_outside = state_with_blocks([np.add(goal, [0.051, 0, 0])])
         assert success(TaskKind.PICK_PLACE, just_inside, scene)
         assert not success(TaskKind.PICK_PLACE, just_outside, scene)
 

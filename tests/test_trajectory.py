@@ -31,6 +31,18 @@ def minimal_doc(**overrides):
     return doc
 
 
+def positions(demo) -> np.ndarray:
+    return np.array([w.position for w in demo.waypoints])
+
+
+def grippers(demo) -> list[float]:
+    return [w.gripper for w in demo.waypoints]
+
+
+def times(demo) -> list[float]:
+    return [w.time for w in demo.waypoints]
+
+
 def two_segment_demo():
     waypoints = []
     t = 0.0
@@ -111,9 +123,29 @@ class TestParse:
         with pytest.raises(ValidationError, match="fewer than 2"):
             parse_demo(doc)
 
+    @pytest.mark.parametrize("where, key, value", [
+        (None, "format_version", True), (None, "g_max", True),
+        ("waypoints", "t", False), ("waypoints", "g", True),
+        ("waypoints", "p", [False, 0.0, 0.02]), ("segments", "count", True),
+        ("segments", "anchor_start", [True, 0.0, 0.02]),
+        ("segments", "anchor_goal", [0.1, 0.0, False]),
+        (None, "g_max", 10 ** 400), ("waypoints", "t", 10 ** 400),
+        ("waypoints", "g", -(10 ** 400)), ("waypoints", "p", [0.0, 10 ** 400, 0.02]),
+        ("segments", "anchor_goal", [0.1, 0.0, 10 ** 400]),
+    ])
+    def test_bool_or_oversized_int_in_place_of_a_number_rejected(self, where, key, value):
+        # JSON true and false load as bools, which isinstance counts as ints;
+        # float() of an integer past the float range raises OverflowError
+        doc = minimal_doc()
+        (doc if where is None else doc[where][0])[key] = value
+        with pytest.raises(ParseError, match=repr(key)):
+            parse_demo(doc)
+        with pytest.raises(ParseError, match=repr(key)):
+            parse_demo(json.dumps(doc))
+
     def test_round_trip(self):
         demo = parse_demo(minimal_doc())
-        assert parse_demo(demo_to_document(demo)).times().tolist() == demo.times().tolist()
+        assert times(parse_demo(demo_to_document(demo))) == times(demo)
 
 
 @st.composite
@@ -123,7 +155,7 @@ def demo_strategy(draw):
     lo, hi = default_position_bounds()
 
     def point():
-        return np.array([draw(st.floats(lo[i], hi[i])) for i in range(3)])
+        return tuple(draw(st.floats(lo[i], hi[i])) for i in range(3))
 
     g_max = draw(st.floats(0.01, 0.2))
     counts = draw(st.lists(st.integers(2, 5), min_size=1, max_size=2))
@@ -146,8 +178,8 @@ def demo_strategy(draw):
 @settings(max_examples=100, deadline=None)
 @given(demo_strategy())
 def test_document_round_trip_property(demo):
-    # documents, not demos, are compared: dataclass == on numpy fields raises
     doc = demo_to_document(demo)
+    assert parse_demo(doc) == demo
     assert demo_to_document(parse_demo(doc)) == doc
     assert demo_to_document(parse_demo(json.dumps(doc))) == doc
 
@@ -179,9 +211,9 @@ class TestAnchorPair:
 class TestAugment:
     def test_identity_returns_input(self, pick_place_demo):
         aug = augment_segmentwise(pick_place_demo, identity_anchors(pick_place_demo))
-        np.testing.assert_allclose(aug.positions(), pick_place_demo.positions(), atol=1e-9)
-        assert aug.grippers().tolist() == pick_place_demo.grippers().tolist()
-        assert aug.times().tolist() == pick_place_demo.times().tolist()
+        np.testing.assert_allclose(positions(aug), positions(pick_place_demo), atol=1e-9)
+        assert grippers(aug) == grippers(pick_place_demo)
+        assert times(aug) == times(pick_place_demo)
 
     def test_anchor_count_mismatch(self, pick_place_demo):
         with pytest.raises(SegmentMismatch):
@@ -218,16 +250,16 @@ class TestAugment:
     def test_structure_preserved(self, stack_demo):
         pairs = [
             AnchorPair(r_s=s.anchor_start, r_g=s.anchor_goal,
-                       g_s=s.anchor_start + np.array([0.05, -0.02, 0.0]),
-                       g_g=s.anchor_goal + np.array([-0.03, 0.04, 0.0]))
+                       g_s=np.add(s.anchor_start, [0.05, -0.02, 0.0]),
+                       g_g=np.add(s.anchor_goal, [-0.03, 0.04, 0.0]))
             for s in stack_demo.segments
         ]
         aug = augment_segmentwise(stack_demo, pairs)
         assert len(aug.waypoints) == len(stack_demo.waypoints)
         assert [(s.start, s.stop, s.label) for s in aug.segments] == \
                [(s.start, s.stop, s.label) for s in stack_demo.segments]
-        assert aug.grippers().tolist() == stack_demo.grippers().tolist()
-        np.testing.assert_array_equal(np.diff(aug.times()), np.diff(stack_demo.times()))
+        assert grippers(aug) == grippers(stack_demo)
+        np.testing.assert_array_equal(np.diff(times(aug)), np.diff(times(stack_demo)))
         # augmented annotations describe the generated scene
         np.testing.assert_allclose(aug.segments[0].anchor_start, pairs[0].g_s)
         np.testing.assert_allclose(aug.segments[1].anchor_goal, pairs[1].g_g)
@@ -238,7 +270,7 @@ class TestAugment:
                           g_s=[0.0, 0.0, 0.02], g_g=[0.05, 0.04, 0.02])
         tf = transform_from_anchors(pair.r_s, pair.r_g, pair.g_s, pair.g_g)
         aug = augment_segmentwise(pick_place_demo, [pair])
-        orig, warped = pick_place_demo.positions(), aug.positions()
+        orig, warped = positions(pick_place_demo), positions(aug)
         rng = np.random.default_rng(1)
         for _ in range(50):
             i, j = rng.integers(0, len(orig), size=2)
@@ -256,6 +288,6 @@ class TestAugment:
                        g_s=[0.0, 0.0, 0.02], g_g=[0.1, 0.0, 0.02]),
         ]
         # tamper one pair past validation to force a geometry failure downstream
-        object.__setattr__(bad[1], "r_g", np.asarray(bad[1].r_s) + [0.0, 0.0, 0.0])
+        object.__setattr__(bad[1], "r_g", bad[1].r_s)
         with pytest.raises(Exception, match="segment 1"):
             augment_segmentwise(demo, bad)
