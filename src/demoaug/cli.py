@@ -33,7 +33,7 @@ SECTIONS = {
     "workspace": (tasks.Workspace, ()),
     "controller": (sim.ControllerConfig, ()),
     "success": (tasks.SuccessSpec, ()),
-    "ensemble": (EnsembleConfig, ("mode", "beta", "g_max")),
+    "ensemble": (EnsembleConfig, ("mode", "beta")),
     "disturbance": (DisturbanceConfig, ("seed",)),
 }
 AUGMENT_SECTIONS = ("workspace", "controller", "success")
@@ -43,10 +43,10 @@ RUN_KEYS = {
     "ensemble-eval": {"episodes": 0,
                       "matrix": [{"mode": "", "beta": 0.0, "k_cutoff": 0.0}]},
 }
-# JSON type of a run-config value, by the type of its template value
+# JSON type of a value read from a file, by the type of its template value
 _JSON_TYPES = {bool: ((bool,), "true or false"), str: ((str,), "a string"),
                int: ((int,), "an integer"), float: ((int, float), "a number"),
-               type(None): ((int, type(None)), "an integer or null")}
+               type(None): ((int, type(None)), "an integer or null"), list: ((list,), "a list")}
 
 
 class CliError(Exception):
@@ -82,10 +82,15 @@ def _conform(doc, template: dict, where: str = "") -> None:
                 raise CliError(f"run-config key {name} must hold {len(items)} items, "
                                f"got {value!r}")
             _conform(dict(enumerate(value)), dict(enumerate(items)), name)
-        elif (isinstance(value, bool) != isinstance(like, bool)
-              or not isinstance(value, _JSON_TYPES[type(like)][0])):
-            raise CliError(f"run-config key {name} must be {_JSON_TYPES[type(like)][1]}, "
-                           f"got {value!r}")
+        else:
+            _check_type(value, like, f"run-config key {name}")
+
+
+def _check_type(value, like, name: str) -> None:
+    """Raise CliError naming ``name`` unless ``value`` has ``like``'s JSON type."""
+    types, what = _JSON_TYPES[type(like)]
+    if isinstance(value, bool) != isinstance(like, bool) or not isinstance(value, types):
+        raise CliError(f"{name} must be {what}, got {value!r}")
 
 
 def _run_config_template(command: str) -> dict:
@@ -119,13 +124,15 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _require(doc, keys, where: str) -> None:
-    """Raise CliError naming the first of ``keys`` the JSON object ``doc`` lacks."""
+def _require(doc, template: dict, where: str) -> None:
+    """Raise CliError naming the key unless the JSON object ``doc`` holds every
+    key of ``template``, each at a value of its template value's JSON type."""
     if not isinstance(doc, dict):
         raise CliError(f"{where} must be a JSON object, got {doc!r}")
-    for key in keys:
+    for key, like in template.items():
         if key not in doc:
             raise CliError(f"{where} lacks {key}")
+        _check_type(doc[key], like, f"{where}.{key}")
 
 
 def _resolve_out(out) -> Path:
@@ -263,10 +270,12 @@ def _sweep(flag: str, text: str, parse) -> list:
 
 
 def cmd_ensemble_eval(args) -> int:
+    if args.diagnostics and not args.out:
+        raise CliError("--diagnostics needs --out, the directory it writes under")
     if args.from_manifest:
         rc = _run_config_from_manifest(args.from_manifest, "ensemble-eval")
         for i, entry in enumerate(rc["matrix"]):
-            _require(entry, ("mode", "beta"), f"manifest run_config.matrix.{i}")
+            _require(entry, {"mode": "", "beta": 0.0}, f"manifest run_config.matrix.{i}")
     else:
         if not args.demo or not args.task or args.episodes is None:
             raise CliError("ensemble-eval requires --demo, --task, and --episodes")
@@ -295,7 +304,7 @@ def cmd_ensemble_eval(args) -> int:
     demo = _load_demo_or_die(rc["demo"])
     seeds = [sim.scene_seed_for(rc["seed"], i) for i in range(rc["episodes"])]
     sink = None
-    if args.out and args.diagnostics:
+    if args.diagnostics:
         diag_root = _resolve_out(args.out) / "diagnostics"
 
         def sink(cfg, episode_index, seed, stats):
@@ -329,13 +338,12 @@ def cmd_stats(args) -> int:
     path = Path(args.path)
     if path.is_dir() and (path / "manifest.json").exists():
         manifest = read_manifest(path)
-        _require(manifest, ("episodes", "task", "attempts", "discard_rate", "complete"),
-                 "manifest")
+        # every printed field is checked before the first line is printed
+        _require(manifest, {"episodes": [], "task": "", "attempts": 0, "discard_rate": 0.0,
+                            "complete": True}, "manifest")
         episodes = manifest["episodes"]
-        if not isinstance(episodes, list):
-            raise CliError(f"manifest episodes must be a list, got {episodes!r}")
         for i, entry in enumerate(episodes):
-            _require(entry, ("steps",), f"manifest episodes.{i}")
+            _require(entry, {"steps": 0}, f"manifest episodes.{i}")
         total_steps = sum(e["steps"] for e in episodes)
         print(f"dataset: {path}")
         print(f"task={manifest['task']} episodes={len(episodes)} "
@@ -348,11 +356,9 @@ def cmd_stats(args) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if isinstance(doc, dict) and "cells" in doc:
-            _require(doc, ("task", "n_episodes"), "report")
-            if not isinstance(doc["cells"], list):
-                raise CliError(f"report cells must be a list, got {doc['cells']!r}")
+            _require(doc, {"task": "", "n_episodes": 0, "cells": []}, "report")
             for i, cell in enumerate(doc["cells"]):
-                _require(cell, ("mode", "beta", "rate"), f"report cells.{i}")
+                _require(cell, {"mode": "", "beta": 0.0, "rate": 0.0}, f"report cells.{i}")
             print(f"report: {path}")
             print(f"task={doc['task']} episodes_per_cell={doc['n_episodes']}")
             for cell in doc["cells"]:

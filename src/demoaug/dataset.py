@@ -153,6 +153,8 @@ def read_manifest(dataset_dir) -> dict:
         path = path.parent
     with open(path / "manifest.json", "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest must be a JSON object, got {manifest!r}")
     if manifest.get("format_version") != DATASET_FORMAT_VERSION:
         raise ValueError(f"unknown dataset format_version {manifest.get('format_version')}")
     return manifest

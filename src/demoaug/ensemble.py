@@ -22,6 +22,11 @@ Position and gripper width are separate modalities: each gets its own k
 mean.  Because a standard deviation over a near-empty buffer is noise, the
 first five steps of every buffer epoch always use the fixed temperature.
 
+State.  One :class:`EnsembleState` holds all that an ensembling loop keeps,
+its config and its gripper clip (the demo's ``g_max``) included, so
+``ensemble_action(state, t)`` takes no config whose chunk length could
+disagree with the state's ring of chunks.
+
 Float rule.  No NumPy call runs on the per-step path: the ensembler works on
 each candidate's position, an (x, y, z) float triple (``Action.pos``), and on
 its gripper width, a float.  Every sum over the candidates (a spread's mean
@@ -54,7 +59,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import repeat
@@ -137,7 +142,6 @@ class EnsembleConfig:
     replay_n: int | None = None          # defaults to chunk_len // 2
     warmup_steps: int = 5
     clear_after_suspend: bool = True
-    g_max: float = G_MAX_DEFAULT
 
     def __post_init__(self):
         # a negative k_const (a temperature) would weigh older predictions more
@@ -145,10 +149,8 @@ class EnsembleConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be non-negative and finite, got {value}")
-        for name in ("k_cutoff", "g_max"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (math.isfinite(self.k_cutoff) and self.k_cutoff > 0):
+            raise ValueError(f"k_cutoff must be positive and finite, got {self.k_cutoff}")
         if self.chunk_len < 1:
             raise ValueError("chunk_len must be >= 1")
         n = self.effective_replay_n
@@ -164,39 +166,11 @@ class EnsembleConfig:
         return self.chunk_len // 2 if self.replay_n is None else self.replay_n
 
 
-class ChunkBuffer:
-    """Ring of the most recent chunks, at most one per emission step."""
-
-    def __init__(self, chunk_len: int):
-        self.chunk_len = chunk_len
-        self._chunks: deque[ActionChunk] = deque(maxlen=chunk_len)
-
-    def __len__(self) -> int:
-        return len(self._chunks)
-
-    def push(self, chunk: ActionChunk) -> None:
-        if self._chunks and chunk.emitted_at <= self._chunks[-1].emitted_at:
-            raise ValueError(
-                f"chunk emitted_at {chunk.emitted_at} not after {self._chunks[-1].emitted_at}")
-        if len(chunk.actions) != self.chunk_len:
-            raise ValueError(
-                f"chunk length {len(chunk.actions)} != buffer chunk_len {self.chunk_len}")
-        self._chunks.append(chunk)
-
-    def clear(self) -> None:
-        self._chunks.clear()
-
-    def newest(self) -> ActionChunk:
-        if not self._chunks:
-            raise EmptyBuffer("buffer is empty")
-        return self._chunks[-1]
-
-
-def candidates(buffer: ChunkBuffer, t: int) -> tuple[list[Action], list[int]]:
+def candidates(state: EnsembleState, t: int) -> tuple[list[Action], list[int]]:
     """Every stored prediction for step t and its age in steps, oldest chunk first."""
-    chunk_len = buffer.chunk_len
+    chunk_len = state.cfg.chunk_len
     cands, ages = [], []
-    for chunk in buffer._chunks:
+    for chunk in state.chunks:
         age = t - chunk.emitted_at
         if 0 <= age < chunk_len:
             cands.append(chunk.actions[age])
@@ -281,55 +255,48 @@ class StepDiagnostics(NamedTuple):
     suspended_from: int | None = None   # emission step of the replayed chunk
 
 
-@dataclass
-class _Suspension:
-    chunk: ActionChunk
-    steps_remaining: int
-
-
-@dataclass
 class EnsembleState:
-    """Mutable per-control-loop state: buffer, suspension, diagnostics."""
+    """The whole state of one ensembling loop.
 
-    buffer: ChunkBuffer
-    suspension: _Suspension | None = None
-    epoch_step: int = 0
-    stats: list[StepDiagnostics] = field(default_factory=list)
+    ``cfg`` and the gripper clip ``g_max`` (the demo's) are fixed for the
+    loop.  ``chunks`` is the ring of the most recent chunks, at most
+    ``cfg.chunk_len``, one per emission step, oldest first.  ``suspended`` is
+    the chunk a suspension replays verbatim, or None, and ``steps_remaining``
+    its replayed steps still to come.  ``epoch_step`` counts the ensembled
+    steps since the ring was last cleared (for warm-up), and ``stats`` holds
+    every step's :class:`StepDiagnostics`.
+    """
 
-    @classmethod
-    def for_config(cls, cfg: EnsembleConfig) -> "EnsembleState":
-        return cls(buffer=ChunkBuffer(cfg.chunk_len))
+    def __init__(self, cfg: EnsembleConfig, g_max: float = G_MAX_DEFAULT):
+        if not (math.isfinite(g_max) and g_max > 0):
+            raise ValueError(f"g_max must be positive and finite, got {g_max}")
+        self.cfg = cfg
+        self.g_max = g_max
+        self.chunks: deque[ActionChunk] = deque(maxlen=cfg.chunk_len)
+        self.suspended: ActionChunk | None = None
+        self.steps_remaining = 0
+        self.epoch_step = 0
+        self.stats: list[StepDiagnostics] = []
 
     def submit(self, chunk: ActionChunk) -> bool:
         """Offer a freshly predicted chunk; discarded while suspended.
 
         Returns True if the chunk was buffered.
         """
-        if self.suspension is not None:
+        if self.suspended is not None:
             return False
-        self.buffer.push(chunk)
+        chunks = self.chunks
+        if chunks and chunk.emitted_at <= chunks[-1].emitted_at:
+            raise ValueError(
+                f"chunk emitted_at {chunk.emitted_at} not after {chunks[-1].emitted_at}")
+        if len(chunk.actions) != self.cfg.chunk_len:
+            raise ValueError(
+                f"chunk length {len(chunk.actions)} != chunk_len {self.cfg.chunk_len}")
+        chunks.append(chunk)
         return True
 
 
-def _suspended_output(state: EnsembleState, t: int) -> tuple[Action, StepDiagnostics]:
-    chunk = state.suspension.chunk
-    state.suspension.steps_remaining -= 1
-    return chunk.actions[t - chunk.emitted_at], StepDiagnostics(
-        t, "suspended", 0, math.nan, math.nan, False, chunk.emitted_at)
-
-
-def _enter_suspension(state: EnsembleState, t: int, cfg: EnsembleConfig,
-                      k_p: float, k_g: float, n_cands: int) -> tuple[Action, StepDiagnostics]:
-    chunk = state.buffer.newest()
-    offset = t - chunk.emitted_at
-    if offset < 0 or offset >= cfg.chunk_len:
-        raise EmptyBuffer(f"newest chunk does not cover step {t}")
-    state.suspension = _Suspension(chunk=chunk, steps_remaining=cfg.effective_replay_n - 1)
-    return chunk.actions[offset], StepDiagnostics(
-        t, "trigger", n_cands, k_p, k_g, True, chunk.emitted_at)
-
-
-def ensemble_action(state: EnsembleState, t: int, cfg: EnsembleConfig) -> Action:
+def ensemble_action(state: EnsembleState, t: int) -> Action:
     """Produce the action for step t, update the ensembling state and append
     the step's :class:`StepDiagnostics` to ``state.stats``.
 
@@ -346,10 +313,14 @@ def ensemble_action(state: EnsembleState, t: int, cfg: EnsembleConfig) -> Action
        with the dynamic temperatures in dynamic modes and the fixed one in
        reset-only mode.
     """
-    if state.suspension is not None:
-        action, diag = _suspended_output(state, t)
+    cfg = state.cfg
+    chunk = state.suspended
+    if chunk is not None:
+        state.steps_remaining -= 1
+        action = chunk.actions[t - chunk.emitted_at]
+        diag = StepDiagnostics(t, "suspended", 0, math.nan, math.nan, False, chunk.emitted_at)
     else:
-        cands, ages = candidates(state.buffer, t)
+        cands, ages = candidates(state, t)
         n = len(cands)
         # the predictor shares one Action per waypoint, so agreement is mostly identity
         first = cands[0]
@@ -365,24 +336,31 @@ def ensemble_action(state: EnsembleState, t: int, cfg: EnsembleConfig) -> Action
             else:
                 mode_used = "fixed_k" if cfg.mode is EnsembleMode.RESET_ONLY else "dynamic_k"
         if mode_used == "trigger":
-            action, diag = _enter_suspension(state, t, cfg, k_p, k_g, n)
+            # replay the newest chunk, which a chunk emitted after t does not cover
+            chunk = state.chunks[-1]
+            offset = t - chunk.emitted_at
+            if not 0 <= offset < cfg.chunk_len:
+                raise EmptyBuffer(f"newest chunk does not cover step {t}")
+            state.suspended, state.steps_remaining = chunk, cfg.effective_replay_n - 1
+            action = chunk.actions[offset]
+            diag = StepDiagnostics(t, "trigger", n, k_p, k_g, True, chunk.emitted_at)
         else:
             if unanimous:
-                action = _unanimous_action(first, cfg.g_max)
+                action = _unanimous_action(first, state.g_max)
             elif mode_used == "dynamic_k":
                 wp = decay_weights(ages, k_p)
                 wg = wp if k_g == k_p else decay_weights(ages, k_g)
-                action = _weighted_action(cands, wp, wg, cfg.g_max)
+                action = _weighted_action(cands, wp, wg, state.g_max)
             else:
                 youngest = ages[-1]   # candidates come oldest first
                 wp = _fixed_weights(cfg.k_const, tuple([a - youngest for a in ages]))
-                action = _weighted_action(cands, wp, wp, cfg.g_max)
+                action = _weighted_action(cands, wp, wp, state.g_max)
             diag = StepDiagnostics(t, mode_used, n, k_p, k_g)
             state.epoch_step += 1
-    if state.suspension is not None and state.suspension.steps_remaining <= 0:
-        state.suspension = None
+    if state.suspended is not None and state.steps_remaining <= 0:
+        state.suspended = None
         if cfg.clear_after_suspend:
-            state.buffer.clear()
+            state.chunks.clear()
             state.epoch_step = 0
     state.stats.append(diag)
     return action

@@ -5,6 +5,12 @@ simulator for every cell of a mode/beta/k_cutoff matrix and reports
 per-cell success rates with binomial confidence intervals.  Episodes are
 paired across cells: cell i and cell j see the same scenes and the same
 disturbance streams for a given seed.
+
+What a seed determines is made once, by :func:`prepare_episode`, and shared
+by every cell: the sampled scene, the demo warped to it and the predictor's
+disturbance config seeded from it.  Cells then run in the outer loop and
+seeds in the inner one, so the diagnostics sink sees a cell's episodes in
+seed order before the next cell's; the benchmark checks this order.
 """
 
 from __future__ import annotations
@@ -111,35 +117,39 @@ def default_matrix(betas=ABLATION_BETAS, modes=ABLATION_MODES, k_cutoffs=None,
     return cells
 
 
-def run_closed_loop_episode(task, demo: DemoTrajectory, seed: int, cfg: EnsembleConfig,
-                            ws: tasks.Workspace = tasks.Workspace(),
-                            ctrl: sim.ControllerConfig = sim.ControllerConfig(),
-                            disturbances: DisturbanceConfig = DisturbanceConfig(),
-                            spec: tasks.SuccessSpec = tasks.SuccessSpec(),
-                            collect_diagnostics: bool = False):
-    """One scripted-policy episode; returns (success, diagnostics list)."""
+def prepare_episode(task, demo: DemoTrajectory, seed: int,
+                    ws: tasks.Workspace = tasks.Workspace(),
+                    disturbances: DisturbanceConfig = DisturbanceConfig()):
+    """The part of a seed's episode that no cell changes: (scene, warped demo,
+    the predictor's disturbances seeded for this seed)."""
     task = tasks.as_task(task)
     scene = tasks.sample_scene(task, ws, seed)
-    anchors = tasks.anchors_for_scene(task, demo, scene)
-    aug = augment_segmentwise(demo, anchors)
-    policy = ScriptedPolicy(aug, cfg.chunk_len,
-                            replace(disturbances, seed=sim.scene_seed_for(seed, 1)), ctrl)
+    aug = augment_segmentwise(demo, tasks.anchors_for_scene(task, demo, scene))
+    return scene, aug, replace(disturbances, seed=sim.scene_seed_for(seed, 1))
+
+
+def run_closed_loop_episode(task, scene: tasks.Scene, aug: DemoTrajectory, cfg: EnsembleConfig,
+                            ctrl: sim.ControllerConfig = sim.ControllerConfig(),
+                            disturbances: DisturbanceConfig = DisturbanceConfig(),
+                            spec: tasks.SuccessSpec = tasks.SuccessSpec()):
+    """One scripted-policy episode of a prepared scene and warped demo (see
+    :func:`prepare_episode`); returns (success, per-step diagnostics)."""
+    policy = ScriptedPolicy(aug, cfg.chunk_len, disturbances, ctrl)
     state = sim.initial_state(aug, scene)
-    es = EnsembleState.for_config(cfg)
+    es = EnsembleState(cfg, aug.g_max)
 
     horizon = STEPS_PER_WAYPOINT * len(aug.waypoints) + HORIZON_SLACK
     settle_steps = ctrl.settle_steps
     settled = 0
     for t in range(horizon):
         es.submit(policy.predict(state.ee_pos, t))
-        action = ensemble_action(es, t, cfg)
+        action = ensemble_action(es, t)
         state = sim.step(state, (action.pos, action.gripper), ctrl)
         # stop once the plan is exhausted and the servo has settled on its end
         settled = settled + 1 if policy.finished(state.ee_pos) else 0
         if settled >= settle_steps:
             break
-    ok = tasks.success(task, state, scene, spec)
-    return ok, (es.stats if collect_diagnostics else [])
+    return tasks.success(task, state, scene, spec), es.stats
 
 
 def closed_loop_eval(task, demo: DemoTrajectory, cfg_matrix, n_episodes: int, seeds=None,
@@ -157,14 +167,13 @@ def closed_loop_eval(task, demo: DemoTrajectory, cfg_matrix, n_episodes: int, se
     if seeds is None:
         seeds = [sim.scene_seed_for(0, i) for i in range(n_episodes)]
     seeds = tuple(int(s) for s in seeds)[:n_episodes]
+    episodes = [prepare_episode(task, demo, seed, ws, disturbances) for seed in seeds]
 
     cells = []
     for cfg in cfg_matrix:
         successes = 0
-        for i, seed in enumerate(seeds):
-            ok, stats = run_closed_loop_episode(task, demo, seed, cfg, ws, ctrl,
-                                                disturbances, spec,
-                                                collect_diagnostics=diagnostics_sink is not None)
+        for i, (seed, (scene, aug, seeded)) in enumerate(zip(seeds, episodes)):
+            ok, stats = run_closed_loop_episode(task, scene, aug, cfg, ctrl, seeded, spec)
             successes += int(ok)
             if diagnostics_sink is not None:
                 diagnostics_sink(cfg, i, seed, stats)

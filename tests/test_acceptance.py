@@ -94,11 +94,11 @@ def test_criterion_2_hand_oracle_ensembling():
     # worked case: candidates x in {0 (age 1), 1 (age 0)}, beta 1 -> k_p 0.5,
     # weights {e^-0.5, 1}, x = 1 / (1 + e^-0.5)
     cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0, k_cutoff=0.5)
-    state = EnsembleState.for_config(cfg)
+    state = EnsembleState(cfg)
     state.epoch_step = cfg.warmup_steps
     state.submit(_chunk(0, [0.0, 0.0, 0.0], 0.04))
     state.submit(_chunk(1, [1.0, 0.0, 0.0], 0.04))
-    action = ensemble_action(state, 1, cfg)
+    action = ensemble_action(state, 1)
     assert abs(action.pos[0] - 1.0 / (1.0 + math.exp(-0.5))) < 1e-12
 
     rng = np.random.default_rng(7)
@@ -106,13 +106,13 @@ def test_criterion_2_hand_oracle_ensembling():
     for trial in range(10000):
         mode = list(EnsembleMode)[trial % 4]
         cfg = EnsembleConfig(mode=mode, beta=float(rng.uniform(0, 2)), chunk_len=6)
-        st = EnsembleState.for_config(cfg)
+        st = EnsembleState(cfg)
         st.epoch_step = cfg.warmup_steps
         if trial % 2 == 0:
             pos = rng.uniform(-0.5, 0.5, 3)
             grip = float(rng.uniform(0, 0.08))
             st.submit(_chunk(0, pos, grip, length=6))
-            out = ensemble_action(st, 0, cfg)
+            out = ensemble_action(st, 0)
             assert np.array_equal(out.pos, pos) and out.gripper == grip
             identity_buffers += 1
         else:
@@ -125,7 +125,7 @@ def test_criterion_2_hand_oracle_ensembling():
                     Action(pos=r, gripper=g) for r, g in zip(rows, grips))))
                 cand_pos.append(rows[n - 1 - tau])
                 cand_grip.append(grips[n - 1 - tau])
-            out = ensemble_action(st, n - 1, cfg)
+            out = ensemble_action(st, n - 1)
             if st.stats[-1].triggered:
                 continue  # verbatim chunk output, trivially a candidate
             cand_pos, cand_grip = np.array(cand_pos), np.array(cand_grip)
@@ -167,11 +167,11 @@ def test_criterion_3_spread_algebra():
 
 def _stream(cfg, xs):
     """Each step's action and, from ``state.stats``, its diagnostics."""
-    state = EnsembleState.for_config(cfg)
+    state = EnsembleState(cfg)
     actions = []
     for t, x in enumerate(xs):
         state.submit(_chunk(t, [x, 0.0, 0.0], 0.04, length=cfg.chunk_len))
-        actions.append(ensemble_action(state, t, cfg))
+        actions.append(ensemble_action(state, t))
     return actions, state.stats
 
 
@@ -205,7 +205,7 @@ def test_criterion_5_bimodality_separation():
     jitter = lambda: float(rng.uniform(-0.005, 0.005))
 
     def clustered_state(cfg):
-        st = EnsembleState.for_config(cfg)
+        st = EnsembleState(cfg)
         st.epoch_step = cfg.warmup_steps
         for t in range(10):
             st.submit(_chunk(t, [0.0 + jitter(), 0.0, 0.0], 0.04))
@@ -214,13 +214,13 @@ def test_criterion_5_bimodality_separation():
         return st
 
     base_cfg = EnsembleConfig(mode=EnsembleMode.BASELINE)
-    base_out = ensemble_action(clustered_state(base_cfg), 19, base_cfg)
+    base_out = ensemble_action(clustered_state(base_cfg), 19)
     assert 0.25 < base_out.pos[0] < 0.75, \
         f"baseline landed at {base_out.pos[0]:.3f}, between neither cluster"
 
     comb_cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0)
     comb_state = clustered_state(comb_cfg)
-    comb_out = ensemble_action(comb_state, 19, comb_cfg)
+    comb_out = ensemble_action(comb_state, 19)
     assert comb_state.stats[-1].triggered
     assert abs(comb_out.pos[0] - 1.0) <= 0.01
     _report("criterion 5 (bimodality separation)",

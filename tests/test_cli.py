@@ -15,6 +15,7 @@ from demoaug.tasks import Scene, TaskKind
 DEMO_DIR = Path(__file__).resolve().parents[1] / "src" / "demoaug" / "demos"
 PUSH = str(DEMO_DIR / "push.json")
 STACK = str(DEMO_DIR / "stack.json")
+MISSING = object()  # a key deleted from a document
 
 
 def assert_trees_identical(a: Path, b: Path):
@@ -284,6 +285,16 @@ class TestEnsembleEvalCommand:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_diagnostics_without_out_rejected_before_any_episode(self, capsys, monkeypatch):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(evaluation, "run_closed_loop_episode", no_episode)
+        assert main(["ensemble-eval", "--demo", PUSH, "--task", "push", "--episodes", "1",
+                     "--modes", "combined", "--diagnostics"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--diagnostics" in err
+
     @pytest.mark.parametrize("sweep, flag", [
         (["--modes", "combined", "--k-cutoffs", ""], "--k-cutoffs"),
         (["--modes", "baseline,combined", "--betas", ""], "--betas"),
@@ -330,7 +341,13 @@ class TestStatsCommand:
          "cells.0 lacks rate"),
         ({"cells": [], "n_episodes": 1}, "lacks task"),
         ({"cells": [5], "task": "push", "n_episodes": 1}, "cells.0 must be a JSON object"),
-    ], ids=["cell_without_mode", "cell_without_rate", "no_task", "cell_not_object"])
+        ({"cells": [{"mode": "baseline", "beta": 1.0, "rate": None}], "task": "push",
+          "n_episodes": 1}, "report cells.0.rate must be a number"),
+        ({"cells": [{"mode": "baseline", "beta": "x", "rate": 0.5}], "task": "push",
+          "n_episodes": 1}, "report cells.0.beta must be a number"),
+        ({"cells": {}, "task": "push", "n_episodes": 1}, "report.cells must be a list"),
+    ], ids=["cell_without_mode", "cell_without_rate", "no_task", "cell_not_object",
+            "rate_null", "beta_string", "cells_not_list"])
     def test_malformed_report_rejected(self, tmp_path, capsys, doc, key):
         path = tmp_path / "report.json"
         path.write_text(json.dumps(doc))
@@ -339,19 +356,34 @@ class TestStatsCommand:
         assert captured.err.startswith("error: ") and key in captured.err
         assert "Traceback" not in captured.err and not captured.out
 
-    @pytest.mark.parametrize("key", ["episodes", "task", "attempts", "discard_rate",
-                                     "complete", "steps"])
-    def test_malformed_manifest_rejected(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key, value, message", [
+        *[pytest.param(key, MISSING, f"manifest lacks {key}", id=key)
+          for key in ("episodes", "task", "attempts", "discard_rate", "complete")],
+        pytest.param("steps", MISSING, "manifest episodes.0 lacks steps", id="steps"),
+        pytest.param("steps", "3", "manifest episodes.0.steps must be an integer",
+                     id="steps_string"),
+        pytest.param("discard_rate", None, "manifest.discard_rate must be a number",
+                     id="discard_rate_null"),
+        pytest.param("complete", 1, "manifest.complete must be true or false",
+                     id="complete_integer"),
+        pytest.param(None, [], "manifest must be a JSON object", id="not_object"),
+    ])
+    def test_malformed_manifest_rejected(self, tmp_path, capsys, key, value, message):
         manifest = {"format_version": 1, "task": "push", "attempts": 2, "discard_rate": 0.5,
                     "complete": True, "episodes": [{"file": "episodes/ep_00000.jsonl",
                                                     "steps": 3}]}
-        del (manifest["episodes"][0] if key == "steps" else manifest)[key]
+        owner = manifest["episodes"][0] if key == "steps" else manifest
+        if key is None:
+            manifest = value
+        elif value is MISSING:
+            del owner[key]
+        else:
+            owner[key] = value
         (tmp_path / "ds").mkdir()
         (tmp_path / "ds" / "manifest.json").write_text(json.dumps(manifest))
         assert main(["stats", str(tmp_path / "ds")]) == 1
         captured = capsys.readouterr()
-        where = "manifest episodes.0" if key == "steps" else "manifest"
-        assert captured.err.startswith("error: ") and f"{where} lacks {key}" in captured.err
+        assert captured.err.startswith("error: ") and message in captured.err
         assert "Traceback" not in captured.err and not captured.out
 
 

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demoaug.ensemble import (
-    K_CONST_DEFAULT, Action, ActionChunk, ChunkBuffer, EmptyBuffer, EnsembleConfig,
-    EnsembleMode, EnsembleState, InsufficientCandidates, _fixed_weights, candidates, compute_k,
+    K_CONST_DEFAULT, Action, ActionChunk, EmptyBuffer, EnsembleConfig, EnsembleMode,
+    EnsembleState, InsufficientCandidates, _fixed_weights, candidates, compute_k,
     decay_weights, ensemble_action,
 )
-from demoaug.evaluation import run_closed_loop_episode
+from demoaug.evaluation import prepare_episode, run_closed_loop_episode
 from demoaug.policy import DisturbanceConfig
+from demoaug.trajectory import G_MAX_DEFAULT
 
 L = 20
 
@@ -32,65 +33,84 @@ def chunk_from_rows(emitted_at, rows, grippers=None):
 def run_stream(cfg, xs):
     """Feed one constant chunk per step with the given x values; return the
     state, whose ``stats`` hold each step's diagnostics, and the actions."""
-    state = EnsembleState.for_config(cfg)
+    state = EnsembleState(cfg)
     actions = []
     for t, x in enumerate(xs):
         state.submit(const_chunk(t, x, length=cfg.chunk_len))
-        actions.append(ensemble_action(state, t, cfg))
+        actions.append(ensemble_action(state, t))
     return state, actions
+
+
+def state_with(*chunks, cfg=EnsembleConfig()):
+    state = EnsembleState(cfg)
+    for chunk in chunks:
+        assert state.submit(chunk)
+    return state
 
 
 class TestCandidates:
     def test_single_chunk_first_action(self):
-        buf = ChunkBuffer(L)
-        buf.push(const_chunk(5, 1.0))
-        cands, ages = candidates(buf, 5)
+        cands, ages = candidates(state_with(const_chunk(5, 1.0)), 5)
         assert len(cands) == 1
         assert cands[0].pos[0] == 1.0
         assert ages == [0]
 
     def test_two_chunks_index_mapping(self):
-        buf = ChunkBuffer(L)
         rows_old = [[float(i), 0, 0] for i in range(L)]
         rows_new = [[100.0 + i, 0, 0] for i in range(L)]
-        buf.push(chunk_from_rows(4, rows_old))
-        buf.push(chunk_from_rows(5, rows_new))
-        cands, ages = candidates(buf, 5)
+        state = state_with(chunk_from_rows(4, rows_old), chunk_from_rows(5, rows_new))
+        cands, ages = candidates(state, 5)
         assert [c.pos[0] for c in cands] == [1.0, 100.0]  # older first, index 1 then 0
         assert ages == [1, 0]
 
     def test_full_buffer(self):
-        buf = ChunkBuffer(L)
-        for t in range(L):
-            buf.push(const_chunk(t, float(t)))
-        cands, ages = candidates(buf, L - 1)
+        state = state_with(*[const_chunk(t, float(t)) for t in range(L)])
+        cands, ages = candidates(state, L - 1)
         assert len(cands) == L
         assert ages == list(range(L - 1, -1, -1))
 
     def test_expired_chunks_excluded(self):
-        buf = ChunkBuffer(L)
-        buf.push(const_chunk(0, 1.0))
         with pytest.raises(EmptyBuffer):
-            candidates(buf, L)  # prediction horizon ended at L - 1
+            candidates(state_with(const_chunk(0, 1.0)), L)  # prediction horizon ended at L - 1
 
     def test_only_chunks_covering_the_step(self):
         # a chunk covers steps emitted_at .. emitted_at + L - 1: at t = 7 the
         # chunk emitted at 10 is in the future, at t = 21 the one at 0 has expired
-        buf = ChunkBuffer(L)
-        for e in (0, 5, 10):
-            buf.push(chunk_from_rows(e, [[e + i / 100, 0, 0] for i in range(L)]))
-        cands, ages = candidates(buf, 7)
+        state = state_with(*[chunk_from_rows(e, [[e + i / 100, 0, 0] for i in range(L)])
+                             for e in (0, 5, 10)])
+        cands, ages = candidates(state, 7)
         assert ages == [7, 2]
         assert [c.pos[0] for c in cands] == [0.07, 5.02]
-        cands, ages = candidates(buf, 21)
+        cands, ages = candidates(state, 21)
         assert ages == [16, 11]
         assert [c.pos[0] for c in cands] == [5.16, 10.11]
         with pytest.raises(EmptyBuffer):
-            candidates(buf, -1)
+            candidates(state, -1)
 
     def test_empty(self):
         with pytest.raises(EmptyBuffer):
-            candidates(ChunkBuffer(L), 0)
+            candidates(state_with(), 0)
+
+    def test_ring_keeps_the_newest_chunk_len_chunks(self):
+        cfg = EnsembleConfig(chunk_len=4)
+        state = state_with(*[const_chunk(t, float(t), length=4) for t in range(6)], cfg=cfg)
+        assert [c.emitted_at for c in state.chunks] == [2, 3, 4, 5]
+
+
+class TestSubmit:
+    def test_emitted_at_must_increase(self):
+        state = state_with(const_chunk(3, 0.0))
+        for emitted_at in (3, 2):
+            with pytest.raises(ValueError, match="not after 3"):
+                state.submit(const_chunk(emitted_at, 1.0))
+        assert [c.emitted_at for c in state.chunks] == [3]
+
+    @pytest.mark.parametrize("length", [L - 1, L + 1])
+    def test_chunk_length_must_be_chunk_len(self, length):
+        state = EnsembleState(EnsembleConfig())
+        with pytest.raises(ValueError, match="chunk length"):
+            state.submit(const_chunk(0, 0.0, length=length))
+        assert not state.chunks
 
 
 class TestComputeK:
@@ -144,7 +164,7 @@ class TestComputeK:
 
 class TestEnsembleAction:
     def worked_case_state(self, cfg):
-        state = EnsembleState.for_config(cfg)
+        state = EnsembleState(cfg)
         state.epoch_step = cfg.warmup_steps  # past warm-up
         state.submit(const_chunk(0, 0.0))
         state.submit(const_chunk(1, 1.0))
@@ -153,7 +173,7 @@ class TestEnsembleAction:
     def test_worked_two_candidate_case(self):
         cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0, k_cutoff=0.5)
         state = self.worked_case_state(cfg)
-        action = ensemble_action(state, 1, cfg)
+        action = ensemble_action(state, 1)
         diag = state.stats[-1]
         expected = 1.0 / (1.0 + math.exp(-0.5))
         assert action.pos[0] == pytest.approx(expected, abs=1e-12)
@@ -163,41 +183,50 @@ class TestEnsembleAction:
     def test_cutoff_below_spread_triggers(self):
         cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0, k_cutoff=0.4)
         state = self.worked_case_state(cfg)
-        action = ensemble_action(state, 1, cfg)
+        action = ensemble_action(state, 1)
         assert state.stats[-1].triggered
         assert action.pos[0] == 1.0  # newest chunk, verbatim
         # the next replay_n - 1 outputs replay the same chunk
         for t in range(2, 2 + cfg.effective_replay_n - 1):
             state.submit(const_chunk(t, 5.0))  # discarded while suspended
-            out = ensemble_action(state, t, cfg)
+            out = ensemble_action(state, t)
             assert state.stats[-1].mode_used == "suspended"
             assert out.pos[0] == 1.0
+
+    def test_trigger_needs_a_newest_chunk_that_covers_t(self):
+        # the chunk emitted at 5 is buffered but does not cover t = 1: no
+        # verbatim action is its actions[-4]
+        cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0, k_cutoff=0.4)
+        state = self.worked_case_state(cfg)
+        state.submit(const_chunk(5, 7.0))
+        with pytest.raises(EmptyBuffer, match="newest chunk does not cover step 1"):
+            ensemble_action(state, 1)
 
     def test_identical_candidates_exact_in_every_mode(self):
         for mode in EnsembleMode:
             cfg = EnsembleConfig(mode=mode, beta=1.0)
-            state = EnsembleState.for_config(cfg)
+            state = EnsembleState(cfg)
             state.epoch_step = cfg.warmup_steps
             for t in range(4):
                 state.submit(const_chunk(t, 0.125, gripper=0.0625))
-            action = ensemble_action(state, 3, cfg)
+            action = ensemble_action(state, 3)
             assert action.pos[0] == 0.125
             assert action.gripper == 0.0625
 
     def test_single_candidate_identity_in_every_mode(self):
         for mode in EnsembleMode:
             cfg = EnsembleConfig(mode=mode, beta=1.0)
-            state = EnsembleState.for_config(cfg)
+            state = EnsembleState(cfg)
             state.epoch_step = cfg.warmup_steps
             state.submit(chunk_from_rows(0, [[0.3, -0.2, 0.7]] * L, [0.017] * L))
-            action = ensemble_action(state, 0, cfg)
+            action = ensemble_action(state, 0)
             assert tuple(action.pos) == (0.3, -0.2, 0.7)
             assert action.gripper == 0.017
 
     def test_empty_buffer(self):
         cfg = EnsembleConfig()
         with pytest.raises(EmptyBuffer):
-            ensemble_action(EnsembleState.for_config(cfg), 0, cfg)
+            ensemble_action(EnsembleState(cfg), 0)
 
     def test_warmup_uses_fixed_temperature_all_modes(self):
         for mode in EnsembleMode:
@@ -294,11 +323,15 @@ class TestConfig:
         ("beta", -1.0), ("beta", math.nan), ("beta", math.inf),
         ("k_const", math.inf),
         ("k_cutoff", 0.0), ("k_cutoff", -1.0), ("k_cutoff", math.nan), ("k_cutoff", math.inf),
-        ("g_max", 0.0), ("g_max", -1.0), ("g_max", math.nan), ("g_max", math.inf),
     ])
     def test_bad_value_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             EnsembleConfig(**{name: value})
+
+    @pytest.mark.parametrize("g_max", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_gripper_clip_rejected(self, g_max):
+        with pytest.raises(ValueError, match="g_max"):
+            EnsembleState(EnsembleConfig(), g_max)
 
     def test_zero_beta_accepted(self):
         assert EnsembleConfig(beta=0.0).beta == 0.0
@@ -325,11 +358,11 @@ class TestWeights:
         # youngest the weights are exp(-1000) == 0.0 and exp(0) == 1.0
         assert decay_weights([3, 2], 1000.0) == [0.0, 1.0]
         cfg = EnsembleConfig(mode="baseline", k_const=1000.0)
-        state = EnsembleState.for_config(cfg)
+        state = EnsembleState(cfg)
         state.epoch_step = cfg.warmup_steps
         state.submit(const_chunk(0, 0.0))
         state.submit(const_chunk(1, 1.0))
-        action = ensemble_action(state, 3, cfg)
+        action = ensemble_action(state, 3)
         assert action == Action(pos=[1.0, 0.0, 0.0], gripper=0.04)  # the newest chunk's
         assert state.stats[-1].mode_used == "baseline"
 
@@ -338,7 +371,7 @@ class TestBimodality:
     def build_clustered_state(self, cfg, jitter_seed=0):
         """Half the buffer around x=0, half around x=1, tiny intra-cluster spread."""
         rng = np.random.default_rng(jitter_seed)
-        state = EnsembleState.for_config(cfg)
+        state = EnsembleState(cfg)
         state.epoch_step = cfg.warmup_steps
         for t in range(10):
             state.submit(const_chunk(t, 0.0 + rng.uniform(-0.005, 0.005)))
@@ -349,13 +382,13 @@ class TestBimodality:
     def test_baseline_lands_between_clusters(self):
         cfg = EnsembleConfig(mode=EnsembleMode.BASELINE)
         state = self.build_clustered_state(cfg)
-        action = ensemble_action(state, 19, cfg)
+        action = ensemble_action(state, 19)
         assert 0.25 < action.pos[0] < 0.75
 
     def test_combined_snaps_to_newest_cluster(self):
         cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0, k_cutoff=0.01)
         state = self.build_clustered_state(cfg)
-        action = ensemble_action(state, 19, cfg)
+        action = ensemble_action(state, 19)
         assert state.stats[-1].triggered
         assert abs(action.pos[0] - 1.0) <= 0.01
 
@@ -365,7 +398,7 @@ class TestBimodality:
 def test_convex_hull_containment(n_chunks, seed, beta):
     rng = np.random.default_rng(seed)
     cfg = EnsembleConfig(mode=EnsembleMode.DYNAMIC_K, beta=beta)
-    state = EnsembleState.for_config(cfg)
+    state = EnsembleState(cfg)
     state.epoch_step = cfg.warmup_steps
     rows_by_chunk = []
     for t in range(n_chunks):
@@ -374,7 +407,7 @@ def test_convex_hull_containment(n_chunks, seed, beta):
         rows_by_chunk.append((rows, grips))
         state.submit(chunk_from_rows(t, rows, grips))
     t = n_chunks - 1
-    action = ensemble_action(state, t, cfg)
+    action = ensemble_action(state, t)
     cand_pos = np.array([rows[t - tau] for tau, (rows, _) in enumerate(rows_by_chunk)])
     cand_grip = np.array([grips[t - tau] for tau, (_, grips) in enumerate(rows_by_chunk)])
     eps = 1e-12
@@ -441,7 +474,7 @@ def random_candidate_state(rng, cfg, n):
     t = L - 1
     emitted = sorted(rng.choice(L, size=n, replace=False).tolist())
     centres = rng.uniform(-0.5, 0.5, size=(2, 1)) + [[0.0, 0.0, 0.0], [1e-3, -2e-3, 5e-4]]
-    state = EnsembleState.for_config(cfg)
+    state = EnsembleState(cfg)
     state.epoch_step = cfg.warmup_steps
     made = []
     for e in emitted:
@@ -474,12 +507,12 @@ class TestExactOracle:
         for trial in range(300):
             n = int(rng.integers(2, L + 1))
             state, t = random_candidate_state(rng, cfg, n)
-            cands, ages = candidates(state.buffer, t)
+            cands, ages = candidates(state, t)
             seen_ages.update(ages)
             beta = float(rng.choice([0.25, 0.5, 1.0, 3.0]))
             k = oracle_k(cands, beta)
             assert bits(compute_k(cands, beta)) == bits(k), (trial, n, ages)
-            action = ensemble_action(state, t, cfg)
+            action = ensemble_action(state, t)
             if mode is EnsembleMode.BASELINE:
                 k_p = k_g = cfg.k_const
             else:
@@ -511,11 +544,11 @@ class TestExactOracle:
         assert compute_k(cands, 0.5) == (0.0, 0.0125)
 
         cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=0.5, k_cutoff=0.0125)
-        state = EnsembleState.for_config(cfg)
+        state = EnsembleState(cfg)
         state.epoch_step = cfg.warmup_steps
         for e, g in enumerate(widths):
             state.submit(const_chunk(L - n + e, 0.1, gripper=g))
-        ensemble_action(state, L - 1, cfg)
+        ensemble_action(state, L - 1)
         diag = state.stats[-1]
         assert diag.k_g == 0.0125
         assert not diag.triggered
@@ -535,23 +568,23 @@ class TestExactOracle:
         shared = Action(pos=pos, gripper=gripper)
         # the shared Action passes through exactly when x0 + 0.0 and the clip
         # give back its bits: no coordinate is +-0.0 and 0 < g0 <= g_max
-        passes_through = all(pos) and 0.0 < gripper <= cfg.g_max
+        passes_through = all(pos) and 0.0 < gripper <= G_MAX_DEFAULT
         outputs = []
         for same_object in (True, False):
-            state = EnsembleState.for_config(cfg)
+            state = EnsembleState(cfg)
             state.epoch_step = 0 if warm else cfg.warmup_steps
             submitted = [shared if same_object else Action(pos=list(pos), gripper=gripper)
                          for _ in range(4)]
             for e, action in zip((0, 3, 4, 9), submitted):
                 state.submit(ActionChunk(e, (action,) * L))
-            action = ensemble_action(state, 9, cfg)
+            action = ensemble_action(state, 9)
             assert (action is shared) == (same_object and passes_through)
             assert same_object or all(action is not a for a in submitted)
             d = state.stats[-1]
             outputs.append((bits((*action.pos, action.gripper, d.k_p, d.k_g)),
                             bits(action.pos), d.mode_used))
             # the full path's x0 + 0.0 turns -0.0 into 0.0, and the gripper is clipped
-            expected = [x + 0.0 for x in pos] + [min(max(gripper + 0.0, 0.0), cfg.g_max)]
+            expected = [x + 0.0 for x in pos] + [min(max(gripper + 0.0, 0.0), G_MAX_DEFAULT)]
             assert all(map(same_float, (*action.pos, action.gripper), expected))
         assert outputs[0] == outputs[1]
 
@@ -565,14 +598,14 @@ class TestFixedWeightsMemo:
 
     def test_relative_ages_key_gives_the_absolute_weights(self):
         cfg = EnsembleConfig(mode=EnsembleMode.BASELINE)
-        state = EnsembleState.for_config(cfg)
+        state = EnsembleState(cfg)
         state.epoch_step = cfg.warmup_steps
         xs = [0.0, 0.25, 0.5]
         for e, x in zip((0, 2, 3), xs):
             state.submit(const_chunk(e, x))
-        cands, ages = candidates(state.buffer, 9)
+        cands, ages = candidates(state, 9)
         assert ages == [9, 7, 6]
-        action = ensemble_action(state, 9, cfg)
+        action = ensemble_action(state, 9)
         expected = oracle_action(cands, ages, cfg.k_const, cfg.k_const)
         assert bits((*action.pos, action.gripper)) == bits(expected)
 
@@ -580,10 +613,9 @@ class TestFixedWeightsMemo:
         # a dynamic_k episode reads the memo only in its warm-up steps
         _fixed_weights.cache_clear()
         cfg = EnsembleConfig(mode=EnsembleMode.DYNAMIC_K, beta=1.0)
-        _, stats = run_closed_loop_episode(
-            "stack", stack_demo, seed=5, cfg=cfg,
-            disturbances=DisturbanceConfig(latency=3, bimodal_period=2),
-            collect_diagnostics=True)
+        scene, aug, seeded = prepare_episode(
+            "stack", stack_demo, 5, disturbances=DisturbanceConfig(latency=3, bimodal_period=2))
+        _, stats = run_closed_loop_episode("stack", scene, aug, cfg, disturbances=seeded)
         dynamic = [s for s in stats if s.mode_used == "dynamic_k"]
         assert len(dynamic) > 100
         assert len({(s.k_p, s.k_g) for s in dynamic}) > 50

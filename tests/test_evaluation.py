@@ -4,15 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from demoaug import evaluation, sim
+from demoaug import evaluation, sim, tasks
 from demoaug.ensemble import EnsembleConfig, EnsembleMode
 from demoaug.evaluation import (
-    CellResult, EvalReport, closed_loop_eval, default_matrix, format_report, report_to_dict,
-    run_closed_loop_episode, wilson_interval,
+    CellResult, EvalReport, closed_loop_eval, default_matrix, format_report, prepare_episode,
+    report_to_dict, run_closed_loop_episode, wilson_interval,
 )
 from demoaug.policy import DisturbanceConfig, ScriptedPolicy
 from demoaug.tasks import TaskKind, Workspace, anchors_for_scene, recorded_scene, sample_scene
-from demoaug.trajectory import augment_segmentwise, identity_anchors
+from demoaug.trajectory import augment_segmentwise, demo_to_document, identity_anchors, parse_demo
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile, wilson_interval's default
 
@@ -113,6 +113,57 @@ class TestClosedLoop:
                                   seeds=[11, 22, 33])
         assert report.seeds == (11, 22, 33)
 
+    def test_each_seed_prepared_once_for_every_cell(self, push_demo, monkeypatch):
+        calls = {"sample_scene": [], "augment_segmentwise": 0, "episodes": 0}
+        real_sample, real_augment, real_episode = (tasks.sample_scene,
+                                                   evaluation.augment_segmentwise,
+                                                   evaluation.run_closed_loop_episode)
+
+        def counting_sample(task, ws, seed):
+            calls["sample_scene"].append(seed)
+            return real_sample(task, ws, seed)
+
+        def counting_augment(*args):
+            calls["augment_segmentwise"] += 1
+            return real_augment(*args)
+
+        def counting_episode(*args):
+            calls["episodes"] += 1
+            return real_episode(*args)
+
+        monkeypatch.setattr(tasks, "sample_scene", counting_sample)
+        monkeypatch.setattr(evaluation, "augment_segmentwise", counting_augment)
+        monkeypatch.setattr(evaluation, "run_closed_loop_episode", counting_episode)
+        matrix = [EnsembleConfig(mode=EnsembleMode.BASELINE),
+                  EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0)]
+        seen = []
+        closed_loop_eval(TaskKind.PUSH, push_demo, matrix, n_episodes=3, seeds=[11, 22, 33],
+                         diagnostics_sink=lambda cfg, i, seed, stats: seen.append(
+                             (cfg.mode, i, seed)))
+        assert calls == {"sample_scene": [11, 22, 33], "augment_segmentwise": 3, "episodes": 6}
+        # cells in the outer loop, seeds in the inner one
+        assert seen == [(cfg.mode, i, seed) for cfg in matrix
+                        for i, seed in enumerate((11, 22, 33))]
+
+    def test_gripper_clip_is_the_demo_g_max(self, push_demo, monkeypatch):
+        # a demo that declares widths up to 0.1 commands 0.1 in closed loop, as in replay
+        doc = demo_to_document(push_demo)
+        doc["g_max"] = 0.1
+        for w in doc["waypoints"]:
+            w["g"] = 0.1 if w["g"] == 0.08 else w["g"]
+        demo = parse_demo(doc)
+        widths, real_step = [], sim.step
+
+        def recording_step(state, action, cfg):
+            widths.append(action[1])
+            return real_step(state, action, cfg)
+
+        monkeypatch.setattr(sim, "step", recording_step)
+        scene, aug, seeded = prepare_episode(TaskKind.PUSH, demo, 5)
+        run_closed_loop_episode(TaskKind.PUSH, scene, aug, EnsembleConfig(), disturbances=seeded)
+        assert widths[:5] == [0.1] * 5
+        assert max(widths) == 0.1
+
 
 class TestReportCell:
     def report(self):
@@ -174,8 +225,8 @@ class TestPositionFormat:
                                  recorded_scene(demo)).states)
         for disturbances in (DisturbanceConfig(),
                              DisturbanceConfig(latency=3, bimodal_period=2, noise=0.01)):
-            run_closed_loop_episode(task, demo, seed=5, cfg=EnsembleConfig(),
-                                    disturbances=disturbances)
+            scene, aug, seeded = prepare_episode(task, demo, 5, disturbances=disturbances)
+            run_closed_loop_episode(task, scene, aug, EnsembleConfig(), disturbances=seeded)
 
         triples = [a.pos for a in actions]
         for s in states:

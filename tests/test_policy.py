@@ -6,11 +6,17 @@ import pytest
 
 from demoaug import policy as policy_module
 from demoaug.ensemble import Action, EnsembleConfig, EnsembleMode, compute_k
-from demoaug.evaluation import run_closed_loop_episode
+from demoaug.evaluation import prepare_episode, run_closed_loop_episode
 from demoaug.policy import DisturbanceConfig, ScriptedPolicy
 from demoaug.sim import ControllerConfig, advance, replay, servo
 from demoaug.tasks import Scene
 from demoaug.trajectory import DemoTrajectory, Segment, Waypoint
+
+
+def closed_loop(task, demo, seed, cfg, disturbances=DisturbanceConfig()):
+    """One closed-loop episode of ``demo`` warped to the scene of ``seed``."""
+    scene, aug, seeded = prepare_episode(task, demo, seed, disturbances=disturbances)
+    return run_closed_loop_episode(task, scene, aug, cfg, disturbances=seeded)
 
 
 def line_demo(spacing, n=60, gripper=0.08):
@@ -94,10 +100,8 @@ class TestWaypointSchedules:
 class TestZeroDisturbance:
     def test_consecutive_chunks_time_consistent(self, pick_place_demo):
         # predictions for the same future step agree, so spread stays at zero
-        ok, stats = run_closed_loop_episode(
-            "pick_place", pick_place_demo, seed=99,
-            cfg=EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0),
-            collect_diagnostics=True)
+        ok, stats = closed_loop("pick_place", pick_place_demo, 99,
+                                EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0))
         assert ok
         assert all(not s.triggered for s in stats)
         measured = [s.k_p for s in stats if s.mode_used == "dynamic_k"]
@@ -167,18 +171,16 @@ class TestLatency:
             policies.append(self)
 
         monkeypatch.setattr(ScriptedPolicy, "__init__", recording_init)
-        run_closed_loop_episode("stack", stack_demo, seed=5, cfg=EnsembleConfig(),
-                                disturbances=DisturbanceConfig(latency=3, bimodal_period=2))
+        closed_loop("stack", stack_demo, 5, EnsembleConfig(),
+                    DisturbanceConfig(latency=3, bimodal_period=2))
         [policy] = policies
         assert policy._emissions > 100
         assert len(policy._obs_history) <= 4
 
     def test_latency_creates_disagreement_in_closed_loop(self, pick_place_demo):
-        ok, stats = run_closed_loop_episode(
-            "pick_place", pick_place_demo, seed=3,
-            cfg=EnsembleConfig(mode=EnsembleMode.DYNAMIC_K, beta=1.0),
-            disturbances=DisturbanceConfig(latency=3),
-            collect_diagnostics=True)
+        ok, stats = closed_loop("pick_place", pick_place_demo, 3,
+                                EnsembleConfig(mode=EnsembleMode.DYNAMIC_K, beta=1.0),
+                                DisturbanceConfig(latency=3))
         measured = [s.k_p for s in stats if s.mode_used == "dynamic_k"]
         assert max(measured) > 0.0
 
@@ -276,8 +278,7 @@ class TestIncrementalRollout:
     ], ids=["clean", "latency_bimodal", "noise"])
     def test_chunks_equal_scratch_rollouts(self, request, checked_chunks, task, disturbances):
         demo = request.getfixturevalue(f"{task}_demo")
-        run_closed_loop_episode(task, demo, seed=5, cfg=EnsembleConfig(),
-                                disturbances=disturbances)
+        closed_loop(task, demo, 5, EnsembleConfig(), disturbances)
         assert checked_chunks == list(range(len(checked_chunks)))
         assert len(checked_chunks) > 100
 
@@ -309,7 +310,7 @@ class TestIncrementalRollout:
 
         monkeypatch.setattr(policy_module, "servo", counting_servo)
         monkeypatch.setattr(ScriptedPolicy, "predict", counting_predict)
-        run_closed_loop_episode("push", push_demo, seed=5, cfg=EnsembleConfig())
+        closed_loop("push", push_demo, 5, EnsembleConfig())
         assert counts["predict"] > 100
         assert counts["servo"] < 2 * counts["predict"]
 
