@@ -5,7 +5,8 @@ fully resolved configuration (and the package version) into its output
 manifest, and any manifest can be re-executed with --from-manifest to
 reproduce the artifact byte for byte.  ``ensemble-eval`` sweeps a matrix of
 mode, beta and suspension cutoff (``--modes``, ``--betas``, ``--k-cutoffs``).
-Exit codes: 0 success, 1 invalid input, 2 partial result.
+Exit codes: 0 success; 1 invalid input, which is any ``ValueError``; 2 a
+written dataset whose ``complete`` is false, as an attempt cap leaves it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .ensemble import EnsembleConfig
 from .evaluation import (ABLATION_BETAS, ABLATION_MODES, EvalReport, closed_loop_eval,
                          default_matrix, format_report, report_to_dict)
 from .policy import DisturbanceConfig
-from .trajectory import ParseError, SegmentMismatch, ValidationError, load_demo
+from .trajectory import ParseError, ValidationError, load_demo
 
 OUT_ROOT_ENV = "DEMOAUG_OUT_ROOT"
 REPORT_FORMAT_VERSION = 1
@@ -49,8 +50,8 @@ _JSON_TYPES = {bool: ((bool,), "true or false"), str: ((str,), "a string"),
                type(None): ((int, type(None)), "an integer or null"), list: ((list,), "a list")}
 
 
-class CliError(Exception):
-    """Invalid input; maps to exit code 1."""
+class CliError(ValueError):
+    """Invalid input that no library check names; maps to exit code 1."""
 
 
 def _section_defaults() -> dict:
@@ -218,22 +219,18 @@ def cmd_augment(args) -> int:
     configs = _configs(rc)
     demo = _load_demo_or_die(rc["demo"])
     out = _resolve_out(args.out)
-    partial = None
-    try:
-        ds = sim.run_campaign(
-            demo, rc["task"], rc["count"], ws=configs["workspace"], cfg=configs["controller"],
-            rng_seed=rc["seed"], spec=configs["success"], attempt_cap=rc.get("attempt_cap"))
-    except SegmentMismatch as e:
-        raise CliError(str(e)) from e
-    except sim.AttemptCapExceeded as e:
-        ds, partial = e.dataset, str(e)
+    ds = sim.run_campaign(
+        demo, rc["task"], rc["count"], ws=configs["workspace"], cfg=configs["controller"],
+        rng_seed=rc["seed"], spec=configs["success"], attempt_cap=rc.get("attempt_cap"))
     write_dataset(ds, out, run_config=rc)
     print(f"task={ds.task.value} successes={ds.successes} attempts={ds.attempts} "
           f"discard_rate={ds.discard_rate:.3f} out={out}")
-    if partial:
-        print(f"partial result: {partial}", file=sys.stderr)
-        return 2
-    return 0
+    if ds.complete:
+        return 0
+    # an incomplete campaign stopped at its cap
+    print(f"partial result: {ds.successes}/{rc['count']} successes after {ds.attempts} "
+          f"attempts (cap {ds.attempts}); discard rate {ds.discard_rate:.2f}", file=sys.stderr)
+    return 2
 
 
 def cmd_replay(args) -> int:
@@ -307,8 +304,16 @@ def cmd_ensemble_eval(args) -> int:
     if args.diagnostics:
         diag_root = _resolve_out(args.out) / "diagnostics"
 
+        def cell_dir_of(cfg) -> Path:
+            return diag_root / f"{cfg.mode.value}_beta{cfg.beta:g}_kcutoff{cfg.k_cutoff:g}"
+
+        cell_dirs = [cell_dir_of(cfg) for cfg in cells]
+        for i, cell_dir in enumerate(cell_dirs):
+            if cell_dir in cell_dirs[:i]:
+                raise CliError(f"two matrix cells would write diagnostics to {cell_dir}")
+
         def sink(cfg, episode_index, seed, stats):
-            cell_dir = diag_root / f"{cfg.mode.value}_beta{cfg.beta:g}_kcutoff{cfg.k_cutoff:g}"
+            cell_dir = cell_dir_of(cfg)
             cell_dir.mkdir(parents=True, exist_ok=True)
             lines = [canonical_json({
                 "t": s.t, "mode_used": s.mode_used,
@@ -320,13 +325,10 @@ def cmd_ensemble_eval(args) -> int:
             (cell_dir / f"ep_{episode_index:05d}.jsonl").write_text(
                 "\n".join(lines) + "\n", encoding="utf-8")
 
-    try:
-        report = closed_loop_eval(
-            rc["task"], demo, cells, rc["episodes"], seeds, ws=configs["workspace"],
-            ctrl=configs["controller"], disturbances=configs["disturbance"],
-            spec=configs["success"], diagnostics_sink=sink)
-    except SegmentMismatch as e:
-        raise CliError(str(e)) from e
+    report = closed_loop_eval(
+        rc["task"], demo, cells, rc["episodes"], seeds, ws=configs["workspace"],
+        ctrl=configs["controller"], disturbances=configs["disturbance"],
+        spec=configs["success"], diagnostics_sink=sink)
     print(format_report(report))
     if args.out:
         path = _write_report(report, rc, _resolve_out(args.out))
@@ -459,11 +461,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ParseError, ValidationError, SegmentMismatch, tasks.SamplingExhausted,
-            ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

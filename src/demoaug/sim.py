@@ -52,17 +52,6 @@ CAPTURE_RADIUS_XY = 0.02  # m
 CAPTURE_RADIUS_Z = 0.02   # m
 
 
-class AttemptCapExceeded(RuntimeError):
-    """Campaign hit its attempt cap before collecting enough successes.
-
-    Carries the partial dataset in ``.dataset``.
-    """
-
-    def __init__(self, message: str, dataset: "Dataset"):
-        super().__init__(message)
-        self.dataset = dataset
-
-
 @dataclass(frozen=True)
 class ControllerConfig:
     gain: float = 5.0                  # 1/s
@@ -336,8 +325,9 @@ def run_campaign(demo: DemoTrajectory, task, count: int,
 
     Scenes are sampled from per-attempt seeds derived from ``rng_seed``;
     failed replays are discarded and kept episodes stay in attempt order.
-    Raises AttemptCapExceeded (carrying the partial dataset) if the cap —
-    default 20x ``count`` — is reached first.
+    The returned dataset is ``complete`` unless the attempt cap — default
+    20x ``count`` — stopped the campaign first, in which case its attempts
+    equal the cap.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -353,12 +343,5 @@ def run_campaign(demo: DemoTrajectory, task, count: int,
         attempts += 1
         if ep.success:
             episodes.append(ep)
-
-    if len(episodes) < count:
-        partial = Dataset(task=task, episodes=tuple(episodes), attempts=attempts,
-                          root_seed=rng_seed, complete=False)
-        raise AttemptCapExceeded(
-            f"{len(episodes)}/{count} successes after {attempts} attempts "
-            f"(cap {cap}); discard rate {partial.discard_rate:.2f}", partial)
     return Dataset(task=task, episodes=tuple(episodes), attempts=attempts,
-                   root_seed=rng_seed, complete=True)
+                   root_seed=rng_seed, complete=len(episodes) == count)

@@ -22,7 +22,7 @@ BLOCK_SIZE = 0.04  # m, cube edge
 MAX_REJECTS = 1000
 
 
-class SamplingExhausted(RuntimeError):
+class SamplingExhausted(ValueError):
     """Scene sampling failed the separation constraints too many times."""
 
 
@@ -33,10 +33,6 @@ class TaskKind(str, Enum):
 
     @property
     def n_blocks(self) -> int:
-        return 2 if self is TaskKind.STACK else 1
-
-    @property
-    def n_segments(self) -> int:
         return 2 if self is TaskKind.STACK else 1
 
 
@@ -138,15 +134,11 @@ def sample_scene(task, ws: Workspace = Workspace(), rng_seed: int = 0) -> Scene:
     min_sep = 2.0 * BLOCK_SIZE
 
     for _ in range(MAX_REJECTS):
-        if task is TaskKind.PUSH:
+        if task is not TaskKind.STACK:
+            # push goals rest on the table; a pick goal's z is drawn after its x, y
             start = (*_xy(rng, ws), rest_z)
-            goal = (*_xy(rng, ws), rest_z)
-            if _distance(start, goal) < min_sep:
-                continue
-            return Scene(block_starts=(start,), block_goals=(goal,), seed=rng_seed)
-        if task is TaskKind.PICK_PLACE:
-            start = (*_xy(rng, ws), rest_z)
-            goal = (*_xy(rng, ws), rng.uniform(*ws.pick_goal_z))
+            goal = (*_xy(rng, ws),
+                    rest_z if task is TaskKind.PUSH else rng.uniform(*ws.pick_goal_z))
             if _distance(start, goal) < min_sep:
                 continue
             return Scene(block_starts=(start,), block_goals=(goal,), seed=rng_seed)
@@ -168,9 +160,9 @@ def anchors_for_scene(task, demo: DemoTrajectory, scene: Scene) -> list[AnchorPa
     """Pair each segment's recorded endpoints with the scene's start/goal
     for the block that segment manipulates (segment i moves block i)."""
     task = as_task(task)
-    if len(demo.segments) != task.n_segments:
+    if len(demo.segments) != task.n_blocks:
         raise SegmentMismatch(
-            f"{task.value} expects {task.n_segments} segment(s), demo has {len(demo.segments)}")
+            f"{task.value} expects {task.n_blocks} segment(s), demo has {len(demo.segments)}")
     if len(scene.block_starts) != task.n_blocks:
         raise SegmentMismatch(
             f"{task.value} expects {task.n_blocks} block(s), scene has {len(scene.block_starts)}")

@@ -82,7 +82,10 @@ class AnchorPair:
     def __post_init__(self):
         for name in ("r_s", "r_g", "g_s", "g_g"):
             x, y, z = getattr(self, name)
-            object.__setattr__(self, name, (float(x), float(y), float(z)))
+            triple = (float(x), float(y), float(z))
+            if not all(map(math.isfinite, triple)):
+                raise ValidationError(f"anchor {name} is not finite: {triple}")
+            object.__setattr__(self, name, triple)
         if math.dist(self.r_g, self.r_s) <= EPS_LEN:
             raise ValidationError("recorded start and goal coincide")
         if math.dist(self.g_g, self.g_s) <= EPS_LEN:

@@ -295,6 +295,21 @@ class TestEnsembleEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--diagnostics" in err
 
+    @pytest.mark.parametrize("betas", ["1,1.0000001", "1,1"])
+    def test_diagnostics_dir_clash_rejected_before_any_episode(self, tmp_path, capsys,
+                                                               monkeypatch, betas):
+        # beta is named with 6 significant digits, so these two cells share one directory
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(evaluation, "run_closed_loop_episode", no_episode)
+        assert main(["ensemble-eval", "--demo", PUSH, "--task", "push", "--episodes", "2",
+                     "--modes", "dynamic_k", "--betas", betas, "--diagnostics",
+                     "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dynamic_k_beta1_kcutoff0.01" in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("sweep, flag", [
         (["--modes", "combined", "--k-cutoffs", ""], "--k-cutoffs"),
         (["--modes", "baseline,combined", "--betas", ""], "--betas"),
@@ -441,4 +456,19 @@ def test_malformed_run_config_rejected(tmp_path, capsys, cmd, source, doc, key):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cmd", ["augment", "ensemble-eval"])
+@pytest.mark.parametrize("args, problem", [
+    (["--demo", STACK], "push expects 1 segment(s), demo has 2"),
+    (["--demo", PUSH, "--side", "0.05"], "no valid push scene"),
+], ids=["segment_mismatch", "sampling_exhausted"])
+def test_input_error_raised_in_library_exits_1(tmp_path, capsys, cmd, args, problem):
+    argv = [cmd, *args, "--task", "push", "--count" if cmd == "augment" else "--episodes",
+            "2", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()

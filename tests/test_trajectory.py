@@ -207,6 +207,15 @@ class TestAnchorPair:
         with pytest.raises(ValidationError, match="generated"):
             AnchorPair(r_s=[0, 0, 0], r_g=[1, 0, 0], g_s=[0.2, 0, 0], g_g=[0.2, 0, 0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["r_s", "r_g", "g_s", "g_g"])
+    def test_non_finite_coordinate_names_field(self, field, bad):
+        anchors = {"r_s": (0.0, 0.0, 0.02), "r_g": (0.1, 0.0, 0.02),
+                   "g_s": (0.0, 0.0, 0.02), "g_g": (0.1, 0.1, 0.02)}
+        anchors[field] = (anchors[field][0], bad, anchors[field][2])
+        with pytest.raises(ValidationError, match=f"anchor {field} is not finite"):
+            AnchorPair(**anchors)
+
 
 class TestAugment:
     def test_identity_returns_input(self, pick_place_demo):
