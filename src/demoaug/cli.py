@@ -5,6 +5,8 @@ fully resolved configuration (and the package version) into its output
 manifest, and any manifest can be re-executed with --from-manifest to
 reproduce the artifact byte for byte.  ``ensemble-eval`` sweeps a matrix of
 mode, beta and suspension cutoff (``--modes``, ``--betas``, ``--k-cutoffs``).
+Override flags are made from ``FLAGS`` and the names and defaults of the
+config fields, so a setting is written once, in its config dataclass.
 Exit codes: 0 success; 1 invalid input, which is any ``ValueError``; 2 a
 written dataset whose ``complete`` is false, as an attempt cap leaves it.
 """
@@ -38,6 +40,12 @@ SECTIONS = {
     "disturbance": (DisturbanceConfig, ("seed",)),
 }
 AUGMENT_SECTIONS = ("workspace", "controller", "success")
+# run-config section -> the fields that have override flags, None for all it holds
+FLAGS = {"workspace": ("side",), "controller": None,
+         "ensemble": ("k_const", "chunk_len", "replay_n", "warmup_steps", "clear_after_suspend"),
+         "disturbance": None}
+_FLAG_HELP = {"side": "workspace square side, m", "clear_after_suspend":
+              "keep the stale buffer after a suspension instead of re-warming"}
 # each command's run-config keys besides its sections, at values of their JSON type
 RUN_KEYS = {
     "augment": {"count": 0, "attempt_cap": None},
@@ -58,6 +66,22 @@ def _section_defaults() -> dict:
     """Every section's field defaults, which flags and config files override."""
     return {name: {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
             for name, (cls, skip) in SECTIONS.items()}
+
+
+def _flag_defaults() -> dict:
+    """Each section of ``FLAGS`` -> {field: default} of its fields with flags."""
+    defaults = _section_defaults()
+    return {name: {k: v for k, v in defaults[name].items() if fields is None or k in fields}
+            for name, fields in FLAGS.items()}
+
+
+def _read_json(path, what: str):
+    """The JSON document in the file at ``path``, or CliError naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:
+        raise CliError(f"cannot read {what} {path}: {e}") from e
 
 
 def _conform(doc, template: dict, where: str = "") -> None:
@@ -111,20 +135,6 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _load_config_file(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise CliError(f"cannot read config file: {e}") from e
-    except json.JSONDecodeError as e:
-        raise CliError(f"config file is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise CliError("config file must hold a JSON object")
-    _conform(doc, _section_defaults())
-    return doc
-
-
 def _require(doc, template: dict, where: str) -> None:
     """Raise CliError naming the key unless the JSON object ``doc`` holds every
     key of ``template``, each at a value of its template value's JSON type."""
@@ -137,26 +147,25 @@ def _require(doc, template: dict, where: str) -> None:
 
 
 def _resolve_out(out) -> Path:
-    path = Path(out)
-    root = os.environ.get(OUT_ROOT_ENV)
-    if root and not path.is_absolute():
-        path = Path(root) / path
-    return path
+    # joined to an absolute path, the root drops out
+    return Path(os.environ.get(OUT_ROOT_ENV, "")) / out
+
+
+def _refuse_used(directory: Path) -> None:
+    """Raise CliError naming ``directory`` if a new run would mix its files in."""
+    if directory.is_dir() and any(directory.iterdir()):
+        raise CliError(f"{directory} already holds files of an earlier run")
 
 
 def _build_sections(args, names=tuple(SECTIONS)) -> dict:
     """The named sections of a run config: defaults < --config file < flags."""
     defaults = _section_defaults()
-    overrides = {
-        "workspace": {"side": getattr(args, "side", None)},
-        "controller": {k: getattr(args, k, None) for k in defaults["controller"]},
-        "ensemble": {k: getattr(args, k, None) for k in
-                     ("k_const", "chunk_len", "replay_n", "warmup_steps")},
-        "disturbance": {k: getattr(args, k, None) for k in defaults["disturbance"]},
-    }
-    if getattr(args, "no_clear_after_suspend", False):
-        overrides["ensemble"]["clear_after_suspend"] = False
-    config_file = _load_config_file(args.config) if args.config else {}
+    overrides = {name: {k: getattr(args, k, None) for k in fields}
+                 for name, fields in _flag_defaults().items()}
+    config_file = _read_json(args.config, "config file") if args.config else {}
+    if not isinstance(config_file, dict):
+        raise CliError("config file must hold a JSON object")
+    _conform(config_file, defaults)
     merged = _deep_merge(_deep_merge(defaults, config_file), overrides)
     return {name: merged[name] for name in names}
 
@@ -179,11 +188,7 @@ def _load_demo_or_die(path):
 
 
 def _run_config_from_manifest(path, command: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise CliError(f"cannot read manifest: {e}") from e
+    manifest = _read_json(path, "manifest")
     run_config = manifest.get("run_config") if isinstance(manifest, dict) else None
     if not isinstance(run_config, dict):
         raise CliError("manifest carries no run_config to re-execute")
@@ -219,6 +224,7 @@ def cmd_augment(args) -> int:
     configs = _configs(rc)
     demo = _load_demo_or_die(rc["demo"])
     out = _resolve_out(args.out)
+    _refuse_used(out / "episodes")
     ds = sim.run_campaign(
         demo, rc["task"], rc["count"], ws=configs["workspace"], cfg=configs["controller"],
         rng_seed=rc["seed"], spec=configs["success"], attempt_cap=rc.get("attempt_cap"))
@@ -250,8 +256,7 @@ def cmd_replay(args) -> int:
 
 
 def _write_report(report: EvalReport, rc: dict, out: Path) -> Path:
-    doc = {"format_version": REPORT_FORMAT_VERSION, "run_config": rc}
-    doc.update(report_to_dict(report))
+    doc = {"format_version": REPORT_FORMAT_VERSION, "run_config": rc, **report_to_dict(report)}
     out.mkdir(parents=True, exist_ok=True)
     path = out / "report.json"
     path.write_text(canonical_json(doc) + "\n", encoding="utf-8")
@@ -271,6 +276,8 @@ def cmd_ensemble_eval(args) -> int:
         raise CliError("--diagnostics needs --out, the directory it writes under")
     if args.from_manifest:
         rc = _run_config_from_manifest(args.from_manifest, "ensemble-eval")
+        if not rc["matrix"]:
+            raise CliError("manifest run_config.matrix lists no cell")
         for i, entry in enumerate(rc["matrix"]):
             _require(entry, {"mode": "", "beta": 0.0}, f"manifest run_config.matrix.{i}")
     else:
@@ -303,6 +310,7 @@ def cmd_ensemble_eval(args) -> int:
     sink = None
     if args.diagnostics:
         diag_root = _resolve_out(args.out) / "diagnostics"
+        _refuse_used(diag_root)
 
         def cell_dir_of(cfg) -> Path:
             return diag_root / f"{cfg.mode.value}_beta{cfg.beta:g}_kcutoff{cfg.k_cutoff:g}"
@@ -315,13 +323,9 @@ def cmd_ensemble_eval(args) -> int:
         def sink(cfg, episode_index, seed, stats):
             cell_dir = cell_dir_of(cfg)
             cell_dir.mkdir(parents=True, exist_ok=True)
-            lines = [canonical_json({
-                "t": s.t, "mode_used": s.mode_used,
-                "candidate_count": s.candidate_count,
-                "k_p": None if s.k_p != s.k_p else s.k_p,
-                "k_g": None if s.k_g != s.k_g else s.k_g,
-                "triggered": s.triggered, "suspended_from": s.suspended_from,
-            }) for s in stats]
+            # NaN temperatures are written as null
+            lines = [canonical_json({k: None if v != v else v for k, v in s._asdict().items()})
+                     for s in stats]
             (cell_dir / f"ep_{episode_index:05d}.jsonl").write_text(
                 "\n".join(lines) + "\n", encoding="utf-8")
 
@@ -355,8 +359,7 @@ def cmd_stats(args) -> int:
             print(f"steps: total={total_steps} mean={total_steps / len(episodes):.1f}")
         return 0
     if path.is_file() and path.suffix == ".json":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json(path, "report")
         if isinstance(doc, dict) and "cells" in doc:
             _require(doc, {"task": "", "n_episodes": 0, "cells": []}, "report")
             for i, cell in enumerate(doc["cells"]):
@@ -370,33 +373,20 @@ def cmd_stats(args) -> int:
     raise CliError(f"{path} is neither a dataset directory nor a report file")
 
 
-def _add_common_overrides(p: argparse.ArgumentParser):
+def _add_overrides(p: argparse.ArgumentParser, sections):
+    """--config and the override flag of every field ``FLAGS`` names in ``sections``."""
     p.add_argument("--config", help="JSON config file (defaults < file < flags)")
-    p.add_argument("--side", type=float, help="workspace square side, m")
-    g = p.add_argument_group("controller overrides")
-    g.add_argument("--gain", type=float)
-    g.add_argument("--max-speed", dest="max_speed", type=float)
-    g.add_argument("--max-gripper-speed", dest="max_gripper_speed", type=float)
-    g.add_argument("--dt", type=float)
-    g.add_argument("--waypoint-advance-radius", dest="waypoint_advance_radius", type=float)
-    g.add_argument("--waypoint-timeout", dest="waypoint_timeout", type=float)
-    g.add_argument("--settle-time", dest="settle_time", type=float)
-
-
-def _add_ensemble_overrides(p: argparse.ArgumentParser):
-    g = p.add_argument_group("ensembler overrides")
-    g.add_argument("--k-const", dest="k_const", type=float)
-    g.add_argument("--chunk-len", dest="chunk_len", type=int)
-    g.add_argument("--replay-n", dest="replay_n", type=int)
-    g.add_argument("--warmup-steps", dest="warmup_steps", type=int)
-    g.add_argument("--no-clear-after-suspend", dest="no_clear_after_suspend",
-                   action="store_true",
-                   help="keep the stale buffer after a suspension instead of re-warming")
-    d = p.add_argument_group("disturbance suite")
-    d.add_argument("--latency", type=int)
-    d.add_argument("--bimodal-period", dest="bimodal_period", type=int)
-    d.add_argument("--bimodal-gap", dest="bimodal_gap", type=int)
-    d.add_argument("--noise", type=float)
+    flags = _flag_defaults()
+    for section in sections:
+        g = p.add_argument_group(f"{section} overrides")
+        for name, default in flags[section].items():
+            flag, help_ = name.replace("_", "-"), _FLAG_HELP.get(name)
+            if default is True:
+                g.add_argument(f"--no-{flag}", dest=name, action="store_false", default=None,
+                               help=help_)
+            else:
+                g.add_argument(f"--{flag}", dest=name, help=help_,
+                               type=float if isinstance(default, float) else int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max replay attempts (default 20x count)")
     p.add_argument("--from-manifest", dest="from_manifest",
                    help="re-execute the run_config stored in a dataset manifest")
-    _add_common_overrides(p)
+    _add_overrides(p, ("workspace", "controller"))
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("replay", help="debug a single augmented replay")
@@ -426,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the episode as JSON lines")
-    _add_common_overrides(p)
+    _add_overrides(p, ("workspace", "controller"))
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("ensemble-eval", help="closed-loop mode/beta/k_cutoff ablation table")
@@ -445,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write per-step ensembler diagnostics next to the report")
     p.add_argument("--from-manifest", dest="from_manifest",
                    help="re-execute the run_config stored in a report")
-    _add_common_overrides(p)
-    _add_ensemble_overrides(p)
+    _add_overrides(p, FLAGS)
     p.set_defaults(func=cmd_ensemble_eval)
 
     p = sub.add_parser("stats", help="summarize a dataset directory or report file")

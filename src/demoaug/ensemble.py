@@ -64,7 +64,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import repeat
 from math import fsum
-from numbers import Real
+from numbers import Integral, Real
 from operator import is_
 from typing import NamedTuple
 
@@ -122,6 +122,12 @@ class ActionChunk(NamedTuple):
     actions: tuple[Action, ...]
 
 
+def require_integer(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 # Calibrated default for the suspension cutoff: an ``ensemble-eval
 # --k-cutoffs`` sweep on the stack disturbance suite (latency 3, bimodal
 # period 2, combined, beta 1) succeeded in 18, 19 and 20 of 20 episodes at
@@ -151,6 +157,9 @@ class EnsembleConfig:
                 raise ValueError(f"{name} must be non-negative and finite, got {value}")
         if not (math.isfinite(self.k_cutoff) and self.k_cutoff > 0):
             raise ValueError(f"k_cutoff must be positive and finite, got {self.k_cutoff}")
+        set_replay_n = () if self.replay_n is None else ("replay_n",)
+        for name in ("chunk_len", "warmup_steps", *set_replay_n):
+            require_integer(name, getattr(self, name))
         if self.chunk_len < 1:
             raise ValueError("chunk_len must be >= 1")
         n = self.effective_replay_n

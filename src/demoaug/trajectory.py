@@ -169,8 +169,8 @@ def parse_demo(document) -> DemoTrajectory:
         raise ParseError(f"unknown format_version {version} (supported: {DEMO_FORMAT_VERSION})")
     task = _require(document, "task", str)
     g_max = _require(document, "g_max", float)
-    if g_max <= 0:
-        raise ValidationError(f"g_max must be positive, got {g_max}")
+    if not (math.isfinite(g_max) and g_max > 0):
+        raise ValidationError(f"g_max must be positive and finite, got {g_max}")
     source_id = document.get("source_id", "unnamed")
 
     raw_waypoints = _require(document, "waypoints", list)

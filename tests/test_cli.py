@@ -1,11 +1,12 @@
+import argparse
 import filecmp
 import json
 from pathlib import Path
 
 import pytest
 
-from demoaug import evaluation, sim
-from demoaug.cli import main
+from demoaug import cli, evaluation, sim
+from demoaug.cli import AUGMENT_SECTIONS, build_parser, main
 from demoaug.dataset import (canonical_json, episode_lines, read_episode_steps, read_manifest,
                              write_dataset)
 from demoaug.demos import reference_demo
@@ -27,6 +28,19 @@ def assert_trees_identical(a: Path, b: Path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def tree_bytes(root: Path) -> dict:
+    """Every file under ``root`` by its relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def forbid_episodes(monkeypatch):
+    """Make any closed-loop episode from here on fail the test."""
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(evaluation, "run_closed_loop_episode", no_episode)
+
+
 def oracle_lines(episode: EpisodeRecord) -> list[str]:
     """The step records as a nested dict through ``canonical_json``: the
     reference that ``episode_lines`` must match byte for byte."""
@@ -42,6 +56,17 @@ def oracle_lines(episode: EpisodeRecord) -> list[str]:
         },
         "action": {"pos": list(pos), "gripper": gripper},
     }) for s, (pos, gripper) in zip(episode.states, episode.actions)]
+
+
+def oracle_diagnostics_line(s) -> str:
+    """One ensembler step as the diagnostics record, every field listed by hand."""
+    return canonical_json({
+        "t": s.t, "mode_used": s.mode_used,
+        "candidate_count": s.candidate_count,
+        "k_p": None if s.k_p != s.k_p else s.k_p,
+        "k_g": None if s.k_g != s.k_g else s.k_g,
+        "triggered": s.triggered, "suspended_from": s.suspended_from,
+    })
 
 
 def handmade_episode(zero: float = 0.0, other: float = -0.0) -> EpisodeRecord:
@@ -202,6 +227,25 @@ class TestAugmentCommand:
                      "--out", str(tmp_path / "b")]) == 0
         assert_trees_identical(tmp_path / "a", tmp_path / "b")
 
+    def test_used_out_rejected_before_any_replay(self, tmp_path, capsys, monkeypatch):
+        # a second, smaller run would leave the first run's later episode files in place
+        ds = tmp_path / "ds"
+        assert main(["augment", "--demo", PUSH, "--task", "push", "--count", "3",
+                     "--out", str(ds)]) == 0
+        before = tree_bytes(ds)
+        capsys.readouterr()
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a replay ran")
+
+        monkeypatch.setattr(sim, "run_campaign", no_campaign)
+        assert main(["augment", "--demo", PUSH, "--task", "push", "--count", "2",
+                     "--out", str(ds)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ds / "episodes") in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert tree_bytes(ds) == before
+
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DEMOAUG_OUT_ROOT", str(tmp_path))
         assert main(["augment", "--demo", PUSH, "--task", "push", "--count", "1",
@@ -276,20 +320,14 @@ class TestEnsembleEvalCommand:
     ])
     def test_nan_rejected_before_any_episode(self, tmp_path, capsys, monkeypatch,
                                              flag, value, field):
-        def no_episode(*args, **kwargs):
-            raise AssertionError("an episode ran")
-
-        monkeypatch.setattr(evaluation, "run_closed_loop_episode", no_episode)
+        forbid_episodes(monkeypatch)
         assert main(["ensemble-eval", "--demo", PUSH, "--task", "push", "--episodes", "1",
                      "--modes", "combined", flag, value, "--out", str(tmp_path / "r")]) == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_diagnostics_without_out_rejected_before_any_episode(self, capsys, monkeypatch):
-        def no_episode(*args, **kwargs):
-            raise AssertionError("an episode ran")
-
-        monkeypatch.setattr(evaluation, "run_closed_loop_episode", no_episode)
+        forbid_episodes(monkeypatch)
         assert main(["ensemble-eval", "--demo", PUSH, "--task", "push", "--episodes", "1",
                      "--modes", "combined", "--diagnostics"]) == 1
         err = capsys.readouterr().err
@@ -299,16 +337,59 @@ class TestEnsembleEvalCommand:
     def test_diagnostics_dir_clash_rejected_before_any_episode(self, tmp_path, capsys,
                                                                monkeypatch, betas):
         # beta is named with 6 significant digits, so these two cells share one directory
-        def no_episode(*args, **kwargs):
-            raise AssertionError("an episode ran")
-
-        monkeypatch.setattr(evaluation, "run_closed_loop_episode", no_episode)
+        forbid_episodes(monkeypatch)
         assert main(["ensemble-eval", "--demo", PUSH, "--task", "push", "--episodes", "2",
                      "--modes", "dynamic_k", "--betas", betas, "--diagnostics",
                      "--out", str(tmp_path / "r")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "dynamic_k_beta1_kcutoff0.01" in err
         assert not (tmp_path / "r").exists()
+
+    def test_used_diagnostics_dir_rejected_before_any_episode(self, tmp_path, capsys,
+                                                              monkeypatch):
+        args = ["ensemble-eval", "--demo", PUSH, "--task", "push", "--modes", "baseline",
+                "--betas", "1.0", "--diagnostics", "--out", str(tmp_path / "r")]
+        assert main([*args, "--episodes", "2"]) == 0
+        before = tree_bytes(tmp_path / "r")
+        capsys.readouterr()
+        forbid_episodes(monkeypatch)
+        assert main([*args, "--episodes", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "r" / "diagnostics") in err
+        assert tree_bytes(tmp_path / "r") == before
+
+    def test_empty_manifest_matrix_rejected_before_any_episode(self, tmp_path, capsys,
+                                                               monkeypatch):
+        forbid_episodes(monkeypatch)
+        rc = {"command": "ensemble-eval", "version": "0.1.0", "demo": PUSH, "task": "push",
+              "episodes": 1, "seed": 0, "matrix": [], "ensemble": {}, "disturbance": {},
+              "workspace": {}, "controller": {}, "success": {}}
+        (tmp_path / "m.json").write_text(json.dumps({"run_config": rc}))
+        assert main(["ensemble-eval", "--from-manifest", str(tmp_path / "m.json"),
+                     "--out", str(tmp_path / "r")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "run_config.matrix" in captured.err
+        assert not captured.out and not (tmp_path / "r").exists()
+
+    def test_diagnostics_lines_match_hand_listed_encoder(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recording_eval(*args, diagnostics_sink, **kwargs):
+            def sink(cfg, episode_index, seed, stats):
+                seen.append(list(stats))
+                diagnostics_sink(cfg, episode_index, seed, stats)
+            return evaluation.closed_loop_eval(*args, diagnostics_sink=sink, **kwargs)
+
+        monkeypatch.setattr(cli, "closed_loop_eval", recording_eval)
+        assert main(["ensemble-eval", "--demo", STACK, "--task", "stack", "--episodes", "1",
+                     "--latency", "3", "--bimodal-period", "2", "--modes", "combined",
+                     "--betas", "1.0", "--diagnostics", "--out", str(tmp_path / "r")]) == 0
+        [stats] = seen
+        # a disturbed stack episode fills every field: warm-up NaNs, triggers, replays
+        assert any(s.k_p != s.k_p for s in stats) and any(s.triggered for s in stats)
+        assert any(s.suspended_from is not None for s in stats)
+        path = tmp_path / "r" / "diagnostics" / "combined_beta1_kcutoff0.01" / "ep_00000.jsonl"
+        assert path.read_text().splitlines() == [oracle_diagnostics_line(s) for s in stats]
 
     @pytest.mark.parametrize("sweep, flag", [
         (["--modes", "combined", "--k-cutoffs", ""], "--k-cutoffs"),
@@ -459,6 +540,23 @@ def test_malformed_run_config_rejected(tmp_path, capsys, cmd, source, doc, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, role", [
+    (["stats", "{path}"], "report"),
+    (["augment", "--config", "{path}", "--demo", PUSH, "--task", "push", "--count", "1",
+      "--out", "{out}"], "config file"),
+    (["ensemble-eval", "--from-manifest", "{path}", "--out", "{out}"], "manifest"),
+], ids=["stats_report", "config_file", "manifest"])
+def test_truncated_json_names_its_role(tmp_path, capsys, argv, role):
+    path = tmp_path / "in.json"
+    path.write_text('{"cells": [')
+    out = tmp_path / "out"
+    assert main([a.format(path=path, out=out) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {role} {path}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not captured.out and not out.exists()
+
+
 @pytest.mark.parametrize("cmd", ["augment", "ensemble-eval"])
 @pytest.mark.parametrize("args, problem", [
     (["--demo", STACK], "push expects 1 segment(s), demo has 2"),
@@ -472,3 +570,78 @@ def test_input_error_raised_in_library_exits_1(tmp_path, capsys, cmd, args, prob
     assert err.startswith("error: ") and problem in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# every subcommand's options and the type each parses its value with, as the
+# hand-written parser had them; None for an option that keeps its text or takes none
+OVERRIDE_OPTIONS = {
+    "--config": None, "--side": float, "--gain": float, "--max-speed": float,
+    "--max-gripper-speed": float, "--dt": float, "--waypoint-advance-radius": float,
+    "--waypoint-timeout": float, "--settle-time": float,
+}
+EVAL_OVERRIDE_OPTIONS = {
+    "--k-const": float, "--chunk-len": int, "--replay-n": int, "--warmup-steps": int,
+    "--no-clear-after-suspend": None, "--latency": int, "--bimodal-period": int,
+    "--bimodal-gap": int, "--noise": float,
+}
+OPTIONS = {
+    "augment": {"--demo": None, "--task": None, "--count": int, "--seed": int, "--out": None,
+                "--attempt-cap": int, "--from-manifest": None, **OVERRIDE_OPTIONS},
+    "replay": {"--demo": None, "--task": None, "--seed": int, "--out": None,
+               **OVERRIDE_OPTIONS},
+    "ensemble-eval": {"--demo": None, "--task": None, "--episodes": int, "--seed": int,
+                      "--out": None, "--modes": None, "--betas": None, "--k-cutoffs": None,
+                      "--diagnostics": None, "--from-manifest": None,
+                      **OVERRIDE_OPTIONS, **EVAL_OVERRIDE_OPTIONS},
+    "stats": {"path": None},
+}
+# each override flag, the text given to it, and the section, field and value it sets
+OVERRIDES = [
+    ("--side", "0.6", "workspace", "side", 0.6),
+    ("--gain", "4", "controller", "gain", 4.0),
+    ("--max-speed", "0.4", "controller", "max_speed", 0.4),
+    ("--max-gripper-speed", "0.3", "controller", "max_gripper_speed", 0.3),
+    ("--dt", "0.04", "controller", "dt", 0.04),
+    ("--waypoint-advance-radius", "0.02", "controller", "waypoint_advance_radius", 0.02),
+    ("--waypoint-timeout", "1.5", "controller", "waypoint_timeout", 1.5),
+    ("--settle-time", "0.25", "controller", "settle_time", 0.25),
+    ("--k-const", "0.02", "ensemble", "k_const", 0.02),
+    ("--chunk-len", "16", "ensemble", "chunk_len", 16),
+    ("--replay-n", "6", "ensemble", "replay_n", 6),
+    ("--warmup-steps", "3", "ensemble", "warmup_steps", 3),
+    ("--no-clear-after-suspend", None, "ensemble", "clear_after_suspend", False),
+    ("--latency", "3", "disturbance", "latency", 3),
+    ("--bimodal-period", "2", "disturbance", "bimodal_period", 2),
+    ("--bimodal-gap", "4", "disturbance", "bimodal_gap", 4),
+    ("--noise", "0.01", "disturbance", "noise", 0.01),
+]
+
+
+class TestOverrideFlags:
+    def test_options_and_types_match_hand_written_parser(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(OPTIONS)
+        for cmd, parser in subparsers.choices.items():
+            options = {name: action.type for action in parser._actions
+                       for name in action.option_strings or [action.dest]
+                       if name not in ("-h", "--help")}
+            assert options == OPTIONS[cmd], cmd
+
+    def test_every_override_flag_is_listed(self):
+        assert {flag for flag, *_ in OVERRIDES} == \
+               (set(OVERRIDE_OPTIONS) | set(EVAL_OVERRIDE_OPTIONS)) - {"--config"}
+
+    @pytest.mark.parametrize("cmd, flag, text, section, field, value", [
+        pytest.param(cmd, *override, id=f"{cmd}{override[0]}")
+        for cmd in ("augment", "replay", "ensemble-eval") for override in OVERRIDES
+        if cmd == "ensemble-eval" or override[2] in AUGMENT_SECTIONS])
+    def test_flag_sets_its_field(self, cmd, flag, text, section, field, value):
+        names = AUGMENT_SECTIONS if cmd != "ensemble-eval" else tuple(cli.SECTIONS)
+        required = ["--demo", PUSH, "--task", "push", "--out", "o"]
+        parse = build_parser().parse_args
+        defaults = cli._build_sections(parse([cmd, *required]), names)
+        args = parse([cmd, *required, flag, *([text] if text is not None else [])])
+        sections = cli._build_sections(args, names)
+        assert sections == {**defaults, section: {**defaults[section], field: value}}
+        assert type(sections[section][field]) is type(value)

@@ -328,6 +328,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             EnsembleConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("chunk_len", 2.5), ("chunk_len", True), ("chunk_len", None), ("warmup_steps", 2.5),
+        ("replay_n", 2.0), ("replay_n", False),
+    ])
+    def test_non_integer_count_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            EnsembleConfig(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = EnsembleConfig(chunk_len=np.int64(8), replay_n=np.int32(3), warmup_steps=np.int8(2))
+        assert (cfg.chunk_len, cfg.effective_replay_n, cfg.warmup_steps) == (8, 3, 2)
+
     @pytest.mark.parametrize("g_max", [0.0, -1.0, math.nan, math.inf])
     def test_bad_gripper_clip_rejected(self, g_max):
         with pytest.raises(ValueError, match="g_max"):

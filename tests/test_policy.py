@@ -194,6 +194,13 @@ class TestDisturbanceConfig:
         with pytest.raises(ValueError, match=name):
             DisturbanceConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("latency", 1.5), ("bimodal_period", 1.5), ("bimodal_gap", 2.0), ("bimodal_gap", True),
+    ])
+    def test_non_integer_count_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            DisturbanceConfig(**{name: value})
+
 
 class TestNoise:
     def test_amplitude_bound(self):

@@ -88,6 +88,12 @@ class TestParse:
         with pytest.raises(ParseError, match="g_max"):
             parse_demo(doc)
 
+    @pytest.mark.parametrize("text", ["Infinity", "1e400", "NaN", "-Infinity", "0"])
+    def test_non_finite_or_non_positive_g_max_rejected(self, text):
+        document = json.dumps(minimal_doc(g_max="G")).replace('"G"', text)
+        with pytest.raises(ValidationError, match="g_max must be positive and finite"):
+            parse_demo(document)
+
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             parse_demo("{not json")
