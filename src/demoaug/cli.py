@@ -7,6 +7,9 @@ reproduce the artifact byte for byte.  ``ensemble-eval`` sweeps a matrix of
 mode, beta and suspension cutoff (``--modes``, ``--betas``, ``--k-cutoffs``).
 Override flags are made from ``FLAGS`` and the names and defaults of the
 config fields, so a setting is written once, in its config dataclass.
+``--out`` names the output path as given.  Before any work, a command exits 1
+if a directory on that path is a regular file, or if the files it writes there
+would mix with an earlier run's (a dataset's episodes, the diagnostics).
 Exit codes: 0 success; 1 invalid input, which is any ``ValueError``; 2 a
 written dataset whose ``complete`` is false, as an attempt cap leaves it.
 """
@@ -16,19 +19,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import __version__, sim, tasks
-from .dataset import canonical_json, episode_text, read_manifest, write_dataset
+from .dataset import DATASET_FORMAT_VERSION, canonical_json, episode_text, write_dataset
 from .ensemble import EnsembleConfig
 from .evaluation import (ABLATION_BETAS, ABLATION_MODES, EvalReport, closed_loop_eval,
                          default_matrix, format_report, report_to_dict)
 from .policy import DisturbanceConfig
 from .trajectory import ParseError, ValidationError, load_demo
 
-OUT_ROOT_ENV = "DEMOAUG_OUT_ROOT"
 REPORT_FORMAT_VERSION = 1
 
 # run-config section -> the config class it builds, and the fields it omits
@@ -146,15 +147,14 @@ def _require(doc, template: dict, where: str) -> None:
         _check_type(doc[key], like, f"{where}.{key}")
 
 
-def _resolve_out(out) -> Path:
-    # joined to an absolute path, the root drops out
-    return Path(os.environ.get(OUT_ROOT_ENV, "")) / out
-
-
-def _refuse_used(directory: Path) -> None:
-    """Raise CliError naming ``directory`` if a new run would mix its files in."""
-    if directory.is_dir() and any(directory.iterdir()):
-        raise CliError(f"{directory} already holds files of an earlier run")
+def _refuse_used(target: Path) -> None:
+    """Raise CliError naming the path unless ``target`` can be written: nothing above
+    it is a regular file, and it is no directory that holds an earlier run's files."""
+    for parent in target.parents:
+        if parent.is_file():
+            raise CliError(f"cannot write {target}: {parent} is a regular file")
+    if target.is_dir() and any(target.iterdir()):
+        raise CliError(f"{target} already holds files of an earlier run")
 
 
 def _build_sections(args, names=tuple(SECTIONS)) -> dict:
@@ -223,7 +223,7 @@ def cmd_augment(args) -> int:
         raise CliError(f"count must be >= 1, got {rc['count']}")
     configs = _configs(rc)
     demo = _load_demo_or_die(rc["demo"])
-    out = _resolve_out(args.out)
+    out = Path(args.out)
     _refuse_used(out / "episodes")
     ds = sim.run_campaign(
         demo, rc["task"], rc["count"], ws=configs["workspace"], cfg=configs["controller"],
@@ -242,12 +242,14 @@ def cmd_augment(args) -> int:
 def cmd_replay(args) -> int:
     demo = _load_demo_or_die(args.demo)
     configs = _configs(_build_sections(args, AUGMENT_SECTIONS))
+    path = Path(args.out) if args.out else None
+    if path:
+        _refuse_used(path)
     ep = sim.attempt_episode(demo, tasks.as_task(args.task), configs["workspace"],
                              configs["controller"], configs["success"], args.seed, 0)
     print(f"success={ep.success} steps={len(ep.states)} "
           f"final_blocks={[list(row) for row in ep.states[-1].blocks]}")
-    if args.out:
-        path = _resolve_out(args.out)
+    if path:
         text = episode_text(ep)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
@@ -307,9 +309,12 @@ def cmd_ensemble_eval(args) -> int:
     cells = [dataclasses.replace(configs["ensemble"], **entry) for entry in rc["matrix"]]
     demo = _load_demo_or_die(rc["demo"])
     seeds = [sim.scene_seed_for(rc["seed"], i) for i in range(rc["episodes"])]
+    out = Path(args.out) if args.out else None
+    if out:
+        _refuse_used(out / "report.json")
     sink = None
     if args.diagnostics:
-        diag_root = _resolve_out(args.out) / "diagnostics"
+        diag_root = out / "diagnostics"
         _refuse_used(diag_root)
 
         def cell_dir_of(cfg) -> Path:
@@ -334,8 +339,8 @@ def cmd_ensemble_eval(args) -> int:
         ctrl=configs["controller"], disturbances=configs["disturbance"],
         spec=configs["success"], diagnostics_sink=sink)
     print(format_report(report))
-    if args.out:
-        path = _write_report(report, rc, _resolve_out(args.out))
+    if out:
+        path = _write_report(report, rc, out)
         print(f"report written to {path}")
     return 0
 
@@ -343,10 +348,13 @@ def cmd_ensemble_eval(args) -> int:
 def cmd_stats(args) -> int:
     path = Path(args.path)
     if path.is_dir() and (path / "manifest.json").exists():
-        manifest = read_manifest(path)
+        manifest = _read_json(path / "manifest.json", "manifest")
         # every printed field is checked before the first line is printed
-        _require(manifest, {"episodes": [], "task": "", "attempts": 0, "discard_rate": 0.0,
-                            "complete": True}, "manifest")
+        _require(manifest, {"format_version": 0, "episodes": [], "task": "", "attempts": 0,
+                            "discard_rate": 0.0, "complete": True}, "manifest")
+        if manifest["format_version"] != DATASET_FORMAT_VERSION:
+            raise CliError(f"manifest.format_version must be {DATASET_FORMAT_VERSION}, "
+                           f"got {manifest['format_version']}")
         episodes = manifest["episodes"]
         for i, entry in enumerate(episodes):
             _require(entry, {"steps": 0}, f"manifest episodes.{i}")

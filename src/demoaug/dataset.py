@@ -146,21 +146,3 @@ def write_dataset(dataset: Dataset, out_dir, run_config: dict | None = None) -> 
     manifest_path.write_text(canonical_json(manifest) + "\n", encoding="utf-8")
     return manifest_path
 
-
-def read_manifest(dataset_dir) -> dict:
-    path = Path(dataset_dir)
-    if path.name == "manifest.json":
-        path = path.parent
-    with open(path / "manifest.json", "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"manifest must be a JSON object, got {manifest!r}")
-    if manifest.get("format_version") != DATASET_FORMAT_VERSION:
-        raise ValueError(f"unknown dataset format_version {manifest.get('format_version')}")
-    return manifest
-
-
-def read_episode_steps(dataset_dir, entry: dict) -> list[dict]:
-    path = Path(dataset_dir) / entry["file"]
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]

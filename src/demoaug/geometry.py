@@ -68,20 +68,6 @@ def frame_with_up(v, *, up: np.ndarray = Z_AXIS) -> np.ndarray:
     return np.column_stack([vhat, u, np.cross(vhat, u)])
 
 
-def scale_from_anchors(r_delta, g_delta) -> float:
-    """Uniform scale: ratio of generated to recorded displacement length."""
-    rn = float(np.linalg.norm(_as_vec3(r_delta)))
-    if rn <= EPS_LEN:
-        raise DegenerateLength(f"|r_delta| = {rn:.3e} <= {EPS_LEN:.1e}")
-    return float(np.linalg.norm(_as_vec3(g_delta))) / rn
-
-
-def translation_from_anchors(g_s, s: float, rotation: np.ndarray, r_s) -> np.ndarray:
-    """Translation that maps the scaled, rotated recorded start onto the
-    generated start: g_s - s * R @ r_s."""
-    return _as_vec3(g_s) - s * (rotation @ _as_vec3(r_s))
-
-
 def is_rotation(matrix: np.ndarray, tol: float = ROT_TOL) -> bool:
     """True if ``matrix`` is orthonormal with determinant +1 within ``tol``."""
     m = np.asarray(matrix, dtype=float)
@@ -145,12 +131,10 @@ def transform_from_anchors(r_s, r_g, g_s, g_g) -> AffineTransform:
     g_s, g_g = _as_vec3(g_s), _as_vec3(g_g)
     r_delta = r_g - r_s
     g_delta = g_g - g_s
-    s = scale_from_anchors(r_delta, g_delta)
-    if float(np.linalg.norm(g_delta)) <= EPS_LEN:
-        raise DegenerateLength("generated displacement too short")
+    # each frame raises DegenerateLength for a short or non-finite displacement
     frame_r, fell_back_r = _frame_allowing_vertical(r_delta)
     frame_g, fell_back_g = _frame_allowing_vertical(g_delta)
+    s = float(np.linalg.norm(g_delta)) / float(np.linalg.norm(r_delta))
     rotation = frame_g @ frame_r.T
-    translation = translation_from_anchors(g_s, s, rotation, r_s)
-    return AffineTransform(scale=s, rotation=rotation, translation=translation,
+    return AffineTransform(scale=s, rotation=rotation, translation=g_s - s * (rotation @ r_s),
                            vertical_fallback=fell_back_r or fell_back_g)

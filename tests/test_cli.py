@@ -7,8 +7,7 @@ import pytest
 
 from demoaug import cli, evaluation, sim
 from demoaug.cli import AUGMENT_SECTIONS, build_parser, main
-from demoaug.dataset import (canonical_json, episode_lines, read_episode_steps, read_manifest,
-                             write_dataset)
+from demoaug.dataset import canonical_json, episode_lines, write_dataset
 from demoaug.demos import reference_demo
 from demoaug.sim import EpisodeRecord, SimState, run_campaign
 from demoaug.tasks import Scene, TaskKind
@@ -17,6 +16,7 @@ DEMO_DIR = Path(__file__).resolve().parents[1] / "src" / "demoaug" / "demos"
 PUSH = str(DEMO_DIR / "push.json")
 STACK = str(DEMO_DIR / "stack.json")
 MISSING = object()  # a key deleted from a document
+DIRECTORY = object()  # a document path that is a directory
 
 
 def assert_trees_identical(a: Path, b: Path):
@@ -154,11 +154,13 @@ class TestDatasetIO:
     def test_round_trip(self, tmp_path, push_demo):
         ds = run_campaign(push_demo, TaskKind.PUSH, count=3, rng_seed=5)
         write_dataset(ds, tmp_path / "ds", run_config={"command": "augment"})
-        manifest = read_manifest(tmp_path / "ds")
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        assert manifest["format_version"] == 1
         assert manifest["task"] == "push"
         assert manifest["successes"] == 3
         assert manifest["discard_rate"] == ds.discard_rate
-        steps = read_episode_steps(tmp_path / "ds", manifest["episodes"][0])
+        lines = (tmp_path / "ds" / manifest["episodes"][0]["file"]).read_text().splitlines()
+        steps = [json.loads(line) for line in lines]
         assert len(steps) == len(ds.episodes[0].states)
         first = steps[0]
         assert set(first) == {"t", "obs", "action"}
@@ -216,7 +218,7 @@ class TestAugmentCommand:
                      "--attempt-cap", "4", "--config", str(cfg),
                      "--out", str(tmp_path / "ds")])
         assert code == 2
-        manifest = read_manifest(tmp_path / "ds")
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
         assert manifest["complete"] is False
         assert manifest["attempts"] == 4
 
@@ -245,12 +247,6 @@ class TestAugmentCommand:
         assert err.startswith("error: ") and str(ds / "episodes") in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert tree_bytes(ds) == before
-
-    def test_out_root_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DEMOAUG_OUT_ROOT", str(tmp_path))
-        assert main(["augment", "--demo", PUSH, "--task", "push", "--count", "1",
-                     "--out", "nested/ds"]) == 0
-        assert (tmp_path / "nested" / "ds" / "manifest.json").exists()
 
 
 class TestReplayCommand:
@@ -463,6 +459,9 @@ class TestStatsCommand:
         pytest.param("complete", 1, "manifest.complete must be true or false",
                      id="complete_integer"),
         pytest.param(None, [], "manifest must be a JSON object", id="not_object"),
+        pytest.param("format_version", 2, "manifest.format_version must be 1, got 2",
+                     id="format_version_2"),
+        pytest.param(None, DIRECTORY, "cannot read manifest ", id="manifest_is_directory"),
     ])
     def test_malformed_manifest_rejected(self, tmp_path, capsys, key, value, message):
         manifest = {"format_version": 1, "task": "push", "attempts": 2, "discard_rate": 0.5,
@@ -476,7 +475,10 @@ class TestStatsCommand:
         else:
             owner[key] = value
         (tmp_path / "ds").mkdir()
-        (tmp_path / "ds" / "manifest.json").write_text(json.dumps(manifest))
+        if manifest is DIRECTORY:
+            (tmp_path / "ds" / "manifest.json").mkdir()
+        else:
+            (tmp_path / "ds" / "manifest.json").write_text(json.dumps(manifest))
         assert main(["stats", str(tmp_path / "ds")]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
@@ -545,16 +547,39 @@ def test_malformed_run_config_rejected(tmp_path, capsys, cmd, source, doc, key):
     (["augment", "--config", "{path}", "--demo", PUSH, "--task", "push", "--count", "1",
       "--out", "{out}"], "config file"),
     (["ensemble-eval", "--from-manifest", "{path}", "--out", "{out}"], "manifest"),
-], ids=["stats_report", "config_file", "manifest"])
+    (["stats", "{dir}"], "manifest"),
+], ids=["stats_report", "config_file", "manifest", "stats_dataset"])
 def test_truncated_json_names_its_role(tmp_path, capsys, argv, role):
-    path = tmp_path / "in.json"
+    path = tmp_path / "ds" / "manifest.json"
+    path.parent.mkdir()
     path.write_text('{"cells": [')
     out = tmp_path / "out"
-    assert main([a.format(path=path, out=out) for a in argv]) == 1
+    assert main([a.format(path=path, dir=path.parent, out=out) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot read {role} {path}: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("cmd, out", [
+    ("augment", "{file}"), ("ensemble-eval", "{file}"), ("replay", "{file}/ep.jsonl"),
+], ids=["augment", "ensemble_eval", "replay"])
+def test_out_under_a_file_rejected_before_any_work(tmp_path, capsys, monkeypatch, cmd, out):
+    def spy(*args, **kwargs):
+        raise AssertionError("a replay ran")
+
+    monkeypatch.setattr(sim, "run_campaign", spy)
+    monkeypatch.setattr(sim, "attempt_episode", spy)
+    forbid_episodes(monkeypatch)
+    file = tmp_path / "afile"
+    file.write_text("kept")
+    argv = [cmd, "--demo", PUSH, "--task", "push", "--out", out.format(file=file)]
+    argv += {"augment": ["--count", "2"], "ensemble-eval": ["--episodes", "1"]}.get(cmd, [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and f"{file} is a regular file" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not captured.out and file.read_text() == "kept"
 
 
 @pytest.mark.parametrize("cmd", ["augment", "ensemble-eval"])

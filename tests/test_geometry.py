@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from demoaug.geometry import (
     AffineTransform, DegenerateLength, DegenerateVertical, GeometryError,
-    frame_with_up, is_rotation, scale_from_anchors, transform_from_anchors,
-    translation_from_anchors,
+    frame_with_up, is_rotation, transform_from_anchors,
 )
 
 TOL = 1e-9
@@ -83,27 +82,45 @@ class TestRotationFromAnchors:
                                    rhs / np.linalg.norm(rhs), atol=TOL)
 
 
+def anchored_scale(r_delta, g_delta):
+    """Scale of the warp pinned at the origin with these displacements."""
+    return transform_from_anchors(np.zeros(3), r_delta, np.zeros(3), g_delta).scale
+
+
 class TestScaleAndTranslation:
     def test_scale_examples(self):
-        assert scale_from_anchors([2.0, 0, 0], [0, 1.0, 0]) == pytest.approx(0.5)
+        assert anchored_scale([2.0, 0, 0], [0, 1.0, 0]) == pytest.approx(0.5)
         v = [0.3, -0.2, 0.1]
-        assert scale_from_anchors(v, v) == pytest.approx(1.0)
-        assert scale_from_anchors([0.1, 0, 0], [0, 0.3, 0.4]) == pytest.approx(5.0)
+        assert anchored_scale(v, v) == pytest.approx(1.0)
+        assert anchored_scale([0.1, 0, 0], [0, 0.3, 0.4]) == pytest.approx(5.0)
 
     def test_scale_degenerate(self):
         with pytest.raises(DegenerateLength):
-            scale_from_anchors([0, 0, 0], [1, 0, 0])
+            anchored_scale([0, 0, 0], [1, 0, 0])
+
+    @pytest.mark.parametrize("bad", [[0, 0, 0], [1e-7, 0, 0], [math.nan, 0, 0],
+                                     [math.inf, 0, 0]], ids=["zero", "tiny", "nan", "inf"])
+    @pytest.mark.parametrize("side", ["recorded", "generated"])
+    def test_degenerate_displacement_rejected(self, side, bad):
+        good = [0.1, 0.2, 0.0]
+        with pytest.raises(DegenerateLength):
+            anchored_scale(*((bad, good) if side == "recorded" else (good, bad)))
 
     def test_translation_trivials(self):
+        # s = 1 and R = I, so t = g_s - r_s
         np.testing.assert_allclose(
-            translation_from_anchors([0, 0, 0], 1.0, np.eye(3), [0, 0, 0]), [0, 0, 0])
+            transform_from_anchors([0, 0, 0], [1, 0, 0], [0, 0, 0], [1, 0, 0]).translation,
+            [0, 0, 0])
         np.testing.assert_allclose(
-            translation_from_anchors([2, 2, 3], 1.0, np.eye(3), [1, 2, 3]), [1, 0, 0])
+            transform_from_anchors([1, 2, 3], [2, 2, 3], [2, 2, 3], [3, 2, 3]).translation,
+            [1, 0, 0])
 
     def test_translation_scaled_rotated(self):
-        # hand product: -0.5 * R90z @ (1,0,0) = (0, -0.5, 0)
-        t = translation_from_anchors([0, 0, 0], 0.5, rot90z(), [1, 0, 0])
-        np.testing.assert_allclose(t, [0, -0.5, 0], atol=TOL)
+        # s = 0.5, R = R90z; hand product: 0 - 0.5 * R90z @ (1,0,0) = (0, -0.5, 0)
+        tf = transform_from_anchors([1, 0, 0], [3, 0, 0], [0, 0, 0], [0, 1, 0])
+        assert tf.scale == pytest.approx(0.5)
+        np.testing.assert_allclose(tf.rotation, rot90z(), atol=TOL)
+        np.testing.assert_allclose(tf.translation, [0, -0.5, 0], atol=TOL)
 
 
 class TestAffineTransform:
