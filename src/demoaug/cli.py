@@ -8,8 +8,9 @@ mode, beta and suspension cutoff (``--modes``, ``--betas``, ``--k-cutoffs``).
 Override flags are made from ``FLAGS`` and the names and defaults of the
 config fields, so a setting is written once, in its config dataclass.
 ``--out`` names the output path as given.  Before any work, a command exits 1
-if a directory on that path is a regular file, or if the files it writes there
-would mix with an earlier run's (a dataset's episodes, the diagnostics).
+if a directory it writes is a regular file, if a file it writes is a directory,
+or if the files it writes there would mix with an earlier run's (a dataset's
+episodes, the diagnostics).
 Exit codes: 0 success; 1 invalid input, which is any ``ValueError``; 2 a
 written dataset whose ``complete`` is false, as an attempt cap leaves it.
 """
@@ -28,7 +29,7 @@ from .ensemble import EnsembleConfig
 from .evaluation import (ABLATION_BETAS, ABLATION_MODES, EvalReport, closed_loop_eval,
                          default_matrix, format_report, report_to_dict)
 from .policy import DisturbanceConfig
-from .trajectory import ParseError, ValidationError, load_demo
+from .trajectory import ParseError, ValidationError, load_demo, require_integer
 
 REPORT_FORMAT_VERSION = 1
 
@@ -147,12 +148,15 @@ def _require(doc, template: dict, where: str) -> None:
         _check_type(doc[key], like, f"{where}.{key}")
 
 
-def _refuse_used(target: Path) -> None:
-    """Raise CliError naming the path unless ``target`` can be written: nothing above
-    it is a regular file, and it is no directory that holds an earlier run's files."""
-    for parent in target.parents:
+def _refuse_used(target: Path, file: bool = False) -> None:
+    """Raise CliError naming the path unless ``target``, a directory (a file with
+    ``file``), can be written: no directory on its path is a regular file, a file
+    is no directory, and a directory holds no earlier run's files."""
+    for parent in (target.parents if file else (target, *target.parents)):
         if parent.is_file():
             raise CliError(f"cannot write {target}: {parent} is a regular file")
+    if file and target.is_dir():
+        raise CliError(f"cannot write {target}: it is a directory")
     if target.is_dir() and any(target.iterdir()):
         raise CliError(f"{target} already holds files of an earlier run")
 
@@ -219,8 +223,6 @@ def cmd_augment(args) -> int:
             "attempt_cap": args.attempt_cap,
             **_build_sections(args, AUGMENT_SECTIONS),
         }
-    if rc["count"] < 1:
-        raise CliError(f"count must be >= 1, got {rc['count']}")
     configs = _configs(rc)
     demo = _load_demo_or_die(rc["demo"])
     out = Path(args.out)
@@ -244,7 +246,7 @@ def cmd_replay(args) -> int:
     configs = _configs(_build_sections(args, AUGMENT_SECTIONS))
     path = Path(args.out) if args.out else None
     if path:
-        _refuse_used(path)
+        _refuse_used(path, file=True)
     ep = sim.attempt_episode(demo, tasks.as_task(args.task), configs["workspace"],
                              configs["controller"], configs["success"], args.seed, 0)
     print(f"success={ep.success} steps={len(ep.states)} "
@@ -302,8 +304,7 @@ def cmd_ensemble_eval(args) -> int:
                        for c in cells],
             **sections,
         }
-    if rc["episodes"] < 0:
-        raise CliError(f"episodes must be >= 0, got {rc['episodes']}")
+    require_integer("episodes", rc["episodes"], 0)
     configs = _configs(rc)
     # a matrix entry written before k_cutoff was an axis keeps the base's cutoff
     cells = [dataclasses.replace(configs["ensemble"], **entry) for entry in rc["matrix"]]
@@ -311,7 +312,7 @@ def cmd_ensemble_eval(args) -> int:
     seeds = [sim.scene_seed_for(rc["seed"], i) for i in range(rc["episodes"])]
     out = Path(args.out) if args.out else None
     if out:
-        _refuse_used(out / "report.json")
+        _refuse_used(out / "report.json", file=True)
     sink = None
     if args.diagnostics:
         diag_root = out / "diagnostics"

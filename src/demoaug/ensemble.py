@@ -64,11 +64,10 @@ from enum import Enum
 from functools import lru_cache
 from itertools import repeat
 from math import fsum
-from numbers import Integral, Real
 from operator import is_
 from typing import NamedTuple
 
-from .trajectory import G_MAX_DEFAULT
+from .trajectory import G_MAX_DEFAULT, require_integer, require_real, require_triple
 
 
 class EmptyBuffer(LookupError):
@@ -92,40 +91,20 @@ SUSPENDING_MODES = (EnsembleMode.RESET_ONLY, EnsembleMode.COMBINED)  # can suspe
 
 @dataclass(frozen=True)
 class Action:
-    """A target position and gripper width.
-
-    ``pos`` is an (x, y, z) triple of Python floats, the one position format
-    of the ensembler and the simulator.  Any sequence of three finite reals is
-    accepted and stored as that triple; ``gripper`` is stored as a float.
-    """
+    """A target position and gripper width, stored as an (x, y, z) float triple,
+    the one position format of the ensembler and the simulator, and a float."""
 
     pos: tuple[float, float, float]
     gripper: float
 
     def __post_init__(self):
-        try:
-            x, y, z = self.pos
-            real = isinstance(x, (float, Real)) and isinstance(y, (float, Real)) \
-                and isinstance(z, (float, Real))
-        except (TypeError, ValueError):
-            real = False
-        if not (real and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise ValueError(f"Action pos must be a finite 3-vector, got {self.pos!r}")
-        if not math.isfinite(self.gripper):
-            raise ValueError(f"Action gripper must be finite, got {self.gripper}")
-        object.__setattr__(self, "pos", (float(x), float(y), float(z)))
-        object.__setattr__(self, "gripper", float(self.gripper))
+        object.__setattr__(self, "pos", require_triple("Action pos", self.pos))
+        object.__setattr__(self, "gripper", require_real("Action gripper", self.gripper))
 
 
 class ActionChunk(NamedTuple):
     emitted_at: int
     actions: tuple[Action, ...]
-
-
-def require_integer(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an integer; a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # Calibrated default for the suspension cutoff: an ``ensemble-eval
@@ -151,22 +130,15 @@ class EnsembleConfig:
 
     def __post_init__(self):
         # a negative k_const (a temperature) would weigh older predictions more
-        for name in ("beta", "k_const"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be non-negative and finite, got {value}")
-        if not (math.isfinite(self.k_cutoff) and self.k_cutoff > 0):
-            raise ValueError(f"k_cutoff must be positive and finite, got {self.k_cutoff}")
-        set_replay_n = () if self.replay_n is None else ("replay_n",)
-        for name in ("chunk_len", "warmup_steps", *set_replay_n):
-            require_integer(name, getattr(self, name))
-        if self.chunk_len < 1:
-            raise ValueError("chunk_len must be >= 1")
+        require_real("beta", self.beta, "non-negative")
+        require_real("k_const", self.k_const, "non-negative")
+        require_real("k_cutoff", self.k_cutoff, "positive")
+        require_integer("chunk_len", self.chunk_len, 1)
+        require_integer("warmup_steps", self.warmup_steps, 0)
         n = self.effective_replay_n
-        if not (1 <= n <= self.chunk_len):
+        require_integer("replay_n", n, 1)
+        if n > self.chunk_len:
             raise ValueError(f"replay_n {n} outside [1, {self.chunk_len}]")
-        if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be >= 0")
         if not isinstance(self.mode, EnsembleMode):
             object.__setattr__(self, "mode", EnsembleMode(self.mode))
 
@@ -277,10 +249,8 @@ class EnsembleState:
     """
 
     def __init__(self, cfg: EnsembleConfig, g_max: float = G_MAX_DEFAULT):
-        if not (math.isfinite(g_max) and g_max > 0):
-            raise ValueError(f"g_max must be positive and finite, got {g_max}")
         self.cfg = cfg
-        self.g_max = g_max
+        self.g_max = require_real("g_max", g_max, "positive")
         self.chunks: deque[ActionChunk] = deque(maxlen=cfg.chunk_len)
         self.suspended: ActionChunk | None = None
         self.steps_remaining = 0

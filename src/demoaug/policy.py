@@ -60,9 +60,9 @@ from operator import add, itemgetter
 
 import numpy as np
 
-from .ensemble import Action, ActionChunk, require_integer
+from .ensemble import Action, ActionChunk
 from .sim import ControllerConfig, advance, servo
-from .trajectory import DemoTrajectory
+from .trajectory import DemoTrajectory, require_integer, require_real
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,8 @@ class DisturbanceConfig:
 
     def __post_init__(self):
         for name in ("latency", "bimodal_period", "bimodal_gap"):
-            require_integer(name, getattr(self, name))
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise ValueError(f"noise must be non-negative and finite, got {self.noise}")
+            require_integer(name, getattr(self, name), 0)
+        require_real("noise", self.noise, "non-negative")
 
 
 class ScriptedPolicy:

@@ -35,7 +35,7 @@ with none held, blocks at rest stay so and their rows are kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +43,8 @@ import numpy as np
 from . import tasks
 from .tasks import (BLOCK_SIZE, Scene, SuccessSpec, TaskKind, as_task, sample_scene,
                     anchors_for_scene)
-from .trajectory import DemoTrajectory, augment_segmentwise, segment_transforms
+from .trajectory import (DemoTrajectory, augment_segmentwise, require_integer, require_real,
+                         segment_transforms)
 
 SETTLE_EPS = 1e-9
 # Closing the gripper binds the nearest block whose center is within these
@@ -63,11 +64,8 @@ class ControllerConfig:
     settle_time: float = 0.5           # s after the final waypoint
 
     def __post_init__(self):
-        for name in ("gain", "max_speed", "max_gripper_speed", "dt",
-                     "waypoint_advance_radius", "waypoint_timeout", "settle_time"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for f in fields(self):  # every field is a positive real
+            require_real(f.name, getattr(self, f.name), "positive")
         if self.gain * self.dt >= 2.0:
             raise ValueError(f"gain*dt = {self.gain * self.dt} >= 2 is unstable")
 
@@ -329,11 +327,9 @@ def run_campaign(demo: DemoTrajectory, task, count: int,
     20x ``count`` — stopped the campaign first, in which case its attempts
     equal the cap.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    require_integer("count", count, 1)
     cap = attempt_cap if attempt_cap is not None else 20 * count
-    if cap < 1:
-        raise ValueError(f"attempt_cap must be >= 1, got {cap}")
+    require_integer("attempt_cap", cap, 1)
     task = as_task(task)
 
     episodes: list[EpisodeRecord] = []

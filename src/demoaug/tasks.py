@@ -12,11 +12,11 @@ import math
 from collections.abc import Sized
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
 
 import numpy as np
 
-from .trajectory import AnchorPair, DemoTrajectory, SegmentMismatch
+from .trajectory import (AnchorPair, DemoTrajectory, SegmentMismatch, ValidationError,
+                         require_real, require_triple)
 
 BLOCK_SIZE = 0.04  # m, cube edge
 MAX_REJECTS = 1000
@@ -48,11 +48,10 @@ class Workspace:
     pick_goal_z: tuple[float, float] = (0.0, 0.20)
 
     def __post_init__(self):
-        if not (math.isfinite(self.side) and self.side > 0):
-            raise ValueError(f"workspace side must be positive and finite, got {self.side}")
-        lo, hi = self.pick_goal_z
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"pick_goal_z must be finite, got {self.pick_goal_z}")
+        require_real("workspace side", self.side, "positive")
+        if not (isinstance(self.pick_goal_z, Sized) and len(self.pick_goal_z) == 2):
+            raise ValidationError(f"pick_goal_z must be two reals, got {self.pick_goal_z!r}")
+        lo, hi = (require_real("pick_goal_z", z) for z in self.pick_goal_z)
         if hi < lo:
             raise ValueError("pick goal z range is inverted")
 
@@ -73,12 +72,9 @@ class Scene:
 
     def __post_init__(self):
         for name in ("block_starts", "block_goals"):
-            rows = tuple(getattr(self, name))
-            for i, row in enumerate(rows):
-                if not (isinstance(row, Sized) and len(row) == 3
-                        and all(isinstance(c, Real) and math.isfinite(c) for c in row)):
-                    raise ValueError(f"Scene {name} row {i} is not 3 finite reals: {row!r}")
-            object.__setattr__(self, name, tuple(tuple(map(float, row)) for row in rows))
+            object.__setattr__(self, name, tuple(
+                require_triple(f"Scene {name} row {i}", row)
+                for i, row in enumerate(getattr(self, name))))
         if len(self.block_starts) != len(self.block_goals):
             raise ValueError(f"Scene has {len(self.block_starts)} block_starts but "
                              f"{len(self.block_goals)} block_goals")
@@ -94,10 +90,7 @@ class SuccessSpec:
 
     def __post_init__(self):
         for name in ("push", "pick_place", "stack"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"success cutoff {name} must be positive and finite, "
-                                 f"got {value}")
+            require_real(f"success cutoff {name}", getattr(self, name), "positive")
 
     def threshold(self, task) -> float:
         return {TaskKind.PUSH: self.push,

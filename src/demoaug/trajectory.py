@@ -11,13 +11,22 @@ segment anchors, :class:`AnchorPair` fields and ``Scene`` rows, which the
 simulator, predictor and dataset writer take as they stand.  NumPy stays in
 :mod:`~demoaug.geometry`; :func:`augment_segmentwise` feeds it one segment's
 rows at a time.
+
+Input rule.  Three checks here are the one place that says which numbers from
+outside the program are valid; each failure raises :class:`ValidationError`
+naming the field.  :func:`require_real`: a ``numbers.Real``, NumPy's included,
+not a ``bool``, finite as a float.  :func:`require_integer`: a count, an
+integer from a lower bound to ``sys.maxsize``.  :func:`require_triple`: a
+position, exactly three reals, as an (x, y, z) float triple.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 from .geometry import EPS_LEN, GeometryError, transform_from_anchors
 
@@ -33,11 +42,48 @@ class ParseError(ValueError):
 
 
 class ValidationError(ValueError):
-    """Demo document parsed but violates a trajectory invariant."""
+    """An input (a demo document, an anchor pair, a scene, a config field or
+    an action) that breaks an invariant; the message names the field."""
 
 
 class SegmentMismatch(ValueError):
     """Segment count does not match what the task or anchors require."""
+
+
+def require_real(name: str, value, sign: str = "") -> float:
+    """``value`` as a float, or ValidationError naming ``name`` unless it is a real
+    that is, for ``sign`` "positive" or "non-negative", > 0 or >= 0."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:   # an integer past the float range
+            raise ValidationError(f"{name} is too large for a float") from None
+    if not math.isfinite(value) or (sign == "positive" and value <= 0) \
+            or (sign == "non-negative" and value < 0):
+        raise ValidationError(f"{name} must be {sign} and finite, got {value}" if sign
+                              else f"{name} is not finite: {value}")
+    return value
+
+
+def require_integer(name: str, value, low: int) -> None:
+    """Raise ValidationError naming ``name`` unless ``value`` is a count from ``low``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value <= sys.maxsize:
+        raise ValidationError(f"{name} must be an integer from {low} to {sys.maxsize}, got {value!r}")
+
+
+def require_triple(name: str, value) -> Vec3:
+    """``value`` as an (x, y, z) float triple, or ValidationError naming
+    ``name`` unless it is exactly three reals."""
+    try:
+        x, y, z = value
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} is not three reals: {value!r}") from None
+    if type(x) is float and type(y) is float and type(z) is float \
+            and math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
+        return (x, y, z)
+    return (require_real(name, x), require_real(name, y), require_real(name, z))
 
 
 def default_position_bounds() -> tuple[Vec3, Vec3]:
@@ -81,11 +127,7 @@ class AnchorPair:
 
     def __post_init__(self):
         for name in ("r_s", "r_g", "g_s", "g_g"):
-            x, y, z = getattr(self, name)
-            triple = (float(x), float(y), float(z))
-            if not all(map(math.isfinite, triple)):
-                raise ValidationError(f"anchor {name} is not finite: {triple}")
-            object.__setattr__(self, name, triple)
+            object.__setattr__(self, name, require_triple(f"anchor {name}", getattr(self, name)))
         if math.dist(self.r_g, self.r_s) <= EPS_LEN:
             raise ValidationError("recorded start and goal coincide")
         if math.dist(self.g_g, self.g_s) <= EPS_LEN:
@@ -142,10 +184,8 @@ def _vec3(doc: dict, key: str, where: str) -> Vec3:
     coords = dict(enumerate(_require(doc, key, (list, tuple), where)))
     if len(coords) != 3:
         raise ParseError(f"{where} key {key!r} is not a 3-number list")
-    x, y, z = (_require(coords, j, float, f"{where} key {key!r} entry") for j in range(3))
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValidationError(f"{where} key {key!r} has non-finite components")
-    return (x, y, z)
+    return require_triple(f"{where} key {key!r}", [
+        _require(coords, j, float, f"{where} key {key!r} entry") for j in range(3)])
 
 
 def parse_demo(document) -> DemoTrajectory:
@@ -168,9 +208,7 @@ def parse_demo(document) -> DemoTrajectory:
     if version != DEMO_FORMAT_VERSION:
         raise ParseError(f"unknown format_version {version} (supported: {DEMO_FORMAT_VERSION})")
     task = _require(document, "task", str)
-    g_max = _require(document, "g_max", float)
-    if not (math.isfinite(g_max) and g_max > 0):
-        raise ValidationError(f"g_max must be positive and finite, got {g_max}")
+    g_max = require_real("g_max", _require(document, "g_max", float), "positive")
     source_id = document.get("source_id", "unnamed")
 
     raw_waypoints = _require(document, "waypoints", list)
@@ -178,9 +216,10 @@ def parse_demo(document) -> DemoTrajectory:
     for i, entry in enumerate(raw_waypoints):
         if not isinstance(entry, dict):
             raise ParseError(f"waypoint {i} is not an object")
-        t = _require(entry, "t", float, f"waypoint {i}")
-        g = _require(entry, "g", float, f"waypoint {i}")
-        waypoints.append(Waypoint(time=t, position=_vec3(entry, "p", f"waypoint {i}"), gripper=g))
+        where = f"waypoint {i}"
+        t, g = (require_real(f"{where} key {key!r}", _require(entry, key, float, where))
+                for key in ("t", "g"))
+        waypoints.append(Waypoint(time=t, position=_vec3(entry, "p", where), gripper=g))
 
     raw_segments = _require(document, "segments", list)
     segments = []
@@ -200,8 +239,6 @@ def parse_demo(document) -> DemoTrajectory:
 
     lo, hi = default_position_bounds()
     for i, w in enumerate(demo.waypoints):
-        if not (math.isfinite(w.time) and math.isfinite(w.gripper)):
-            raise ValidationError(f"waypoint {i} has non-finite values")
         if not (0.0 <= w.gripper <= g_max):
             raise ValidationError(f"waypoint {i} gripper {w.gripper} outside [0, {g_max}]")
         if not all(l <= x <= h for x, l, h in zip(w.position, lo, hi)):

@@ -41,6 +41,16 @@ def forbid_episodes(monkeypatch):
     monkeypatch.setattr(evaluation, "run_closed_loop_episode", no_episode)
 
 
+def forbid_replays(monkeypatch):
+    """Make any campaign, replay or closed-loop episode from here on fail the test."""
+    def spy(*args, **kwargs):
+        raise AssertionError("a replay ran")
+
+    monkeypatch.setattr(sim, "run_campaign", spy)
+    monkeypatch.setattr(sim, "attempt_episode", spy)
+    forbid_episodes(monkeypatch)
+
+
 def oracle_lines(episode: EpisodeRecord) -> list[str]:
     """The step records as a nested dict through ``canonical_json``: the
     reference that ``episode_lines`` must match byte for byte."""
@@ -565,12 +575,7 @@ def test_truncated_json_names_its_role(tmp_path, capsys, argv, role):
     ("augment", "{file}"), ("ensemble-eval", "{file}"), ("replay", "{file}/ep.jsonl"),
 ], ids=["augment", "ensemble_eval", "replay"])
 def test_out_under_a_file_rejected_before_any_work(tmp_path, capsys, monkeypatch, cmd, out):
-    def spy(*args, **kwargs):
-        raise AssertionError("a replay ran")
-
-    monkeypatch.setattr(sim, "run_campaign", spy)
-    monkeypatch.setattr(sim, "attempt_episode", spy)
-    forbid_episodes(monkeypatch)
+    forbid_replays(monkeypatch)
     file = tmp_path / "afile"
     file.write_text("kept")
     argv = [cmd, "--demo", PUSH, "--task", "push", "--out", out.format(file=file)]
@@ -580,6 +585,57 @@ def test_out_under_a_file_rejected_before_any_work(tmp_path, capsys, monkeypatch
     assert captured.err.startswith("error: ") and f"{file} is a regular file" in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not captured.out and file.read_text() == "kept"
+
+
+@pytest.mark.parametrize("argv, made", [
+    (["replay", "--out", "emptyd"], "emptyd/"),
+    (["ensemble-eval", "--episodes", "1", "--out", "r"], "r/report.json/"),
+    (["augment", "--count", "2", "--out", "ds"], "ds/episodes"),
+    (["ensemble-eval", "--episodes", "1", "--diagnostics", "--out", "r"], "r/diagnostics"),
+], ids=["replay_into_directory", "report_is_directory", "episodes_is_file",
+        "diagnostics_is_file"])
+def test_out_of_the_wrong_kind_rejected_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                                         made):
+    # a file the command writes is a directory (``made`` ends in /), or a
+    # directory it writes is a regular file
+    forbid_replays(monkeypatch)
+    target = tmp_path / made
+    if made.endswith("/"):
+        target.mkdir(parents=True)
+    else:
+        target.parent.mkdir()
+        target.write_text("kept")
+    before = sorted(tmp_path.rglob("*"))
+    argv = [*argv[:-1], str(tmp_path / argv[-1]), "--demo", PUSH, "--task", "push"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {target}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not captured.out and sorted(tmp_path.rglob("*")) == before
+
+
+OVERSIZED = 10 ** 400
+
+
+@pytest.mark.parametrize("cmd, config, flags, field", [
+    ("augment", {"controller": {"gain": OVERSIZED}}, [], "gain"),
+    ("augment", {"workspace": {"pick_goal_z": [0.0, OVERSIZED]}}, [], "pick_goal_z"),
+    ("ensemble-eval", None, ["--latency", "100000000000000000000"], "latency"),
+    ("ensemble-eval", None, ["--chunk-len", "1000000000000000000000"], "chunk_len"),
+], ids=["config_gain", "config_pick_goal_z", "latency_flag", "chunk_len_flag"])
+def test_oversized_number_rejected_before_any_work(tmp_path, capsys, monkeypatch, cmd, config,
+                                                   flags, field):
+    forbid_replays(monkeypatch)
+    argv = [cmd, "--demo", PUSH, "--task", "push", "--out", str(tmp_path / "out"), *flags,
+            "--count" if cmd == "augment" else "--episodes", "1"]
+    if config:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field} ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not captured.out and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cmd", ["augment", "ensemble-eval"])

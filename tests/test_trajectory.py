@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -7,11 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demoaug.demos import fixture_manifest, reference_demo
+from demoaug.ensemble import Action, EnsembleConfig, EnsembleState
 from demoaug.geometry import transform_from_anchors
+from demoaug.policy import DisturbanceConfig
+from demoaug.sim import ControllerConfig
+from demoaug.tasks import Scene, SuccessSpec, Workspace
 from demoaug.trajectory import (
     AnchorPair, DemoTrajectory, ParseError, Segment, SegmentMismatch, ValidationError,
     Waypoint, augment_segmentwise, default_position_bounds, demo_to_document,
-    identity_anchors, parse_demo,
+    identity_anchors, parse_demo, require_integer, require_real, require_triple,
 )
 
 
@@ -306,3 +312,90 @@ class TestAugment:
         object.__setattr__(bad[1], "r_g", bad[1].r_s)
         with pytest.raises(Exception, match="segment 1"):
             augment_segmentwise(demo, bad)
+
+
+ANCHORS = {"r_s": (0.0, 0.0, 0.02), "r_g": (0.1, 0.0, 0.02),
+           "g_s": (0.0, 0.0, 0.02), "g_g": (0.1, 0.1, 0.02)}
+SCENE_ROWS = {"block_starts": ((0.1, 0.2, 0.02),), "block_goals": ((0.0, 0.0, 0.02),)}
+
+
+def demo_with(where, key, value):
+    """parse_demo of the minimal document with ``value`` at ``key`` (the first
+    coordinate of a position key) of the document or of its first ``where`` entry."""
+    doc = minimal_doc()
+    owner = doc if where is None else doc[where][0]
+    owner[key] = [value, *owner[key][1:]] if isinstance(owner[key], list) else value
+    return parse_demo(doc)
+
+
+# every field whose value the input rule decides: (id, build from a value, name in the error)
+RULE_FIELDS = [
+    ("Action.pos", lambda v: Action((v, 0.0, 0.02), 0.04), "Action pos"),
+    ("Action.gripper", lambda v: Action((0.0, 0.0, 0.02), v), "Action gripper"),
+    *[(f"AnchorPair.{name}", lambda v, name=name: AnchorPair(
+        **{**ANCHORS, name: (v, *ANCHORS[name][1:])}), f"anchor {name}") for name in ANCHORS],
+    ("parse_demo.g_max", lambda v: demo_with(None, "g_max", v), "g_max"),
+    *[(f"parse_demo.{where}.{key}", lambda v, where=where, key=key: demo_with(where, key, v),
+       f"{where[:-1]} 0 key {key!r}")
+      for where, key in [("waypoints", "t"), ("waypoints", "g"), ("waypoints", "p"),
+                         ("segments", "anchor_start"), ("segments", "anchor_goal")]],
+    *[(f"Scene.{name}", lambda v, name=name: Scene(
+        **{**SCENE_ROWS, name: ((v, 0.2, 0.02),)}), f"Scene {name} row 0") for name in SCENE_ROWS],
+    *[(f"ControllerConfig.{name}", lambda v, name=name: ControllerConfig(**{name: v}), name)
+      for name in ("gain", "max_speed", "max_gripper_speed", "dt", "waypoint_advance_radius",
+                   "waypoint_timeout", "settle_time")],
+    ("Workspace.side", lambda v: Workspace(side=v), "workspace side"),
+    ("Workspace.pick_goal_z", lambda v: Workspace(pick_goal_z=(0.0, v)), "pick_goal_z"),
+    *[(f"SuccessSpec.{name}", lambda v, name=name: SuccessSpec(**{name: v}),
+       f"success cutoff {name}") for name in ("push", "pick_place", "stack")],
+    *[(f"EnsembleConfig.{name}", lambda v, name=name: EnsembleConfig(**{name: v}), name)
+      for name in ("beta", "k_const", "k_cutoff", "chunk_len", "warmup_steps", "replay_n")],
+    *[(f"DisturbanceConfig.{name}", lambda v, name=name: DisturbanceConfig(**{name: v}), name)
+      for name in ("latency", "bimodal_period", "bimodal_gap", "noise")],
+    ("EnsembleState.g_max", lambda v: EnsembleState(EnsembleConfig(), v), "g_max"),
+]
+
+
+class TestInputRule:
+    """One rule for numbers, counts and positions, written in trajectory's
+    three checks: a bool, a string, an integer past the float range and NaN
+    are each refused with a ValueError naming the field."""
+
+    @pytest.mark.parametrize("build, name", [pytest.param(build, name, id=field)
+                                             for field, build, name in RULE_FIELDS])
+    @pytest.mark.parametrize("value", [True, "0.1", 10 ** 400, math.nan],
+                             ids=["bool", "string", "oversized_int", "nan"])
+    def test_bad_value_names_the_field(self, build, name, value):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            build(value)
+
+    @pytest.mark.parametrize("build, name", [
+        pytest.param(lambda pos: Action(pos, 0.04), "Action pos", id="Action"),
+        pytest.param(lambda pos: AnchorPair(**{**ANCHORS, "g_g": pos}), "anchor g_g",
+                     id="AnchorPair"),
+        pytest.param(lambda pos: Scene(**{**SCENE_ROWS, "block_goals": (pos,)}),
+                     "Scene block_goals row 0", id="Scene"),
+    ])
+    @pytest.mark.parametrize("pos", [(0.1, 0.2), (0.1, 0.2, 0.02, 0.0)], ids=["two", "four"])
+    def test_position_of_other_length_names_the_field(self, build, name, pos):
+        with pytest.raises(ValidationError, match=f"{name} is not three reals"):
+            build(pos)
+
+    def test_reals_become_floats(self):
+        for value in (3, np.float32(0.5), np.int64(2), np.float64(0.25)):
+            assert require_real("x", value) == float(value)
+            assert type(require_real("x", value)) is float
+        assert require_real("x", 0.0, "non-negative") == 0.0
+        with pytest.raises(ValidationError, match="x must be positive and finite, got 0.0"):
+            require_real("x", 0.0, "positive")
+        with pytest.raises(ValidationError, match="x must be non-negative and finite"):
+            require_real("x", -1e-300, "non-negative")
+        assert require_triple("p", np.array([1, 2, 3])) == (1.0, 2.0, 3.0)
+        assert [type(c) for c in require_triple("p", [np.float32(1), 2, 3.0])] == [float] * 3
+
+    def test_count_bounds(self):
+        require_integer("n", sys.maxsize, 0)
+        require_integer("n", np.int64(0), 0)
+        for value in (sys.maxsize + 1, -1, 2.0, np.float64(1.0), False):
+            with pytest.raises(ValidationError, match="n must be an integer from 0 to"):
+                require_integer("n", value, 0)
