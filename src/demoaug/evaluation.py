@@ -8,9 +8,16 @@ disturbance streams for a given seed.
 
 What a seed determines is made once, by :func:`prepare_episode`, and shared
 by every cell: the sampled scene, the demo warped to it and the predictor's
-disturbance config seeded from it.  Cells then run in the outer loop and
-seeds in the inner one, so the diagnostics sink sees a cell's episodes in
-seed order before the next cell's; the benchmark checks this order.
+disturbance config seeded from it.
+
+Lockstep.  Cells whose actions have had the same bits so far share predictor
+and simulator state, so a :class:`SeedRun` steps a seed's cells in groups, at
+first one per ``chunk_len``, each with one ``ScriptedPolicy`` and ``SimState``.
+Each step the policy predicts once and every member ensembles that chunk; the
+members then split by action (identity, else ``==`` plus each zero's sign):
+the first part keeps the policy, others fork it, each steps the shared state.
+:func:`run_closed_loop_episode` is still called once per (cell, seed), cells
+outer and seeds inner, and steps only the group holding its cell; others park.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import sim, tasks
-from .ensemble import (SPREAD_MODES, SUSPENDING_MODES, EnsembleConfig, EnsembleMode,
+from .ensemble import (SPREAD_MODES, SUSPENDING_MODES, Action, EnsembleConfig, EnsembleMode,
                        EnsembleState, ensemble_action)
 from .policy import DisturbanceConfig, ScriptedPolicy
 from .trajectory import DemoTrajectory, augment_segmentwise
@@ -128,28 +135,81 @@ def prepare_episode(task, demo: DemoTrajectory, seed: int,
     return scene, aug, replace(disturbances, seed=sim.scene_seed_for(seed, 1))
 
 
+def _same_bits(a: Action, b: Action) -> bool:
+    """One object, or equal with each zero of the same sign (no Action is NaN)."""
+    if a is b:
+        return True
+    u, v = (*a.pos, a.gripper), (*b.pos, b.gripper)
+    return u == v and all(x or math.copysign(1, x) == math.copysign(1, y) for x, y in zip(u, v))
+
+
+class SeedRun:
+    """Every cell's episode on one prepared seed, in lockstep groups."""
+
+    def __init__(self, task, scene, aug: DemoTrajectory, cfgs, ctrl, disturbances, spec):
+        self.task, self.scene, self.ctrl, self.spec = task, scene, ctrl, spec
+        self.horizon = STEPS_PER_WAYPOINT * len(aug.waypoints) + HORIZON_SLACK
+        self._undelivered = list(cfgs)
+        by_len: dict[int, list] = {}
+        for cell, cfg in enumerate(self._undelivered):
+            by_len.setdefault(cfg.chunk_len, []).append((cell, EnsembleState(cfg, aug.g_max)))
+        # (policy, state, step, settled, [(cell, EnsembleState)], its ensembled action or None)
+        self._parked = [(ScriptedPolicy(aug, n, disturbances, ctrl), sim.initial_state(aug, scene),
+                         0, 0, members, None) for n, members in by_len.items()]
+        self._results: dict[int, tuple] = {}
+
+    def result(self, cfg: EnsembleConfig):
+        """(success, diagnostics) of the next undelivered cell of ``cfg``."""
+        cell = self._undelivered.index(cfg)
+        self._undelivered[cell] = None
+        if cell not in self._results:
+            group = next(g for g in self._parked if any(i == cell for i, _ in g[4]))
+            self._parked.remove(group)
+            self._run(*group[:4], sorted(group[4], key=lambda m: m[0] != cell), group[5])
+        return self._results.pop(cell)
+
+    def _run(self, policy, state, t, settled, members, action) -> None:
+        """Step a group to its end, parking parts whose action leaves the first member's."""
+        ctrl, horizon, settle_steps = self.ctrl, self.horizon, self.ctrl.settle_steps
+        es = members[0][1]
+        while True:
+            if action is None:
+                chunk = policy.predict(state.ee_pos, t)
+                es.submit(chunk)
+                action = ensemble_action(es, t)
+                if len(members) > 1:
+                    parts = [(action, [members[0]])]
+                    for member in members[1:]:
+                        member[1].submit(chunk)
+                        other = ensemble_action(member[1], t)
+                        part = next((p for a, p in parts if _same_bits(a, other)), [])
+                        if not part:
+                            parts.append((other, part))
+                        part.append(member)
+                    for other, part in parts[1:]:
+                        self._parked.append((policy.fork(), state, t, settled, part, other))
+                    members = parts[0][1]
+            state = sim.step(state, (action.pos, action.gripper), ctrl)
+            action = None
+            t += 1
+            # stop once the plan is exhausted and the servo has settled on its end
+            settled = settled + 1 if policy.finished(state.ee_pos) else 0
+            if settled >= settle_steps or t == horizon:
+                ok = tasks.success(self.task, state, self.scene, self.spec)
+                self._results.update((i, (ok, m.stats)) for i, m in members)
+                return
+
+
 def run_closed_loop_episode(task, scene: tasks.Scene, aug: DemoTrajectory, cfg: EnsembleConfig,
                             ctrl: sim.ControllerConfig = sim.ControllerConfig(),
                             disturbances: DisturbanceConfig = DisturbanceConfig(),
-                            spec: tasks.SuccessSpec = tasks.SuccessSpec()):
-    """One scripted-policy episode of a prepared scene and warped demo (see
-    :func:`prepare_episode`); returns (success, per-step diagnostics)."""
-    policy = ScriptedPolicy(aug, cfg.chunk_len, disturbances, ctrl)
-    state = sim.initial_state(aug, scene)
-    es = EnsembleState(cfg, aug.g_max)
-
-    horizon = STEPS_PER_WAYPOINT * len(aug.waypoints) + HORIZON_SLACK
-    settle_steps = ctrl.settle_steps
-    settled = 0
-    for t in range(horizon):
-        es.submit(policy.predict(state.ee_pos, t))
-        action = ensemble_action(es, t)
-        state = sim.step(state, (action.pos, action.gripper), ctrl)
-        # stop once the plan is exhausted and the servo has settled on its end
-        settled = settled + 1 if policy.finished(state.ee_pos) else 0
-        if settled >= settle_steps:
-            break
-    return tasks.success(task, state, scene, spec), es.stats
+                            spec: tasks.SuccessSpec = tasks.SuccessSpec(),
+                            lockstep: SeedRun | None = None):
+    """One episode of a scene and warped demo from :func:`prepare_episode`, taken
+    from ``lockstep`` if given; returns (success, per-step diagnostics)."""
+    if lockstep is None:
+        lockstep = SeedRun(task, scene, aug, [cfg], ctrl, disturbances, spec)
+    return lockstep.result(cfg)
 
 
 def closed_loop_eval(task, demo: DemoTrajectory, cfg_matrix, n_episodes: int, seeds=None,
@@ -168,12 +228,15 @@ def closed_loop_eval(task, demo: DemoTrajectory, cfg_matrix, n_episodes: int, se
         seeds = [sim.scene_seed_for(0, i) for i in range(n_episodes)]
     seeds = tuple(int(s) for s in seeds)[:n_episodes]
     episodes = [prepare_episode(task, demo, seed, ws, disturbances) for seed in seeds]
+    cfg_matrix = list(cfg_matrix)
+    runs = [SeedRun(task, scene, aug, cfg_matrix, ctrl, seeded, spec)
+            for scene, aug, seeded in episodes]
 
     cells = []
     for cfg in cfg_matrix:
         successes = 0
-        for i, (seed, (scene, aug, seeded)) in enumerate(zip(seeds, episodes)):
-            ok, stats = run_closed_loop_episode(task, scene, aug, cfg, ctrl, seeded, spec)
+        for i, (seed, (scene, aug, seeded), run) in enumerate(zip(seeds, episodes, runs)):
+            ok, stats = run_closed_loop_episode(task, scene, aug, cfg, ctrl, seeded, spec, run)
             successes += int(ok)
             if diagnostics_sink is not None:
                 diagnostics_sink(cfg, i, seed, stats)

@@ -52,7 +52,9 @@ Disturbance adapters then make the predictor imperfect in controlled ways:
 
 from __future__ import annotations
 
+import copy
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -82,6 +84,11 @@ class DisturbanceConfig:
 class ScriptedPolicy:
     """Deterministic chunk predictor tracking one reference trajectory."""
 
+    # slots, not a __dict__: fork() copies them without degrading attribute reads
+    __slots__ = ("reference", "chunk_len", "disturbances", "ctrl", "_targets", "_actions",
+                 "_trail", "_last", "_timeout_steps", "_obs_history", "_emissions", "_cursor",
+                 "_steps_on_cursor", "_rng")
+
     def __init__(self, reference: DemoTrajectory, chunk_len: int = 20,
                  disturbances: DisturbanceConfig | None = None,
                  ctrl: ControllerConfig = ControllerConfig()):
@@ -95,13 +102,23 @@ class ScriptedPolicy:
         self._trail: deque[tuple[tuple[float, float, float], int, int, Action]] = deque()
         self._last = len(self._targets) - 1
         self._timeout_steps = ctrl.timeout_steps
-        # the newest latency + 1 observations; the oldest is the one acted on
+        # the newest latency + 1 (at most sys.maxsize) observations; the oldest is acted on
         self._obs_history: deque[tuple[float, float, float]] = deque(
-            maxlen=self.disturbances.latency + 1)
+            maxlen=min(self.disturbances.latency + 1, sys.maxsize))
         self._emissions = 0
         self._cursor: int | None = None
         self._steps_on_cursor = 0
         self._rng = np.random.default_rng(self.disturbances.seed)
+
+    def fork(self) -> ScriptedPolicy:
+        """A copy that goes on as this policy would, independently: it owns its trail,
+        observation history, counters and (with noise) Generator; Actions are shared."""
+        twin = copy.copy(self)
+        twin._trail = self._trail.copy()
+        twin._obs_history = self._obs_history.copy()
+        if self.disturbances.noise > 0:
+            twin._rng = copy.deepcopy(self._rng)
+        return twin
 
     @property
     def cursor(self) -> int:

@@ -5,10 +5,10 @@ from pathlib import Path
 import pytest
 
 from demoaug import evaluation, sim, tasks
-from demoaug.ensemble import EnsembleConfig, EnsembleMode
+from demoaug.ensemble import Action, EnsembleConfig, EnsembleMode
 from demoaug.evaluation import (
-    CellResult, EvalReport, closed_loop_eval, default_matrix, format_report, prepare_episode,
-    report_to_dict, run_closed_loop_episode, wilson_interval,
+    CellResult, EvalReport, SeedRun, closed_loop_eval, default_matrix, format_report,
+    prepare_episode, report_to_dict, run_closed_loop_episode, wilson_interval,
 )
 from demoaug.policy import DisturbanceConfig, ScriptedPolicy
 from demoaug.tasks import TaskKind, Workspace, anchors_for_scene, recorded_scene, sample_scene
@@ -163,6 +163,105 @@ class TestClosedLoop:
         run_closed_loop_episode(TaskKind.PUSH, scene, aug, EnsembleConfig(), disturbances=seeded)
         assert widths[:5] == [0.1] * 5
         assert max(widths) == 0.1
+
+
+def episodes_alone(task, demo, matrix, seeds, disturbances):
+    """(success, repr of the diagnostics) of each (cell, seed), cell-major,
+    every episode run by itself."""
+    out = []
+    for cfg in matrix:
+        for seed in seeds:
+            scene, aug, seeded = prepare_episode(task, demo, seed, disturbances=disturbances)
+            ok, stats = run_closed_loop_episode(task, scene, aug, cfg, disturbances=seeded)
+            out.append((ok, repr(stats)))
+    return out
+
+
+def episodes_together(task, demo, matrix, seeds, disturbances, monkeypatch):
+    """The same, as ``closed_loop_eval`` hands the episodes over."""
+    out, real = [], evaluation.run_closed_loop_episode
+
+    def recording(*args):
+        ok, stats = real(*args)
+        out.append((ok, repr(stats)))
+        return ok, stats
+
+    with monkeypatch.context() as m:
+        m.setattr(evaluation, "run_closed_loop_episode", recording)
+        report = closed_loop_eval(task, demo, matrix, len(seeds), seeds,
+                                  disturbances=disturbances)
+    n = len(seeds)
+    assert [c.successes for c in report.cells] == \
+           [sum(ok for ok, _ in out[i * n:(i + 1) * n]) for i in range(len(matrix))]
+    return out
+
+
+def cells(*modes, **fields):
+    return [EnsembleConfig(mode=mode, **fields) for mode in modes]
+
+
+LATENCY_BIMODAL = DisturbanceConfig(latency=3, bimodal_period=2)
+B, R, D, C = (EnsembleMode.BASELINE, EnsembleMode.RESET_ONLY, EnsembleMode.DYNAMIC_K,
+              EnsembleMode.COMBINED)
+
+
+class TestLockstep:
+    """A seed's cells stepped together give what each gives alone."""
+
+    @pytest.mark.parametrize("task, matrix, disturbances, seeds", [
+        ("push", default_matrix(), DisturbanceConfig(), range(6)),
+        ("stack", cells(B, C), LATENCY_BIMODAL, range(6)),
+        # noise: every split forks the predictor's Generator
+        ("pick_place", default_matrix(), DisturbanceConfig(noise=0.01), range(4)),
+        ("push", [c for n in (10, 20) for c in cells(C, B, D, chunk_len=n)][::-1],
+         DisturbanceConfig(latency=2), range(4)),
+    ], ids=["push_clean", "stack_disturbed", "pick_place_noise", "mixed_chunk_len"])
+    def test_every_episode_equals_its_cell_alone(self, request, monkeypatch, task, matrix,
+                                                 disturbances, seeds):
+        demo = request.getfixturevalue(f"{task}_demo")
+        seeds = [sim.scene_seed_for(0, i) for i in seeds]
+        alone = episodes_alone(task, demo, matrix, seeds, disturbances)
+        assert episodes_together(task, demo, matrix, seeds, disturbances, monkeypatch) == alone
+
+    def test_clean_push_predicts_and_steps_once_per_step(self, push_demo, monkeypatch):
+        counts = {"policies": 0, "predict": 0, "step": 0}
+        real_init, real_predict, real_step = (ScriptedPolicy.__init__, ScriptedPolicy.predict,
+                                              sim.step)
+
+        def counting(name, real):
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(ScriptedPolicy, "__init__", counting("policies", real_init))
+        monkeypatch.setattr(ScriptedPolicy, "predict", counting("predict", real_predict))
+        monkeypatch.setattr(sim, "step", counting("step", real_step))
+        lengths = []
+        closed_loop_eval("push", push_demo, cells(D, C), 5,
+                         diagnostics_sink=lambda *episode: lengths.append(len(episode[3])))
+        assert lengths[:5] == lengths[5:]
+        assert counts == {"policies": 5, "predict": sum(lengths[:5]), "step": sum(lengths[:5])}
+
+    def test_cells_handed_over_in_any_order(self, stack_demo):
+        matrix = cells(B, C, B, R)
+        scene, aug, seeded = prepare_episode("stack", stack_demo, 7, disturbances=LATENCY_BIMODAL)
+        run = SeedRun("stack", scene, aug, matrix, sim.ControllerConfig(), seeded,
+                      tasks.SuccessSpec())
+        order = (3, 1, 0, 2)
+        got = [run.result(matrix[i]) for i in order]
+        alone = [run_closed_loop_episode("stack", scene, aug, matrix[i], disturbances=seeded)
+                 for i in order]
+        assert repr(got) == repr(alone)
+        with pytest.raises(ValueError):
+            run.result(matrix[0])   # every cell has been handed over
+
+    def test_actions_compared_by_their_bits(self):
+        a = Action((0.0, 0.1, 0.2), 0.05)
+        assert evaluation._same_bits(a, a)
+        assert evaluation._same_bits(a, Action((0.0, 0.1, 0.2), 0.05))
+        assert not evaluation._same_bits(a, Action((-0.0, 0.1, 0.2), 0.05))
+        assert not evaluation._same_bits(a, Action((0.0, 0.1, 0.2), 0.06))
 
 
 class TestReportCell:

@@ -1,5 +1,6 @@
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -177,12 +178,64 @@ class TestLatency:
         assert policy._emissions > 100
         assert len(policy._obs_history) <= 4
 
+    def test_latency_past_any_episode_holds_the_first_observation(self, push_demo):
+        # a deque's maxlen stops at sys.maxsize; any window longer than the
+        # episode acts on the first observation alone
+        observations = [w.position for w in push_demo.waypoints[:30]]
+        chunks = []
+        for latency in (sys.maxsize, 10 ** 6):
+            policy = ScriptedPolicy(push_demo, 20, DisturbanceConfig(latency=latency))
+            chunks.append(repr([policy.predict(obs, t) for t, obs in enumerate(observations)]))
+        assert chunks[0] == chunks[1]
+
     def test_latency_creates_disagreement_in_closed_loop(self, pick_place_demo):
         ok, stats = closed_loop("pick_place", pick_place_demo, 3,
                                 EnsembleConfig(mode=EnsembleMode.DYNAMIC_K, beta=1.0),
                                 DisturbanceConfig(latency=3))
         measured = [s.k_p for s in stats if s.mode_used == "dynamic_k"]
         assert max(measured) > 0.0
+
+
+class TestFork:
+    """A fork and the policy it came from each go on as a fresh policy fed
+    the same observations would, whatever the other is fed."""
+
+    @staticmethod
+    def observations(demo, shift, n=40):
+        last = len(demo.waypoints) - 1
+        return [tuple(x + shift for x in demo.waypoints[min(t, last)].position)
+                for t in range(n)]
+
+    @pytest.mark.parametrize("disturbances", [
+        DisturbanceConfig(latency=2, bimodal_period=2),
+        DisturbanceConfig(latency=2, bimodal_period=2, noise=0.01, seed=7),
+    ])
+    def test_original_and_fork_predict_as_fresh_policies(self, push_demo, disturbances):
+        head = self.observations(push_demo, 0.0)[:12]
+        tails = self.observations(push_demo, 0.0)[12:], self.observations(push_demo, 0.003)[12:]
+        original = ScriptedPolicy(push_demo, 20, disturbances)
+        for t, obs in enumerate(head):
+            original.predict(obs, t)
+        fork = original.fork()
+        got = [], []
+        for t, (a, b) in enumerate(zip(*tails), len(head)):
+            got[1].append(fork.predict(b, t))   # interleaved, the fork first
+            got[0].append(original.predict(a, t))
+        for tail, chunks, policy in zip(tails, got, (original, fork)):
+            fresh = ScriptedPolicy(push_demo, 20, disturbances)
+            want = [fresh.predict(obs, t) for t, obs in enumerate(head + tail)][len(head):]
+            assert repr(chunks) == repr(want)
+            assert (policy.cursor, policy.finished(tail[-1])) == \
+                   (fresh.cursor, fresh.finished(tail[-1]))
+
+    def test_fork_shares_what_it_never_changes(self, push_demo):
+        clean = ScriptedPolicy(push_demo, disturbances=DisturbanceConfig(latency=3))
+        twin = clean.fork()
+        assert twin._actions is clean._actions and twin._rng is clean._rng
+        assert twin._trail is not clean._trail and twin._obs_history is not clean._obs_history
+        assert twin._obs_history.maxlen == clean._obs_history.maxlen == 4
+        noisy = ScriptedPolicy(push_demo, disturbances=DisturbanceConfig(noise=0.01))
+        assert noisy.fork()._rng is not noisy._rng
 
 
 class TestDisturbanceConfig:

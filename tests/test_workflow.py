@@ -1,9 +1,19 @@
+import importlib.util
 import subprocess
 from pathlib import Path
 
 import yaml
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+
+
+def load_tool():
+    path = ROOT / "tools" / "run_workflow.py"
+    spec = importlib.util.spec_from_file_location("run_workflow", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_blocks():
@@ -19,3 +29,16 @@ def test_every_run_block_parses_as_bash():
     for job, name, script in blocks:
         result = subprocess.run(["bash", "-n"], input=script, capture_output=True, text=True)
         assert result.returncode == 0, f"{job} / {name}: {result.stderr}"
+
+
+def test_reference_matrix_expands_every_combination():
+    tool = load_tool()
+    cells = tool.matrix_cells()
+    workloads = ["campaign_pick_place", "ablation_stack_disturbed", "ablation_push_clean"]
+    assert cells == [{"workload": w, "seed": s} for w in workloads for s in (0, 1009)]
+    scripts = [tool.expand(script, cell) for cell in cells
+               for _, script in tool.run_steps(job="reference")]
+    assert len(scripts) == 12 and not any("${{" in s for s in scripts)
+    assert scripts[0] == ("python3 bench/run.py --workload campaign_pick_place --seed 0 "
+                          "--seconds 10 --trace 1")
+    assert tool.expand("v${{ matrix.python-version }}", {"python-version": "3.12"}) == "v3.12"
