@@ -89,7 +89,7 @@ SPREAD_MODES = (EnsembleMode.DYNAMIC_K, EnsembleMode.COMBINED)       # k follows
 SUSPENDING_MODES = (EnsembleMode.RESET_ONLY, EnsembleMode.COMBINED)  # can suspend
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """A target position and gripper width, stored as an (x, y, z) float triple,
     the one position format of the ensembler and the simulator, and a float."""

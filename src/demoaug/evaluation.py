@@ -29,7 +29,7 @@ from . import sim, tasks
 from .ensemble import (SPREAD_MODES, SUSPENDING_MODES, Action, EnsembleConfig, EnsembleMode,
                        EnsembleState, ensemble_action)
 from .policy import DisturbanceConfig, ScriptedPolicy
-from .trajectory import DemoTrajectory, augment_segmentwise
+from .trajectory import DemoTrajectory, augment_segmentwise, require_integer
 
 HORIZON_SLACK = 120   # extra control steps past the paced waypoint budget
 STEPS_PER_WAYPOINT = 6  # horizon budget; covers the slowest (largest-scale) warps
@@ -57,20 +57,6 @@ class EvalReport:
     n_episodes: int
     seeds: tuple[int, ...]
     cells: tuple[CellResult, ...]
-
-    def cell(self, mode, beta: float | None = None, k_cutoff: float | None = None) -> CellResult:
-        """The one cell of ``mode`` with the given beta and k_cutoff; None matches any.
-
-        Raises ``KeyError`` when no cell matches or more than one does.
-        """
-        mode = EnsembleMode(mode)
-        found = [c for c in self.cells
-                 if c.mode is mode and (beta is None or c.beta == beta)
-                 and (k_cutoff is None or c.k_cutoff == k_cutoff)]
-        if len(found) != 1:
-            raise KeyError(f"{len(found)} cells for mode={mode.value} beta={beta} "
-                           f"k_cutoff={k_cutoff}")
-        return found[0]
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -218,15 +204,18 @@ def closed_loop_eval(task, demo: DemoTrajectory, cfg_matrix, n_episodes: int, se
                      disturbances: DisturbanceConfig = DisturbanceConfig(),
                      spec: tasks.SuccessSpec = tasks.SuccessSpec(),
                      diagnostics_sink=None) -> EvalReport:
-    """Evaluate every config cell over the same seeded episode set.
+    """Evaluate every config cell on the first ``n_episodes`` of ``seeds``.
 
     ``diagnostics_sink``, if given, receives (cfg, episode_index, seed,
     stats) per episode with the ensembler's per-step diagnostics.
     """
+    require_integer("n_episodes", n_episodes, 0)
     task = tasks.as_task(task)
     if seeds is None:
         seeds = [sim.scene_seed_for(0, i) for i in range(n_episodes)]
     seeds = tuple(int(s) for s in seeds)[:n_episodes]
+    if len(seeds) < n_episodes:
+        raise ValueError(f"{len(seeds)} seeds for {n_episodes} episodes")
     episodes = [prepare_episode(task, demo, seed, ws, disturbances) for seed in seeds]
     cfg_matrix = list(cfg_matrix)
     runs = [SeedRun(task, scene, aug, cfg_matrix, ctrl, seeded, spec)

@@ -19,25 +19,24 @@ The rollout is a pure function of its start state ``(v, k, steps_on)``:
 servo position as an (x, y, z) float triple, targeted waypoint and steps
 spent on it.  Positions are float triples throughout, as on the rest of the
 control path: the observation is ``SimState.ee_pos`` as it stands, and each
-waypoint's ``position`` is read by the servo kernel as it stands and carried
-as ``pos``, with its gripper, by the one :class:`~demoaug.ensemble.Action`
-that every noise-free chunk shares for that waypoint.  The predictor keeps
-the *trail* of its last rollout, the ``(v, k, steps_on, action)`` tuple
-before each of its chunk_len steps and after the last one, ``action`` being
-waypoint ``k``'s shared Action.  A noise-free chunk is the ``action`` of the
-first chunk_len trail entries, taken as they stand; a noisy one adds the
-rows of one ``(chunk_len, 3)`` uniform draw to their triples, one float add
-per coordinate as NumPy would make it.  When a query starts from exactly
-the trail's second state (tuple ``==``, which compares the three
-coordinates, both ints and the Action of the same waypoint), the new
-rollout is the old one shifted by a step, so the trail drops its head and
-runs one more step from its tail; otherwise it restarts from the query's
-state.  Either way the same loop extends the trail to chunk_len steps.  A
-hit is bit-exact: equal floats differ at most in the sign of a zero, which
-no distance the advance rule tests can see, and the emitted targets are
-waypoints picked by index.  In a clean closed loop the executed action is
-the predicted one, so nearly every query hits and costs one servo step
-instead of chunk_len; stale observations (latency) mostly miss.
+waypoint is one :class:`~demoaug.ensemble.Action`, shared by every
+noise-free chunk, whose ``pos`` is the waypoint's own ``position`` and the
+servo's target.  The predictor keeps the *trail* of its last rollout, the
+``(v, k, steps_on, action)`` tuple before each of its chunk_len steps and
+after the last one.  A noise-free chunk is the ``action`` of the first
+chunk_len trail entries, taken as they stand; a noisy one adds the rows of
+one ``(chunk_len, 3)`` uniform draw to their triples, one float add per
+coordinate as NumPy would make it.  When a query starts from exactly the
+trail's second state (tuple ``==``, which compares the three coordinates,
+both ints and the Action of the same waypoint), the new rollout is the old
+one shifted by a step, so the trail drops its head and runs one more step
+from its tail; otherwise it restarts from the query's state.  Either way the
+same loop extends the trail to chunk_len steps.  A hit is bit-exact: equal
+floats differ at most in the sign of a zero, which no distance the advance
+rule tests can see, and the emitted targets are waypoints picked by index.
+In a clean closed loop the executed action is the predicted one, so nearly
+every query hits and costs one servo step instead of chunk_len; stale
+observations (latency) mostly miss.
 
 Disturbance adapters then make the predictor imperfect in controlled ways:
 
@@ -85,8 +84,8 @@ class ScriptedPolicy:
     """Deterministic chunk predictor tracking one reference trajectory."""
 
     # slots, not a __dict__: fork() copies them without degrading attribute reads
-    __slots__ = ("reference", "chunk_len", "disturbances", "ctrl", "_targets", "_actions",
-                 "_trail", "_last", "_timeout_steps", "_obs_history", "_emissions", "_cursor",
+    __slots__ = ("reference", "chunk_len", "disturbances", "ctrl", "_actions", "_trail",
+                 "_last", "_timeout_steps", "_obs_history", "_emissions", "_cursor",
                  "_steps_on_cursor", "_rng")
 
     def __init__(self, reference: DemoTrajectory, chunk_len: int = 20,
@@ -96,11 +95,9 @@ class ScriptedPolicy:
         self.chunk_len = chunk_len
         self.disturbances = disturbances or DisturbanceConfig()
         self.ctrl = ctrl
-        self._targets = tuple(w.position for w in reference.waypoints)
-        self._actions = tuple(Action(pos=w.position, gripper=w.gripper)
-                              for w in reference.waypoints)
+        self._actions = tuple(Action(w.position, w.gripper) for w in reference.waypoints)
         self._trail: deque[tuple[tuple[float, float, float], int, int, Action]] = deque()
-        self._last = len(self._targets) - 1
+        self._last = len(self._actions) - 1
         self._timeout_steps = ctrl.timeout_steps
         # the newest latency + 1 (at most sys.maxsize) observations; the oldest is acted on
         self._obs_history: deque[tuple[float, float, float]] = deque(
@@ -130,13 +127,14 @@ class ScriptedPolicy:
 
     def _advance_cursor(self, obs: tuple[float, float, float]) -> None:
         if self._cursor is None:
-            self._cursor = int(np.argmin(np.linalg.norm(np.array(self._targets) - obs, axis=1)))
+            positions = np.array([a.pos for a in self._actions])
+            self._cursor = int(np.argmin(np.linalg.norm(positions - obs, axis=1)))
             return
         # timeout T + 1, not T: the cursor holds an unreached waypoint one
         # query longer than replay and rollout hold it, and the pinned
         # closed-loop outcomes depend on that schedule
         self._cursor, self._steps_on_cursor = advance(
-            self._cursor, self._steps_on_cursor, obs, self._targets[self._cursor],
+            self._cursor, self._steps_on_cursor, obs, self._actions[self._cursor].pos,
             self._last, self._timeout_steps + 1, self.ctrl.waypoint_advance_radius)
 
     def _hypothesis_offset(self) -> int:
@@ -150,7 +148,7 @@ class ScriptedPolicy:
         ``start``, reusing the previous rollout's trail when this one starts
         from its second state; see the module docstring.
         """
-        ctrl, targets, actions, last = self.ctrl, self._targets, self._actions, self._last
+        ctrl, actions, last = self.ctrl, self._actions, self._last
         timeout_steps, radius = self._timeout_steps, ctrl.waypoint_advance_radius
         trail = self._trail
         head = (obs, start, self._steps_on_cursor, actions[start])
@@ -161,7 +159,7 @@ class ScriptedPolicy:
             trail.append(head)
         v, k, s_on, _ = trail[-1]
         for _ in range(self.chunk_len + 1 - len(trail)):
-            target = targets[k]
+            target = actions[k].pos
             v = servo(v, target, ctrl)
             k, s_on = advance(k, s_on, v, target, last, timeout_steps, radius)
             trail.append((v, k, s_on, actions[k]))
@@ -193,6 +191,6 @@ class ScriptedPolicy:
         if self._cursor is None or self._cursor < self._last:
             return False
         x, y, z = ee_pos
-        gx, gy, gz = self._targets[self._last]
+        gx, gy, gz = self._actions[self._last].pos
         dx, dy, dz = x - gx, y - gy, z - gz
         return math.sqrt(dx * dx + dy * dy + dz * dz) <= 2 * self.ctrl.waypoint_advance_radius

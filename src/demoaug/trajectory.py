@@ -17,7 +17,7 @@ outside the program are valid; each failure raises :class:`ValidationError`
 naming the field.  :func:`require_real`: a ``numbers.Real``, NumPy's included,
 not a ``bool``, finite as a float.  :func:`require_integer`: a count, an
 integer from a lower bound to ``sys.maxsize``.  :func:`require_triple`: a
-position, exactly three reals, as an (x, y, z) float triple.
+position, exactly three reals, as an (x, y, z) float triple, not a copy of one.
 """
 
 from __future__ import annotations
@@ -74,15 +74,15 @@ def require_integer(name: str, value, low: int) -> None:
 
 
 def require_triple(name: str, value) -> Vec3:
-    """``value`` as an (x, y, z) float triple, or ValidationError naming
-    ``name`` unless it is exactly three reals."""
+    """``value`` as an (x, y, z) float triple, itself if a ``tuple`` of three
+    finite floats, or ValidationError naming ``name`` unless three reals."""
     try:
         x, y, z = value
     except (TypeError, ValueError):
         raise ValidationError(f"{name} is not three reals: {value!r}") from None
     if type(x) is float and type(y) is float and type(z) is float \
             and math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
-        return (x, y, z)
+        return value if type(value) is tuple else (x, y, z)
     return (require_real(name, x), require_real(name, y), require_real(name, z))
 
 
@@ -267,12 +267,6 @@ def demo_to_document(demo: DemoTrajectory) -> dict:
             {"t": w.time, "p": list(w.position), "g": w.gripper} for w in demo.waypoints
         ],
     }
-
-
-def identity_anchors(demo: DemoTrajectory) -> list[AnchorPair]:
-    """Anchor pairs whose generated half equals the recorded half."""
-    return [AnchorPair(r_s=s.anchor_start, r_g=s.anchor_goal,
-                       g_s=s.anchor_start, g_g=s.anchor_goal) for s in demo.segments]
 
 
 def segment_transforms(demo: DemoTrajectory, anchors) -> list:

@@ -22,8 +22,8 @@ from demoaug.evaluation import closed_loop_eval
 from demoaug.geometry import transform_from_anchors
 from demoaug.policy import DisturbanceConfig
 from demoaug.sim import replay, run_campaign
-from demoaug.tasks import SuccessSpec, TaskKind, recorded_scene
-from demoaug.trajectory import augment_segmentwise, identity_anchors
+from demoaug.tasks import SuccessSpec, TaskKind, anchors_for_scene, recorded_scene
+from demoaug.trajectory import augment_segmentwise
 
 TOL = 1e-9
 THRESHOLDS = {"push": 0.05, "pick_place": 0.05, "stack": 0.04}
@@ -232,7 +232,8 @@ def test_criterion_6_filter_soundness_and_fidelity_floor():
     # fidelity floor: identity-augmented replay of every bundled demo succeeds
     for task in TaskKind:
         demo = reference_demo(task)
-        ep = replay(augment_segmentwise(demo, identity_anchors(demo)), recorded_scene(demo))
+        scene = recorded_scene(demo)
+        ep = replay(augment_segmentwise(demo, anchors_for_scene(task, demo, scene)), scene)
         assert ep.success, f"identity replay failed for {task.value}"
 
     # replay success rate over 200 pick-and-place scenes, floor pinned at 0.90
@@ -269,8 +270,7 @@ def test_criterion_7_directional_ablation():
               EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0)]
     report = closed_loop_eval(TaskKind.STACK, demo, matrix, n_episodes=200,
                               disturbances=suite)
-    baseline = report.cell(EnsembleMode.BASELINE)
-    combined = report.cell(EnsembleMode.COMBINED, 1.0)
+    baseline, combined = report.cells
     assert combined.rate >= baseline.rate, \
         f"combined {combined.rate:.3f} fell below baseline {baseline.rate:.3f}"
     _report("criterion 7 (directional ablation)",

@@ -7,12 +7,12 @@ import pytest
 from demoaug import evaluation, sim, tasks
 from demoaug.ensemble import Action, EnsembleConfig, EnsembleMode
 from demoaug.evaluation import (
-    CellResult, EvalReport, SeedRun, closed_loop_eval, default_matrix, format_report,
-    prepare_episode, report_to_dict, run_closed_loop_episode, wilson_interval,
+    SeedRun, closed_loop_eval, default_matrix, format_report, prepare_episode, report_to_dict,
+    run_closed_loop_episode, wilson_interval,
 )
 from demoaug.policy import DisturbanceConfig, ScriptedPolicy
 from demoaug.tasks import TaskKind, Workspace, anchors_for_scene, recorded_scene, sample_scene
-from demoaug.trajectory import augment_segmentwise, demo_to_document, identity_anchors, parse_demo
+from demoaug.trajectory import ValidationError, augment_segmentwise, demo_to_document, parse_demo
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile, wilson_interval's default
 
@@ -92,7 +92,7 @@ class TestClosedLoop:
         matrix = [EnsembleConfig(mode=m, beta=1.0) for m in EnsembleMode]
         report = closed_loop_eval(TaskKind.PICK_PLACE, pick_place_demo, matrix,
                                   n_episodes=6, disturbances=DisturbanceConfig())
-        baseline = report.cell(EnsembleMode.BASELINE)
+        baseline = report.cells[0]   # EnsembleMode lists BASELINE first
         for cell in report.cells:
             assert cell.rate == 1.0
             assert cell.rate >= baseline.rate
@@ -105,6 +105,15 @@ class TestClosedLoop:
         assert len(doc["cells"]) == 1
         assert doc["cells"][0]["episodes"] == 2
         assert len(doc["cells"][0]["ci95"]) == 2
+
+    @pytest.mark.parametrize("n_episodes", [-1, True, 2.5])
+    def test_episode_count_must_be_a_count(self, push_demo, n_episodes):
+        with pytest.raises(ValidationError, match="n_episodes must be an integer from 0"):
+            closed_loop_eval("push", push_demo, [EnsembleConfig()], n_episodes, seeds=[1, 2, 3])
+
+    def test_fewer_seeds_than_episodes_rejected(self, push_demo):
+        with pytest.raises(ValueError, match="^2 seeds for 3 episodes$"):
+            closed_loop_eval("push", push_demo, [EnsembleConfig()], 3, seeds=[1, 2])
 
     def test_paired_seeds_across_cells(self, push_demo):
         matrix = [EnsembleConfig(mode=EnsembleMode.BASELINE),
@@ -264,34 +273,6 @@ class TestLockstep:
         assert not evaluation._same_bits(a, Action((0.0, 0.1, 0.2), 0.06))
 
 
-class TestReportCell:
-    def report(self):
-        cells = [CellResult(mode=c.mode, beta=c.beta, k_cutoff=c.k_cutoff, episodes=4,
-                            successes=i % 5)
-                 for i, c in enumerate(default_matrix(k_cutoffs=(0.01, 0.5)))]
-        return EvalReport(task=TaskKind.STACK, n_episodes=4, seeds=(1, 2, 3, 4),
-                          cells=tuple(cells))
-
-    def test_k_cutoff_picks_one_cell_of_a_sweep(self):
-        report = self.report()
-        for c in report.cells:
-            assert report.cell(c.mode, c.beta, c.k_cutoff) is c
-        assert report.cell(EnsembleMode.COMBINED, 1.0, 0.5).k_cutoff == 0.5
-        assert report.cell(EnsembleMode.RESET_ONLY, k_cutoff=0.01).k_cutoff == 0.01
-        assert report.cell(EnsembleMode.BASELINE).mode is EnsembleMode.BASELINE
-
-    @pytest.mark.parametrize("mode, beta, k_cutoff", [
-        (EnsembleMode.COMBINED, 1.0, None),      # two cutoffs
-        (EnsembleMode.RESET_ONLY, None, None),   # two cutoffs
-        (EnsembleMode.DYNAMIC_K, None, None),    # three betas
-        (EnsembleMode.COMBINED, 1.0, 0.2),       # no such cutoff
-        (EnsembleMode.BASELINE, 0.5, None),      # baseline is not swept in beta
-    ])
-    def test_ambiguous_or_missing_cell_raises(self, mode, beta, k_cutoff):
-        with pytest.raises(KeyError):
-            self.report().cell(mode, beta, k_cutoff)
-
-
 class TestPositionFormat:
     """Positions on the control path are (x, y, z) tuples of Python floats.
     An ``np.float64`` that leaked back in would print as ``np.float64(...)``
@@ -320,8 +301,9 @@ class TestPositionFormat:
         monkeypatch.setattr(sim, "step", recording_step)
         monkeypatch.setattr(evaluation, "ensemble_action", recording_ensemble)
         monkeypatch.setattr(ScriptedPolicy, "predict", recording_predict)
-        states.extend(sim.replay(augment_segmentwise(demo, identity_anchors(demo)),
-                                 recorded_scene(demo)).states)
+        scene = recorded_scene(demo)
+        states.extend(sim.replay(augment_segmentwise(demo, anchors_for_scene(task, demo, scene)),
+                                 scene).states)
         for disturbances in (DisturbanceConfig(),
                              DisturbanceConfig(latency=3, bimodal_period=2, noise=0.01)):
             scene, aug, seeded = prepare_episode(task, demo, 5, disturbances=disturbances)

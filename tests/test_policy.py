@@ -228,6 +228,14 @@ class TestFork:
             assert (policy.cursor, policy.finished(tail[-1])) == \
                    (fresh.cursor, fresh.finished(tail[-1]))
 
+    def test_actions_hold_the_warped_demo_positions(self, stack_demo):
+        disturbances = DisturbanceConfig(latency=3, bimodal_period=2)
+        _, aug, seeded = prepare_episode("stack", stack_demo, 3, disturbances=disturbances)
+        policy = ScriptedPolicy(aug, 20, seeded)
+        assert len(policy._actions) == len(aug.waypoints)
+        for action, waypoint in zip(policy._actions, aug.waypoints):
+            assert action.pos is waypoint.position
+
     def test_fork_shares_what_it_never_changes(self, push_demo):
         clean = ScriptedPolicy(push_demo, disturbances=DisturbanceConfig(latency=3))
         twin = clean.fork()

@@ -11,8 +11,9 @@ from demoaug.sim import (
     ControllerConfig, SimState,
     advance, initial_state, replay, run_campaign, scene_seed_for, servo, step,
 )
-from demoaug.tasks import Scene, SuccessSpec, TaskKind, Workspace, recorded_scene, sample_scene
-from demoaug.trajectory import augment_segmentwise, identity_anchors
+from demoaug.tasks import (Scene, SuccessSpec, TaskKind, Workspace, anchors_for_scene,
+                           recorded_scene, sample_scene)
+from demoaug.trajectory import augment_segmentwise
 
 CFG = ControllerConfig()
 
@@ -232,8 +233,8 @@ class TestReplay:
     @pytest.mark.parametrize("task", list(TaskKind))
     def test_identity_replay_succeeds(self, task, request):
         demo = request.getfixturevalue(f"{task.value}_demo")
-        aug = augment_segmentwise(demo, identity_anchors(demo))
-        ep = replay(aug, recorded_scene(demo))
+        scene = recorded_scene(demo)
+        ep = replay(augment_segmentwise(demo, anchors_for_scene(task, demo, scene)), scene)
         assert ep.success
 
     def test_displaced_grasp_fails_without_touching_block(self, pick_place_demo):
@@ -241,22 +242,23 @@ class TestReplay:
         scene = recorded_scene(demo)
         shifted = Scene(block_starts=(np.add(scene.block_starts[0], [0.10, 0, 0]),),
                         block_goals=scene.block_goals, seed=0)
-        aug = augment_segmentwise(demo, identity_anchors(demo))
+        aug = augment_segmentwise(demo, anchors_for_scene(demo.task, demo, scene))
         ep = replay(aug, shifted)
         assert not ep.success
         assert all(s.held is None for s in ep.states)
 
     def test_deterministic(self, push_demo):
-        aug = augment_segmentwise(push_demo, identity_anchors(push_demo))
         scene = recorded_scene(push_demo)
+        aug = augment_segmentwise(push_demo, anchors_for_scene("push", push_demo, scene))
         a = replay(aug, scene)
         b = replay(aug, scene)
         assert episode_lines(a) == episode_lines(b)
         assert a.success == b.success
 
     def test_physical_sanity_and_boundedness(self, stack_demo):
-        aug = augment_segmentwise(stack_demo, identity_anchors(stack_demo))
-        ep = replay(aug, recorded_scene(stack_demo))
+        scene = recorded_scene(stack_demo)
+        ep = replay(augment_segmentwise(stack_demo, anchors_for_scene("stack", stack_demo, scene)),
+                    scene)
         prev = None
         for state in ep.states:
             for i, pos in enumerate(state.blocks):
@@ -268,8 +270,10 @@ class TestReplay:
             prev = state
 
     def test_held_block_keeps_fixed_offset(self, pick_place_demo):
-        aug = augment_segmentwise(pick_place_demo, identity_anchors(pick_place_demo))
-        ep = replay(aug, recorded_scene(pick_place_demo))
+        scene = recorded_scene(pick_place_demo)
+        aug = augment_segmentwise(pick_place_demo,
+                                  anchors_for_scene("pick_place", pick_place_demo, scene))
+        ep = replay(aug, scene)
         offsets = [np.subtract(s.blocks[0], s.ee_pos) for s in ep.states if s.held == 0]
         assert offsets, "block was never held"
         for off in offsets[1:]:

@@ -13,11 +13,11 @@ from demoaug.ensemble import Action, EnsembleConfig, EnsembleState
 from demoaug.geometry import transform_from_anchors
 from demoaug.policy import DisturbanceConfig
 from demoaug.sim import ControllerConfig
-from demoaug.tasks import Scene, SuccessSpec, Workspace
+from demoaug.tasks import Scene, SuccessSpec, Workspace, anchors_for_scene, recorded_scene
 from demoaug.trajectory import (
     AnchorPair, DemoTrajectory, ParseError, Segment, SegmentMismatch, ValidationError,
-    Waypoint, augment_segmentwise, default_position_bounds, demo_to_document,
-    identity_anchors, parse_demo, require_integer, require_real, require_triple,
+    POSITION_MARGIN, Waypoint, augment_segmentwise, default_position_bounds, demo_to_document,
+    parse_demo, require_integer, require_real, require_triple,
 )
 
 
@@ -115,6 +115,13 @@ class TestParse:
         doc["waypoints"][0]["g"] = 0.09
         with pytest.raises(ValidationError, match="gripper"):
             parse_demo(doc)
+
+    def test_default_bounds_are_the_default_workspace_padded(self):
+        # written out in trajectory, which tasks imports, so it cannot read Workspace
+        ws = Workspace()
+        assert default_position_bounds() == (
+            tuple(x - POSITION_MARGIN for x in (-ws.half, -ws.half, ws.pick_goal_z[0])),
+            tuple(x + POSITION_MARGIN for x in (ws.half, ws.half, ws.pick_goal_z[1])))
 
     def test_position_out_of_bounds(self):
         doc = minimal_doc()
@@ -231,7 +238,9 @@ class TestAnchorPair:
 
 class TestAugment:
     def test_identity_returns_input(self, pick_place_demo):
-        aug = augment_segmentwise(pick_place_demo, identity_anchors(pick_place_demo))
+        scene = recorded_scene(pick_place_demo)
+        aug = augment_segmentwise(pick_place_demo,
+                                  anchors_for_scene("pick_place", pick_place_demo, scene))
         np.testing.assert_allclose(positions(aug), positions(pick_place_demo), atol=1e-9)
         assert grippers(aug) == grippers(pick_place_demo)
         assert times(aug) == times(pick_place_demo)
@@ -392,6 +401,26 @@ class TestInputRule:
             require_real("x", -1e-300, "non-negative")
         assert require_triple("p", np.array([1, 2, 3])) == (1.0, 2.0, 3.0)
         assert [type(c) for c in require_triple("p", [np.float32(1), 2, 3.0])] == [float] * 3
+
+    def test_float_triple_is_taken_as_it_stands(self):
+        # so a waypoint's position is one object from the warped demo to the predictor
+        triple = (0.1, 0.2, 0.02)
+        assert require_triple("p", triple) is triple
+        assert Action(triple, 0.04).pos is triple
+        assert AnchorPair(**{**ANCHORS, "g_g": triple}).g_g is triple
+        assert Scene(**{**SCENE_ROWS, "block_goals": (triple,)}).block_goals[0] is triple
+
+        class Row(tuple):
+            pass
+
+        for other in ([0.1, 0.2, 0.02], (0.1, 0.2, 0), (0.1, np.float64(0.2), 0.02),
+                      Row(triple)):
+            got = require_triple("p", other)
+            assert got is not other and type(got) is tuple
+            assert [type(c) for c in got] == [float] * 3 and got == tuple(map(float, other))
+
+    def test_action_has_no_instance_dict(self):
+        assert not hasattr(Action((0.1, 0.2, 0.02), 0.04), "__dict__")
 
     def test_count_bounds(self):
         require_integer("n", sys.maxsize, 0)
