@@ -5,9 +5,9 @@ Layout, one directory per campaign::
     <out>/manifest.json            accounting, config echo, episode index
     <out>/episodes/ep_00000.jsonl  one JSON object per control step
 
-Episodes are held in memory as the simulator's own states and shared
-``(position, gripper)`` action pairs (:class:`~demoaug.sim.EpisodeRecord`)
-and serialised into step records only here, at write time.  Every record is
+Episodes are held in memory as the simulator's own states and the warped
+demo's waypoints as actions (:class:`~demoaug.sim.EpisodeRecord`) and
+serialised into step records only here, at write time.  Every record is
 canonical JSON: keys sorted, no whitespace, floats as ``repr``, so identical
 campaigns produce byte-identical directories.  The manifest goes through
 :func:`canonical_json`.  The step records are the same bytes, but are
@@ -60,7 +60,7 @@ def episode_lines(episode: EpisodeRecord, times: dict | None = None) -> list[str
     ``goals`` and the ``held`` flag list of each held index.  Each step fills
     in its numbers, floats as ``repr``.  ``repr`` is most of the cost, so
     text is reused from one step to the next: an action's while the step
-    holds the same pair object, a block row's while it is the same object,
+    holds the same Action object, a block row's while it is the same object,
     and the observed gripper's while it is equal and not zero (``0.0 ==
     -0.0``, but the two print differently; one object has one set of bits).
     The time's text is reused across every episode given the same ``times``
@@ -83,7 +83,7 @@ def episode_lines(episode: EpisodeRecord, times: dict | None = None) -> list[str
     row_texts = [""] * n_blocks
     for s, action in zip(episode.states, episode.actions):
         if action is not last_action:
-            pos_text, act_g_text = _row(action[0]), _number(action[1])
+            pos_text, act_g_text = _row(action.pos), _number(action.gripper)
             last_action = action
         g = s.gripper
         if g != last_g:

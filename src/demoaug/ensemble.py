@@ -41,11 +41,11 @@ early.  And NumPy's ``exp`` is dispatched to a SIMD kernel chosen by the
 CPU; on AVX-512 it rounds two of the nineteen default-temperature weights
 (ages 1 and 7) differently from ``math.exp``.
 
-Unanimous steps.  The scripted predictor shares one ``Action`` per waypoint,
-so in a clean closed loop the candidates are mostly one object, which is
-tested by identity.  Such a step forms no spread and no sums (each is
+Unanimous steps.  The scripted predictor emits the warped demo's own
+waypoints, so in a clean closed loop the candidates are mostly one object,
+which is tested by identity.  Such a step forms no spread and no sums (each is
 exactly zero) and outputs what the weighted mean gives, ``x0 + 0.0`` per
-coordinate and the clipped ``g0 + 0.0``: the shared ``Action`` itself when
+coordinate and the clipped ``g0 + 0.0``: the shared waypoint itself when
 those are its own bits (no coordinate is +-0.0, and ``0 < g0 <= g_max``),
 else a new one.
 
@@ -67,7 +67,7 @@ from math import fsum
 from operator import is_
 from typing import NamedTuple
 
-from .trajectory import G_MAX_DEFAULT, require_integer, require_real, require_triple
+from .trajectory import G_MAX_DEFAULT, Action, require_integer, require_real
 
 
 class EmptyBuffer(LookupError):
@@ -87,19 +87,6 @@ class EnsembleMode(str, Enum):
 
 SPREAD_MODES = (EnsembleMode.DYNAMIC_K, EnsembleMode.COMBINED)       # k follows the spread
 SUSPENDING_MODES = (EnsembleMode.RESET_ONLY, EnsembleMode.COMBINED)  # can suspend
-
-
-@dataclass(frozen=True, slots=True)
-class Action:
-    """A target position and gripper width, stored as an (x, y, z) float triple,
-    the one position format of the ensembler and the simulator, and a float."""
-
-    pos: tuple[float, float, float]
-    gripper: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "pos", require_triple("Action pos", self.pos))
-        object.__setattr__(self, "gripper", require_real("Action gripper", self.gripper))
 
 
 class ActionChunk(NamedTuple):
@@ -301,7 +288,7 @@ def ensemble_action(state: EnsembleState, t: int) -> Action:
     else:
         cands, ages = candidates(state, t)
         n = len(cands)
-        # the predictor shares one Action per waypoint, so agreement is mostly identity
+        # the predictor emits the demo's own waypoints, so agreement is mostly identity
         first = cands[0]
         unanimous = all(map(is_, cands, repeat(first)))
         warm = state.epoch_step < cfg.warmup_steps

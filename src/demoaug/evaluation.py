@@ -175,7 +175,7 @@ class SeedRun:
                     for other, part in parts[1:]:
                         self._parked.append((policy.fork(), state, t, settled, part, other))
                     members = parts[0][1]
-            state = sim.step(state, (action.pos, action.gripper), ctrl)
+            state = sim.step(state, action, ctrl)
             action = None
             t += 1
             # stop once the plan is exhausted and the servo has settled on its end

@@ -19,18 +19,17 @@ The rollout is a pure function of its start state ``(v, k, steps_on)``:
 servo position as an (x, y, z) float triple, targeted waypoint and steps
 spent on it.  Positions are float triples throughout, as on the rest of the
 control path: the observation is ``SimState.ee_pos`` as it stands, and each
-waypoint is one :class:`~demoaug.ensemble.Action`, shared by every
-noise-free chunk, whose ``pos`` is the waypoint's own ``position`` and the
-servo's target.  The predictor keeps the *trail* of its last rollout, the
-``(v, k, steps_on, action)`` tuple before each of its chunk_len steps and
-after the last one.  A noise-free chunk is the ``action`` of the first
+target is the reference's own waypoint, an :class:`~demoaug.trajectory.Action`
+shared by every noise-free chunk.  The predictor keeps the *trail* of its last
+rollout, the ``(v, k, steps_on, waypoint)`` tuple before each of its chunk_len
+steps and after the last one.  A noise-free chunk is the waypoint of the first
 chunk_len trail entries, taken as they stand; a noisy one adds the rows of
 one ``(chunk_len, 3)`` uniform draw to their triples, one float add per
 coordinate as NumPy would make it.  When a query starts from exactly the
 trail's second state (tuple ``==``, which compares the three coordinates,
-both ints and the Action of the same waypoint), the new rollout is the old
-one shifted by a step, so the trail drops its head and runs one more step
-from its tail; otherwise it restarts from the query's state.  Either way the
+both ints and the same waypoint), the new rollout is the old one shifted by a
+step, so the trail drops its head and runs one more step from its tail;
+otherwise it restarts from the query's state.  Either way the
 same loop extends the trail to chunk_len steps.  A hit is bit-exact: equal
 floats differ at most in the sign of a zero, which no distance the advance
 rule tests can see, and the emitted targets are waypoints picked by index.
@@ -61,9 +60,9 @@ from operator import add, itemgetter
 
 import numpy as np
 
-from .ensemble import Action, ActionChunk
+from .ensemble import ActionChunk
 from .sim import ControllerConfig, advance, servo
-from .trajectory import DemoTrajectory, require_integer, require_real
+from .trajectory import Action, DemoTrajectory, Waypoint, require_integer, require_real
 
 
 @dataclass(frozen=True)
@@ -84,20 +83,20 @@ class ScriptedPolicy:
     """Deterministic chunk predictor tracking one reference trajectory."""
 
     # slots, not a __dict__: fork() copies them without degrading attribute reads
-    __slots__ = ("reference", "chunk_len", "disturbances", "ctrl", "_actions", "_trail",
+    __slots__ = ("reference", "chunk_len", "disturbances", "ctrl", "_trail",
                  "_last", "_timeout_steps", "_obs_history", "_emissions", "_cursor",
                  "_steps_on_cursor", "_rng")
 
     def __init__(self, reference: DemoTrajectory, chunk_len: int = 20,
                  disturbances: DisturbanceConfig | None = None,
                  ctrl: ControllerConfig = ControllerConfig()):
+        require_integer("chunk_len", chunk_len, 1)
         self.reference = reference
         self.chunk_len = chunk_len
         self.disturbances = disturbances or DisturbanceConfig()
         self.ctrl = ctrl
-        self._actions = tuple(Action(w.position, w.gripper) for w in reference.waypoints)
-        self._trail: deque[tuple[tuple[float, float, float], int, int, Action]] = deque()
-        self._last = len(self._actions) - 1
+        self._trail: deque[tuple[tuple[float, float, float], int, int, Waypoint]] = deque()
+        self._last = len(reference.waypoints) - 1
         self._timeout_steps = ctrl.timeout_steps
         # the newest latency + 1 (at most sys.maxsize) observations; the oldest is acted on
         self._obs_history: deque[tuple[float, float, float]] = deque(
@@ -109,7 +108,7 @@ class ScriptedPolicy:
 
     def fork(self) -> ScriptedPolicy:
         """A copy that goes on as this policy would, independently: it owns its trail,
-        observation history, counters and (with noise) Generator; Actions are shared."""
+        observation history, counters and (with noise) Generator; the reference is shared."""
         twin = copy.copy(self)
         twin._trail = self._trail.copy()
         twin._obs_history = self._obs_history.copy()
@@ -127,14 +126,14 @@ class ScriptedPolicy:
 
     def _advance_cursor(self, obs: tuple[float, float, float]) -> None:
         if self._cursor is None:
-            positions = np.array([a.pos for a in self._actions])
+            positions = np.array([w.pos for w in self.reference.waypoints])
             self._cursor = int(np.argmin(np.linalg.norm(positions - obs, axis=1)))
             return
         # timeout T + 1, not T: the cursor holds an unreached waypoint one
         # query longer than replay and rollout hold it, and the pinned
         # closed-loop outcomes depend on that schedule
         self._cursor, self._steps_on_cursor = advance(
-            self._cursor, self._steps_on_cursor, obs, self._actions[self._cursor].pos,
+            self._cursor, self._steps_on_cursor, obs, self.reference.waypoints[self._cursor].pos,
             self._last, self._timeout_steps + 1, self.ctrl.waypoint_advance_radius)
 
     def _hypothesis_offset(self) -> int:
@@ -148,10 +147,10 @@ class ScriptedPolicy:
         ``start``, reusing the previous rollout's trail when this one starts
         from its second state; see the module docstring.
         """
-        ctrl, actions, last = self.ctrl, self._actions, self._last
+        ctrl, waypoints, last = self.ctrl, self.reference.waypoints, self._last
         timeout_steps, radius = self._timeout_steps, ctrl.waypoint_advance_radius
         trail = self._trail
-        head = (obs, start, self._steps_on_cursor, actions[start])
+        head = (obs, start, self._steps_on_cursor, waypoints[start])
         if len(trail) > 1 and trail[1] == head:
             trail.popleft()
         else:
@@ -159,10 +158,10 @@ class ScriptedPolicy:
             trail.append(head)
         v, k, s_on, _ = trail[-1]
         for _ in range(self.chunk_len + 1 - len(trail)):
-            target = actions[k].pos
+            target = waypoints[k].pos
             v = servo(v, target, ctrl)
             k, s_on = advance(k, s_on, v, target, last, timeout_steps, radius)
-            trail.append((v, k, s_on, actions[k]))
+            trail.append((v, k, s_on, waypoints[k]))
         return trail
 
     def predict(self, ee_pos, t: int) -> ActionChunk:
@@ -191,6 +190,6 @@ class ScriptedPolicy:
         if self._cursor is None or self._cursor < self._last:
             return False
         x, y, z = ee_pos
-        gx, gy, gz = self._actions[self._last].pos
+        gx, gy, gz = self.reference.waypoints[self._last].pos
         dx, dy, dz = x - gx, y - gy, z - gz
         return math.sqrt(dx * dx + dy * dy + dz * dz) <= 2 * self.ctrl.waypoint_advance_radius

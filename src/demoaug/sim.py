@@ -15,16 +15,16 @@ floats, ``gripper``, ``blocks``, a tuple of such triples (block centers in
 scene order), ``held`` (index of the one block bound to the end effector, or
 None), ``grasp_offset``, the triple of that block's offset from the end
 effector (None when nothing is held) and ``time``.  Positions are float
-triples everywhere on the control path, as :class:`~demoaug.ensemble.Action`
+triples everywhere on the control path, as :class:`~demoaug.trajectory.Action`
 targets are, so a step converts nothing.  States are never mutated:
 :func:`step` returns a new state, which reuses each block row that did not
 move, so a replay keeps its states as the episode record and serialises them
 only when a dataset is written.
 
 Episode record (:class:`EpisodeRecord`): the state before each control step
-and the ``(position, gripper)`` action pair of the step.  A replay builds one
-pair per waypoint, from its own triple and gripper, and every step on that
-waypoint holds the same pair, whose text the dataset writer then reuses.
+and the step's action.  A replay's action is the warped demo's own waypoint,
+so every step on a waypoint holds that one object, whose text the dataset
+writer then reuses.
 
 Settling.  Every state the module produces has its unheld blocks at rest.
 :func:`initial_state` settles the scene (sampled scenes already rest), and
@@ -43,8 +43,8 @@ import numpy as np
 from . import tasks
 from .tasks import (BLOCK_SIZE, Scene, SuccessSpec, TaskKind, as_task, sample_scene,
                     anchors_for_scene)
-from .trajectory import (DemoTrajectory, augment_segmentwise, require_integer, require_real,
-                         segment_transforms)
+from .trajectory import (Action, DemoTrajectory, augment_segmentwise, require_integer,
+                         require_real, segment_transforms)
 
 SETTLE_EPS = 1e-9
 # Closing the gripper binds the nearest block whose center is within these
@@ -97,7 +97,7 @@ class EpisodeRecord:
     scene's ``block_goals``."""
 
     states: tuple[SimState, ...]
-    actions: tuple[tuple[tuple[float, float, float], float], ...]
+    actions: tuple[Action, ...]
     success: bool
     goals: tuple[tuple[float, float, float], ...]
     provenance: dict = field(default_factory=dict)
@@ -200,22 +200,19 @@ def advance(k: int, steps_on: int, pos, target, last: int,
     return k, steps_on
 
 
-def step(state: SimState, action, cfg: ControllerConfig) -> SimState:
-    """Advance one control period toward (target position, target gripper).
+def step(state: SimState, action: Action, cfg: ControllerConfig) -> SimState:
+    """Advance one control period toward ``action.pos`` and ``action.gripper``.
 
-    The target position is an (x, y, z) sequence of floats, such as
-    ``Action.pos``.  The end effector moves by :func:`servo`; the
-    gripper slews at most max_gripper_speed.  Closing past the block width
-    binds the nearest block within the capture radii, opening back past it
-    releases; the held block keeps its offset from the end effector.
-    ``state`` is left untouched.
+    The end effector moves by :func:`servo`; the gripper slews at most
+    max_gripper_speed.  Closing past the block width binds the nearest block
+    within the capture radii, opening back past it releases; the held block
+    keeps its offset from the end effector.  ``state`` is left untouched.
     """
-    target_pos, target_gripper = action
-    ee = servo(state.ee_pos, target_pos, cfg)
+    ee = servo(state.ee_pos, action.pos, cfg)
     ex, ey, ez = ee
 
     slew = cfg.max_gripper_speed * cfg.dt
-    gripper = state.gripper + min(max(float(target_gripper) - state.gripper, -slew), slew)
+    gripper = state.gripper + min(max(action.gripper - state.gripper, -slew), slew)
 
     blocks = state.blocks
     held, offset = state.held, state.grasp_offset
@@ -250,21 +247,21 @@ def initial_state(traj: DemoTrajectory, scene: Scene) -> SimState:
     w0 = traj.waypoints[0]
     rows = list(scene.block_starts)
     _settle(rows, None)
-    return SimState(ee_pos=w0.position, gripper=w0.gripper, blocks=tuple(rows))
+    return SimState(ee_pos=w0.pos, gripper=w0.gripper, blocks=tuple(rows))
 
 
 def replay(aug: DemoTrajectory, scene: Scene, cfg: ControllerConfig = ControllerConfig(),
            spec: SuccessSpec = SuccessSpec(), provenance: dict | None = None) -> EpisodeRecord:
     """Drive the servo through the trajectory's waypoints and grade the result.
 
-    The active waypoint is the recorded action at every step.  It advances
-    by :func:`advance`: when the end effector comes within the advance
+    The active waypoint itself is the recorded action at every step.  It
+    advances by :func:`advance`: when the end effector comes within the advance
     radius or after the per-waypoint timeout, whichever is first; after the
     final waypoint the controller holds it for the settle time.  Failures
     are recorded in the success flag, never raised.
     """
-    pairs = [(w.position, w.gripper) for w in aug.waypoints]
-    n = len(pairs)
+    waypoints = aug.waypoints
+    n = len(waypoints)
     timeout_steps = cfg.timeout_steps
 
     state = initial_state(aug, scene)
@@ -274,15 +271,15 @@ def replay(aug: DemoTrajectory, scene: Scene, cfg: ControllerConfig = Controller
     steps_on_wp = 0
     while k < n:
         states.append(state)
-        action = pairs[k]
+        action = waypoints[k]
         actions.append(action)
         state = step(state, action, cfg)
-        k, steps_on_wp = advance(k, steps_on_wp, state.ee_pos, action[0], n,
+        k, steps_on_wp = advance(k, steps_on_wp, state.ee_pos, action.pos, n,
                                  timeout_steps, cfg.waypoint_advance_radius)
     for _ in range(cfg.settle_steps):
         states.append(state)
-        actions.append(pairs[-1])
-        state = step(state, pairs[-1], cfg)
+        actions.append(waypoints[-1])
+        state = step(state, waypoints[-1], cfg)
 
     ok = tasks.success(aug.task, state, scene, spec)
     return EpisodeRecord(states=tuple(states), actions=tuple(actions), success=ok,

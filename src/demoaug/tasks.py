@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .trajectory import (AnchorPair, DemoTrajectory, SegmentMismatch, ValidationError,
-                         require_real, require_triple)
+from .trajectory import (PICK_GOAL_Z, WORKSPACE_SIDE, AnchorPair, DemoTrajectory,
+                         SegmentMismatch, ValidationError, require_real, require_triple)
 
 BLOCK_SIZE = 0.04  # m, cube edge
 MAX_REJECTS = 1000
@@ -44,8 +44,8 @@ def as_task(value) -> TaskKind:
 class Workspace:
     """Square x/y extent centered at the origin; pick goals span a z band."""
 
-    side: float = 0.70
-    pick_goal_z: tuple[float, float] = (0.0, 0.20)
+    side: float = WORKSPACE_SIDE
+    pick_goal_z: tuple[float, float] = PICK_GOAL_Z
 
     def __post_init__(self):
         require_real("workspace side", self.side, "positive")

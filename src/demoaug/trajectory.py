@@ -1,16 +1,19 @@
 """Demonstration trajectories: ingestion, validation, piecewise warping.
 
 A demonstration is an ordered list of timestamped end-effector waypoints
-(position + gripper width) partitioned into contiguous sub-task segments.
-Each segment carries the annotated manipulation endpoints (pickup point and
-object goal) recorded with the demo; those endpoints are the recorded half
-of the anchor pair that pins the segment's warp.
+partitioned into contiguous sub-task segments.  Each segment carries the
+annotated manipulation endpoints (pickup point and object goal) recorded with
+the demo; those endpoints are the recorded half of the anchor pair that pins
+the segment's warp.
 
-Every position is an (x, y, z) tuple of Python floats: waypoint positions,
-segment anchors, :class:`AnchorPair` fields and ``Scene`` rows, which the
-simulator, predictor and dataset writer take as they stand.  NumPy stays in
-:mod:`~demoaug.geometry`; :func:`augment_segmentwise` feeds it one segment's
-rows at a time.
+One target type: a :class:`Waypoint` is an :class:`Action`, a target position
+and gripper width, with a time.  The warped demo's own waypoints are what the
+replay records and the predictor's noise-free chunks hold, so the ensembler,
+simulator and dataset writer read them as they stand.  Every position is an
+(x, y, z) tuple of Python floats, taken as it stands: action positions,
+segment anchors, :class:`AnchorPair` fields and ``Scene`` rows.  NumPy stays
+in :mod:`~demoaug.geometry`; :func:`augment_segmentwise` feeds it one
+segment's rows at a time.
 
 Input rule.  Three checks here are the one place that says which numbers from
 outside the program are valid; each failure raises :class:`ValidationError`
@@ -32,6 +35,8 @@ from .geometry import EPS_LEN, GeometryError, transform_from_anchors
 
 DEMO_FORMAT_VERSION = 1
 G_MAX_DEFAULT = 0.08      # m; parallel-plate gripper fully open
+WORKSPACE_SIDE = 0.70     # m; default square workspace centered at the origin
+PICK_GOAL_Z = (0.0, 0.20)  # m; default height band of pick-and-place goals
 POSITION_MARGIN = 0.2     # m; slack around the nominal workspace at parse time
 
 Vec3 = tuple[float, float, float]
@@ -87,21 +92,31 @@ def require_triple(name: str, value) -> Vec3:
 
 
 def default_position_bounds() -> tuple[Vec3, Vec3]:
-    """Axis-aligned box accepted for recorded waypoints.
-
-    The default 0.70 m square workspace around the origin with goals up to
-    0.20 m, padded by POSITION_MARGIN on every side.
-    """
-    lo = tuple(x - POSITION_MARGIN for x in (-0.35, -0.35, 0.0))
-    hi = tuple(x + POSITION_MARGIN for x in (0.35, 0.35, 0.20))
+    """Axis-aligned box accepted for recorded waypoints: the default workspace
+    (``tasks.Workspace()``), padded by POSITION_MARGIN on every side."""
+    half = WORKSPACE_SIDE / 2.0
+    lo = tuple(x - POSITION_MARGIN for x in (-half, -half, PICK_GOAL_Z[0]))
+    hi = tuple(x + POSITION_MARGIN for x in (half, half, PICK_GOAL_Z[1]))
     return lo, hi
 
 
-@dataclass(frozen=True)
-class Waypoint:
-    time: float
-    position: Vec3
+@dataclass(frozen=True, slots=True)
+class Action:
+    """A target position, an (x, y, z) float triple, and a gripper width, a float."""
+
+    pos: Vec3
     gripper: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "pos", require_triple("Action pos", self.pos))
+        object.__setattr__(self, "gripper", require_real("Action gripper", self.gripper))
+
+
+@dataclass(frozen=True, slots=True)
+class Waypoint(Action):
+    """A demo's target from ``time`` on, an :class:`Action` as it stands."""
+
+    time: float
 
 
 @dataclass(frozen=True)
@@ -147,6 +162,7 @@ class DemoTrajectory:
     def __post_init__(self):
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
         object.__setattr__(self, "segments", tuple(self.segments))
+        object.__setattr__(self, "g_max", require_real("g_max", self.g_max, "positive"))
         self._check_structure()
 
     def _check_structure(self):
@@ -208,7 +224,7 @@ def parse_demo(document) -> DemoTrajectory:
     if version != DEMO_FORMAT_VERSION:
         raise ParseError(f"unknown format_version {version} (supported: {DEMO_FORMAT_VERSION})")
     task = _require(document, "task", str)
-    g_max = require_real("g_max", _require(document, "g_max", float), "positive")
+    g_max = _require(document, "g_max", float)
     source_id = document.get("source_id", "unnamed")
 
     raw_waypoints = _require(document, "waypoints", list)
@@ -219,7 +235,7 @@ def parse_demo(document) -> DemoTrajectory:
         where = f"waypoint {i}"
         t, g = (require_real(f"{where} key {key!r}", _require(entry, key, float, where))
                 for key in ("t", "g"))
-        waypoints.append(Waypoint(time=t, position=_vec3(entry, "p", where), gripper=g))
+        waypoints.append(Waypoint(pos=_vec3(entry, "p", where), gripper=g, time=t))
 
     raw_segments = _require(document, "segments", list)
     segments = []
@@ -239,10 +255,10 @@ def parse_demo(document) -> DemoTrajectory:
 
     lo, hi = default_position_bounds()
     for i, w in enumerate(demo.waypoints):
-        if not (0.0 <= w.gripper <= g_max):
-            raise ValidationError(f"waypoint {i} gripper {w.gripper} outside [0, {g_max}]")
-        if not all(l <= x <= h for x, l, h in zip(w.position, lo, hi)):
-            raise ValidationError(f"waypoint {i} position {list(w.position)} outside bounds")
+        if not (0.0 <= w.gripper <= demo.g_max):
+            raise ValidationError(f"waypoint {i} gripper {w.gripper} outside [0, {demo.g_max}]")
+        if not all(l <= x <= h for x, l, h in zip(w.pos, lo, hi)):
+            raise ValidationError(f"waypoint {i} position {list(w.pos)} outside bounds")
     return demo
 
 
@@ -264,7 +280,7 @@ def demo_to_document(demo: DemoTrajectory) -> dict:
             for s in demo.segments
         ],
         "waypoints": [
-            {"t": w.time, "p": list(w.position), "g": w.gripper} for w in demo.waypoints
+            {"t": w.time, "p": list(w.pos), "g": w.gripper} for w in demo.waypoints
         ],
     }
 
@@ -298,8 +314,8 @@ def augment_segmentwise(demo: DemoTrajectory, anchors, transforms=None) -> DemoT
     new_segments = []
     for seg, pair, tf in zip(demo.segments, anchors, transforms):
         recorded = demo.waypoints[seg.start:seg.stop]
-        warped = tf.apply([w.position for w in recorded]).tolist()
-        new_waypoints += [Waypoint(w.time, (x, y, z), w.gripper)
+        warped = tf.apply([w.pos for w in recorded]).tolist()
+        new_waypoints += [Waypoint(pos=(x, y, z), gripper=w.gripper, time=w.time)
                           for w, (x, y, z) in zip(recorded, warped)]
         new_segments.append(replace(seg, anchor_start=pair.g_s, anchor_goal=pair.g_g))
     return DemoTrajectory(waypoints=tuple(new_waypoints), segments=tuple(new_segments),

@@ -11,6 +11,7 @@ from demoaug.dataset import canonical_json, episode_lines, write_dataset
 from demoaug.demos import reference_demo
 from demoaug.sim import EpisodeRecord, SimState, run_campaign
 from demoaug.tasks import Scene, TaskKind
+from demoaug.trajectory import Action, ValidationError
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "src" / "demoaug" / "demos"
 PUSH = str(DEMO_DIR / "push.json")
@@ -64,8 +65,8 @@ def oracle_lines(episode: EpisodeRecord) -> list[str]:
             "held": [i == s.held for i in range(len(s.blocks))],
             "goals": goals,
         },
-        "action": {"pos": list(pos), "gripper": gripper},
-    }) for s, (pos, gripper) in zip(episode.states, episode.actions)]
+        "action": {"pos": list(a.pos), "gripper": a.gripper},
+    }) for s, a in zip(episode.states, episode.actions)]
 
 
 def oracle_diagnostics_line(s) -> str:
@@ -82,7 +83,7 @@ def oracle_diagnostics_line(s) -> str:
 def handmade_episode(zero: float = 0.0, other: float = -0.0) -> EpisodeRecord:
     """Two blocks, signed zeros that flip between steps in every reused
     value, a held index that switches on and off, and action rows that
-    repeat and change.  Every step has its own action pair and block rows,
+    repeat and change.  Every step has its own Action and block rows,
     so a value that only flips its zero's sign is a new object."""
     rows = [
         ([[zero, 0.1, 0.02], [0.3, -0.2, 0.02]], None, 0.08, zero),
@@ -101,7 +102,7 @@ def handmade_episode(zero: float = 0.0, other: float = -0.0) -> EpisodeRecord:
                   (0.1, 0.1, 0.12), (0.1, 0.1, 0.12), (0.2, zero, 0.12),
                   (0.2, other, 0.12)]
     action_gripper = [zero, other, other, 0.08, 0.08, zero, zero]
-    actions = tuple((tuple(pos), gripper) for pos, gripper in zip(action_pos, action_gripper))
+    actions = tuple(map(Action, action_pos, action_gripper))
     return EpisodeRecord(states=states, actions=actions, success=True,
                          goals=((zero, 0.1, 0.02), (other, 0.1, 0.06)))
 
@@ -119,11 +120,11 @@ def nonfinite_episode(field: str, bad: float) -> EpisodeRecord:
                         blocks=(last.blocks[0], (x, y, bad)), time=last.time)
     elif field == "gripper":
         last = SimState(ee_pos=last.ee_pos, gripper=bad, blocks=last.blocks, time=last.time)
-    action = pos, gripper = ep.actions[-1]
+    action = ep.actions[-1]
     if field == "action_pos":
-        action = ((bad, *pos[1:]), gripper)
+        action = Action((bad, *action.pos[1:]), action.gripper)
     elif field == "action_gripper":
-        action = (pos, bad)
+        action = Action(action.pos, bad)
     return EpisodeRecord(states=ep.states[:-1] + (last,), actions=ep.actions[:-1] + (action,),
                          success=True, goals=ep.goals)
 
@@ -155,6 +156,11 @@ class TestDatasetIO:
                                        "action_gripper"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_values_raise(self, field, bad):
+        if field.startswith("action_"):
+            # an Action holds no NaN or inf, so no episode's action can
+            with pytest.raises(ValidationError, match="Action"):
+                nonfinite_episode(field, bad)
+            return
         ep = nonfinite_episode(field, bad)
         with pytest.raises(ValueError):
             oracle_lines(ep)

@@ -164,7 +164,7 @@ class TestClosedLoop:
         widths, real_step = [], sim.step
 
         def recording_step(state, action, cfg):
-            widths.append(action[1])
+            widths.append(action.gripper)
             return real_step(state, action, cfg)
 
         monkeypatch.setattr(sim, "step", recording_step)
@@ -329,34 +329,30 @@ class TestPositionFormat:
         aug = augment_segmentwise(demo, anchors)
         ep = sim.replay(aug, scene)
         assert ep.goals is scene.block_goals
-        triples = [*scene.block_starts, *scene.block_goals, *(pos for pos, _ in ep.actions)]
+        triples = [*scene.block_starts, *scene.block_goals, *(a.pos for a in ep.actions)]
         for d in (demo, aug):
-            triples += [w.position for w in d.waypoints]
+            triples += [w.pos for w in d.waypoints]
             triples += [p for s in d.segments for p in (s.anchor_start, s.anchor_goal)]
         triples += [p for a in anchors for p in (a.r_s, a.r_g, a.g_s, a.g_g)]
         assert {type(p) for p in triples} == {tuple}
         assert {len(p) for p in triples} == {3}
         assert {type(x) for p in triples for x in p} == {float}
-        assert {type(g) for _, g in ep.actions} == {float}
+        assert {type(a.gripper) for a in ep.actions} == {float}
 
     @pytest.mark.parametrize("task", list(TaskKind))
-    def test_replay_shares_one_action_pair_per_waypoint(self, task, request):
-        # the dataset writer reuses an action's text while the pair is the same object
+    def test_replay_records_the_warped_waypoints(self, task, request):
+        # the dataset writer reuses an action's text while the Action is the same object
         demo = request.getfixturevalue(f"{task.value}_demo")
         scene = sample_scene(task, Workspace(), 5)
         aug = augment_segmentwise(demo, anchors_for_scene(task, demo, scene))
         ep = sim.replay(aug, scene)
-        waypoint_of = {id(w.position): k for k, w in enumerate(aug.waypoints)}
-        assert len(waypoint_of) == len(aug.waypoints)
-        pairs, targeted = {}, []
-        for action in ep.actions:
-            k = waypoint_of[id(action[0])]
-            assert action is pairs.setdefault(k, action)
-            assert action[1] == aug.waypoints[k].gripper
-            targeted.append(k)
+        waypoint_of = {id(w): k for k, w in enumerate(aug.waypoints)}
+        targeted = [waypoint_of[id(action)] for action in ep.actions]
+        for action, k in zip(ep.actions, targeted):
+            assert action is aug.waypoints[k]
         assert targeted == sorted(targeted)
         assert set(targeted) == set(range(len(aug.waypoints)))
-        assert len(ep.actions) > 2 * len(pairs)
+        assert len(ep.actions) > 2 * len(aug.waypoints)
 
     @pytest.mark.parametrize("module", ["trajectory", "dataset", "ensemble", "evaluation", "cli"])
     def test_module_imports_no_numpy(self, module):

@@ -11,7 +11,7 @@ from demoaug.evaluation import prepare_episode, run_closed_loop_episode
 from demoaug.policy import DisturbanceConfig, ScriptedPolicy
 from demoaug.sim import ControllerConfig, advance, replay, servo
 from demoaug.tasks import Scene
-from demoaug.trajectory import DemoTrajectory, Segment, Waypoint
+from demoaug.trajectory import DemoTrajectory, Segment, ValidationError, Waypoint
 
 
 def closed_loop(task, demo, seed, cfg, disturbances=DisturbanceConfig()):
@@ -22,10 +22,10 @@ def closed_loop(task, demo, seed, cfg, disturbances=DisturbanceConfig()):
 
 def line_demo(spacing, n=60, gripper=0.08):
     """Straight line along x with uniform waypoint spacing."""
-    wps = tuple(Waypoint(time=0.05 * i, position=(i * spacing, 0.0, 0.05), gripper=gripper)
+    wps = tuple(Waypoint(time=0.05 * i, pos=(i * spacing, 0.0, 0.05), gripper=gripper)
                 for i in range(n))
     seg = Segment(label="line", start=0, stop=n,
-                  anchor_start=wps[0].position, anchor_goal=wps[-1].position)
+                  anchor_start=wps[0].pos, anchor_goal=wps[-1].pos)
     return DemoTrajectory(waypoints=wps, segments=(seg,), task="push")
 
 
@@ -35,7 +35,7 @@ class TestTracking:
         a = ScriptedPolicy(demo, disturbances=DisturbanceConfig(noise=0.01, seed=4))
         b = ScriptedPolicy(demo, disturbances=DisturbanceConfig(noise=0.01, seed=4))
         for t in range(10):
-            obs = demo.waypoints[min(t, 59)].position
+            obs = demo.waypoints[min(t, 59)].pos
             ca, cb = a.predict(obs, t), b.predict(obs, t)
             for x, y in zip(ca.actions, cb.actions):
                 np.testing.assert_array_equal(x.pos, y.pos)
@@ -45,17 +45,17 @@ class TestTracking:
         demo = line_demo(0.008)
         policy = ScriptedPolicy(demo)
         for t in range(20):
-            policy.predict(demo.waypoints[t].position, t)
+            policy.predict(demo.waypoints[t].pos, t)
         # arrival every step advances the cursor one waypoint per emission
         assert policy.cursor == 19
 
     def test_finished_at_end(self):
         demo = line_demo(0.008, n=10)
         policy = ScriptedPolicy(demo)
-        end = demo.waypoints[-1].position
+        end = demo.waypoints[-1].pos
         assert not policy.finished(end)
         for t in range(30):
-            policy.predict(end if t > 10 else demo.waypoints[min(t, 9)].position, t)
+            policy.predict(end if t > 10 else demo.waypoints[min(t, 9)].pos, t)
         assert policy.finished(end)
 
 
@@ -78,14 +78,14 @@ class TestWaypointSchedules:
     def test_replay_holds_each_waypoint_t_steps(self):
         scene = Scene(block_starts=([0.5, 3.0, 0.02],), block_goals=([1.5, 3.0, 0.02],))
         ep = replay(self.demo(), scene, self.CTRL)
-        targets = [round(pos[0]) for pos, _ in ep.actions]
+        targets = [round(a.pos[0]) for a in ep.actions]
         held = [k for k in range(1, self.N) for _ in range(2)]
         assert targets == [0] + held + [self.N - 1] * self.CTRL.settle_steps
 
     def test_rollout_holds_each_waypoint_t_steps(self):
         demo = self.demo()
         policy = ScriptedPolicy(demo, chunk_len=9, ctrl=self.CTRL)
-        chunk = policy.predict(demo.waypoints[0].position, 0)
+        chunk = policy.predict(demo.waypoints[0].pos, 0)
         assert [round(a.pos[0]) for a in chunk.actions] == [0, 1, 1, 2, 2, 3, 3, 4, 4]
 
     def test_cursor_holds_each_waypoint_t_plus_one_queries(self):
@@ -93,7 +93,7 @@ class TestWaypointSchedules:
         policy = ScriptedPolicy(demo, ctrl=self.CTRL)
         cursors = []
         for t in range(13):
-            policy.predict(demo.waypoints[0].position, t)
+            policy.predict(demo.waypoints[0].pos, t)
             cursors.append(policy.cursor)
         assert cursors == [0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
 
@@ -115,7 +115,7 @@ class TestBimodalSwitcher:
         demo = line_demo(spacing)
         policy = ScriptedPolicy(demo, disturbances=DisturbanceConfig(
             bimodal_period=1, bimodal_gap=gap))
-        obs = demo.waypoints[0].position
+        obs = demo.waypoints[0].pos
         chunks = [policy.predict(obs, t) for t in range(4)]
         # once the cursor settles, emissions alternate between plans offset
         # by exactly `gap` waypoints
@@ -126,7 +126,7 @@ class TestBimodalSwitcher:
         demo = line_demo(0.05)
         policy = ScriptedPolicy(demo, disturbances=DisturbanceConfig(
             bimodal_period=2, bimodal_gap=3))
-        obs = demo.waypoints[0].position
+        obs = demo.waypoints[0].pos
         starts = [policy.predict(obs, t).actions[0].pos[0] for t in range(8)]
         offsets = [round(x / 0.05) for x in starts]
         # once the cursor settles (emission 2 on), hypotheses alternate in
@@ -148,7 +148,7 @@ class TestLatency:
         lagged = ScriptedPolicy(demo, disturbances=DisturbanceConfig(latency=3))
         clean = ScriptedPolicy(demo)
         for t in range(30):
-            obs = demo.waypoints[t].position
+            obs = demo.waypoints[t].pos
             lagged.predict(obs, t)
             clean.predict(obs, t)
         assert clean.cursor == 29
@@ -181,7 +181,7 @@ class TestLatency:
     def test_latency_past_any_episode_holds_the_first_observation(self, push_demo):
         # a deque's maxlen stops at sys.maxsize; any window longer than the
         # episode acts on the first observation alone
-        observations = [w.position for w in push_demo.waypoints[:30]]
+        observations = [w.pos for w in push_demo.waypoints[:30]]
         chunks = []
         for latency in (sys.maxsize, 10 ** 6):
             policy = ScriptedPolicy(push_demo, 20, DisturbanceConfig(latency=latency))
@@ -203,7 +203,7 @@ class TestFork:
     @staticmethod
     def observations(demo, shift, n=40):
         last = len(demo.waypoints) - 1
-        return [tuple(x + shift for x in demo.waypoints[min(t, last)].position)
+        return [tuple(x + shift for x in demo.waypoints[min(t, last)].pos)
                 for t in range(n)]
 
     @pytest.mark.parametrize("disturbances", [
@@ -228,18 +228,18 @@ class TestFork:
             assert (policy.cursor, policy.finished(tail[-1])) == \
                    (fresh.cursor, fresh.finished(tail[-1]))
 
-    def test_actions_hold_the_warped_demo_positions(self, stack_demo):
+    def test_noise_free_chunks_hold_the_warped_waypoints(self, stack_demo):
         disturbances = DisturbanceConfig(latency=3, bimodal_period=2)
         _, aug, seeded = prepare_episode("stack", stack_demo, 3, disturbances=disturbances)
         policy = ScriptedPolicy(aug, 20, seeded)
-        assert len(policy._actions) == len(aug.waypoints)
-        for action, waypoint in zip(policy._actions, aug.waypoints):
-            assert action.pos is waypoint.position
+        waypoint_ids = {id(w) for w in aug.waypoints}
+        for t, w in enumerate(aug.waypoints):
+            assert {id(a) for a in policy.predict(w.pos, t).actions} <= waypoint_ids
 
     def test_fork_shares_what_it_never_changes(self, push_demo):
         clean = ScriptedPolicy(push_demo, disturbances=DisturbanceConfig(latency=3))
         twin = clean.fork()
-        assert twin._actions is clean._actions and twin._rng is clean._rng
+        assert twin.reference is clean.reference and twin._rng is clean._rng
         assert twin._trail is not clean._trail and twin._obs_history is not clean._obs_history
         assert twin._obs_history.maxlen == clean._obs_history.maxlen == 4
         noisy = ScriptedPolicy(push_demo, disturbances=DisturbanceConfig(noise=0.01))
@@ -270,7 +270,7 @@ class TestNoise:
         noisy = ScriptedPolicy(demo, disturbances=DisturbanceConfig(noise=eta, seed=8))
         clean = ScriptedPolicy(demo)
         for t in range(10):
-            obs = demo.waypoints[t].position
+            obs = demo.waypoints[t].pos
             cn = noisy.predict(obs, t)
             cc = clean.predict(obs, t)
             diffs = np.array([np.subtract(n.pos, c.pos) for n, c in zip(cn.actions, cc.actions)])
@@ -280,14 +280,20 @@ class TestNoise:
     def test_predict_emits_full_chunk(self):
         demo = line_demo(0.008)
         policy = ScriptedPolicy(demo)
-        chunk = policy.predict(demo.waypoints[0].position, 0)
+        chunk = policy.predict(demo.waypoints[0].pos, 0)
         assert chunk.emitted_at == 0
         assert len(chunk.actions) == policy.chunk_len
+
+    @pytest.mark.parametrize("chunk_len", [0, -1, True, 2.5, "3"])
+    def test_bad_chunk_len_rejected(self, chunk_len):
+        # refused when the policy is built, not part-way through a rollout
+        with pytest.raises(ValidationError, match="chunk_len must be an integer"):
+            ScriptedPolicy(line_demo(0.008), chunk_len=chunk_len)
 
 
 def scratch_rollout(policy, obs, start, steps_on):
     """Waypoint indices a chunk_len-step servo rollout targets, simulated from scratch."""
-    positions = [w.position for w in policy.reference.waypoints]
+    positions = [w.pos for w in policy.reference.waypoints]
     ctrl, last = policy.ctrl, len(positions) - 1
     v, k = obs, start
     idx = []
@@ -304,8 +310,8 @@ def scratch_rollout(policy, obs, start, steps_on):
 def checked_chunks(monkeypatch):
     """Check every chunk ScriptedPolicy.predict emits against a scratch
     rollout from the start it asked ``_rollout`` for; returns the list of
-    checked steps.  A noise-free chunk must also hold each waypoint's one
-    shared Action, which the ensembler's unanimity test relies on."""
+    checked steps.  A noise-free chunk must also hold the reference's own
+    Waypoint objects, which the ensembler's unanimity test relies on."""
     real_rollout, real_predict = ScriptedPolicy._rollout, ScriptedPolicy.predict
     starts, rngs, checked = [], {}, []
 
@@ -317,14 +323,14 @@ def checked_chunks(monkeypatch):
         chunk = real_predict(self, ee_pos, t)
         idx = scratch_rollout(self, *starts.pop())
         waypoints = [self.reference.waypoints[k] for k in idx]
-        pos = np.array([w.position for w in waypoints])
+        pos = np.array([w.pos for w in waypoints])
         grip = np.array([w.gripper for w in waypoints])
         noise = self.disturbances.noise
         if noise > 0:
             rng = rngs.setdefault(id(self), np.random.default_rng(self.disturbances.seed))
             pos = pos + rng.uniform(-noise, noise, size=pos.shape)
         else:
-            assert all(a is self._actions[k] for a, k in zip(chunk.actions, idx))
+            assert all(a is w for a, w in zip(chunk.actions, waypoints))
         assert np.array_equal(np.array([a.pos for a in chunk.actions]), pos)
         assert np.array_equal(np.array([a.gripper for a in chunk.actions]), grip)
         checked.append(t)
@@ -358,7 +364,7 @@ class TestIncrementalRollout:
         demo = line_demo(1.0, n=12)
         policy = ScriptedPolicy(demo, chunk_len=6, ctrl=ctrl, disturbances=DisturbanceConfig(
             bimodal_period=1, bimodal_gap=1))
-        pos = demo.waypoints[0].position
+        pos = demo.waypoints[0].pos
         for t in range(30):
             pos = servo(pos, policy.predict(pos, t).actions[0].pos, ctrl)
         assert len(checked_chunks) == 30
@@ -384,8 +390,8 @@ class TestIncrementalRollout:
 
     def test_predicted_positions_are_read_only(self):
         demo = line_demo(0.008)
-        chunk = ScriptedPolicy(demo).predict(demo.waypoints[0].position, 0)
+        chunk = ScriptedPolicy(demo).predict(demo.waypoints[0].pos, 0)
         # a position is a tuple, so no Action sharing it can be written through
         with pytest.raises(TypeError):
             chunk.actions[0].pos[0] = 1.0
-        assert type(demo.waypoints[0].position) is tuple
+        assert type(demo.waypoints[0].pos) is tuple

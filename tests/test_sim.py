@@ -13,7 +13,7 @@ from demoaug.sim import (
 )
 from demoaug.tasks import (Scene, SuccessSpec, TaskKind, Workspace, anchors_for_scene,
                            recorded_scene, sample_scene)
-from demoaug.trajectory import augment_segmentwise
+from demoaug.trajectory import Action, augment_segmentwise
 
 CFG = ControllerConfig()
 
@@ -27,7 +27,7 @@ def bare_state(ee=(0, 0, 0.1), gripper=0.08, blocks=(), held=None):
 class TestStep:
     def test_fixed_point(self):
         state = bare_state(blocks=[(0.2, 0.0, 0.02)])
-        out = step(state, (state.ee_pos, state.gripper), CFG)
+        out = step(state, Action(state.ee_pos, state.gripper), CFG)
         np.testing.assert_array_equal(out.ee_pos, state.ee_pos)
         assert out.gripper == state.gripper
         np.testing.assert_array_equal(out.blocks, state.blocks)
@@ -37,17 +37,17 @@ class TestStep:
     def test_speed_clamp(self):
         # clamp(5 * 1, 0.5) * 0.05 = 0.025 along x
         state = bare_state(ee=(0, 0, 0))
-        out = step(state, (np.array([1.0, 0, 0]), 0.08), CFG)
+        out = step(state, Action((1.0, 0.0, 0.0), 0.08), CFG)
         np.testing.assert_allclose(out.ee_pos, [0.025, 0, 0], atol=1e-12)
 
     def test_unclamped_proportional(self):
         state = bare_state(ee=(0, 0, 0))
-        out = step(state, (np.array([0.04, 0, 0]), 0.08), CFG)
+        out = step(state, Action((0.04, 0.0, 0.0), 0.08), CFG)
         np.testing.assert_allclose(out.ee_pos, [0.01, 0, 0], atol=1e-12)
 
     def test_gripper_slew_limit(self):
         state = bare_state()
-        out = step(state, (state.ee_pos, 0.0), CFG)
+        out = step(state, Action(state.ee_pos, 0.0), CFG)
         assert out.gripper == pytest.approx(0.08 - CFG.max_gripper_speed * CFG.dt)
 
     def test_stability_validation(self):
@@ -64,29 +64,29 @@ class TestStep:
 
     def test_grasp_on_close_crossing(self):
         state = bare_state(ee=(0.2, 0.0, 0.03), gripper=0.045, blocks=[(0.2, 0.0, 0.02)])
-        out = step(state, (state.ee_pos, 0.0), CFG)
+        out = step(state, Action(state.ee_pos, 0.0), CFG)
         assert out.held == 0
         # held block keeps a fixed offset from the end effector afterwards
         offset = np.subtract(out.blocks[0], out.ee_pos)
         np.testing.assert_array_equal(out.grasp_offset, offset)
-        out2 = step(out, (np.array([0.3, 0.1, 0.10]), 0.0), CFG)
+        out2 = step(out, Action((0.3, 0.1, 0.10), 0.0), CFG)
         np.testing.assert_allclose(np.subtract(out2.blocks[0], out2.ee_pos), offset, atol=1e-12)
 
     def test_no_grasp_outside_capture(self):
         state = bare_state(ee=(0.2, 0.0, 0.03), gripper=0.045, blocks=[(0.26, 0.0, 0.02)])
-        out = step(state, (state.ee_pos, 0.0), CFG)
+        out = step(state, Action(state.ee_pos, 0.0), CFG)
         assert out.held is None
 
     def test_release_drops_to_table(self):
         held = bare_state(ee=(0.1, 0.1, 0.15), gripper=0.03, blocks=[(0.1, 0.1, 0.15)], held=0)
-        out = step(held, (held.ee_pos, 0.08), CFG)
+        out = step(held, Action(held.ee_pos, 0.08), CFG)
         assert out.held is None and out.grasp_offset is None
         assert out.blocks[0][2] == pytest.approx(0.02)
 
     def test_release_stacks_on_support(self):
         held = bare_state(ee=(0.0, 0.0, 0.06), gripper=0.03,
                           blocks=[(0.0, 0.0, 0.06), (0.005, 0.0, 0.02)], held=0)
-        out = step(held, (held.ee_pos, 0.08), CFG)
+        out = step(held, Action(held.ee_pos, 0.08), CFG)
         assert out.blocks[0][2] == pytest.approx(0.06)
         assert out.blocks[1][2] == pytest.approx(0.02)
 
@@ -96,26 +96,26 @@ class TestStep:
                            blocks=[(0.0, 0.0, 0.02), (0.0, 0.0, 0.06)], held=0)
         out = state
         for _ in range(20):
-            out = step(out, (np.array([0.3, 0.0, 0.02]), 0.03), CFG)
+            out = step(out, Action((0.3, 0.0, 0.02), 0.03), CFG)
         assert out.blocks[1][2] == pytest.approx(0.02)
 
     @pytest.mark.parametrize("state, action", [
         # grasp: closing past the block width binds the block
         (bare_state(ee=(0.2, 0.0, 0.03), gripper=0.045, blocks=[(0.2, 0.0, 0.02)]),
-         ((0.2, 0.0, 0.03), 0.0)),
+         Action((0.2, 0.0, 0.03), 0.0)),
         # carry: the lower block moves with the end effector, the upper one falls
         (bare_state(ee=(0.0, 0.0, 0.02), gripper=0.03,
                     blocks=[(0.0, 0.0, 0.02), (0.0, 0.0, 0.06)], held=0),
-         ((0.3, 0.0, 0.02), 0.03)),
+         Action((0.3, 0.0, 0.02), 0.03)),
         # release onto a support
         (bare_state(ee=(0.0, 0.0, 0.07), gripper=0.03,
                     blocks=[(0.0, 0.0, 0.07), (0.005, 0.0, 0.02)], held=0),
-         ((0.0, 0.0, 0.07), 0.08)),
+         Action((0.0, 0.0, 0.07), 0.08)),
     ])
     def test_leaves_input_state_unchanged(self, state, action):
         # replay keeps every state it steps through as the episode record
         before = copy.deepcopy(state)
-        step(state, (np.asarray(action[0], float), action[1]), CFG)
+        step(state, action, CFG)
         for name in ("ee_pos", "blocks", "grasp_offset"):
             np.testing.assert_array_equal(getattr(state, name), getattr(before, name))
         assert (state.gripper, state.held, state.time) == \
@@ -151,7 +151,7 @@ class TestSettling:
         # two stacked blocks and a third on the table; the gripper stays open
         state = bare_state(ee=(0.3, 0.3, 0.2),
                            blocks=[(0.0, 0.0, 0.02), (0.0, 0.0, 0.06), (0.2, 0.1, 0.02)])
-        out = step(state, ((0.0, 0.0, 0.1), 0.08), CFG)
+        out = step(state, Action((0.0, 0.0, 0.1), 0.08), CFG)
         assert out.held is None
         assert out.ee_pos != state.ee_pos
         assert all(a is b for a, b in zip(out.blocks, state.blocks))
@@ -210,7 +210,7 @@ class TestPortableNorm:
         for p, t in pairs:
             expected = servo_by_hand(p, t, CFG)
             assert servo(p, t, CFG) == expected
-            assert step(bare_state(ee=p), (t, 0.08), CFG).ee_pos == tuple(expected)
+            assert step(bare_state(ee=p), Action(t, 0.08), CFG).ee_pos == tuple(expected)
         # the kept pairs tell the two formulas apart
         assert any(servo_by_hand(p, t, CFG, fused_sum_of_squares) != servo_by_hand(p, t, CFG)
                    for p, t in pairs)

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from demoaug.demos import fixture_manifest, reference_demo
 from demoaug.ensemble import Action, EnsembleConfig, EnsembleState
 from demoaug.geometry import transform_from_anchors
-from demoaug.policy import DisturbanceConfig
+from demoaug.policy import DisturbanceConfig, ScriptedPolicy
 from demoaug.sim import ControllerConfig
 from demoaug.tasks import Scene, SuccessSpec, Workspace, anchors_for_scene, recorded_scene
 from demoaug.trajectory import (
@@ -38,7 +39,7 @@ def minimal_doc(**overrides):
 
 
 def positions(demo) -> np.ndarray:
-    return np.array([w.position for w in demo.waypoints])
+    return np.array([w.pos for w in demo.waypoints])
 
 
 def grippers(demo) -> list[float]:
@@ -116,8 +117,13 @@ class TestParse:
         with pytest.raises(ValidationError, match="gripper"):
             parse_demo(doc)
 
+    @pytest.mark.parametrize("g_max", [math.nan, math.inf, -1.0, 0.0])
+    def test_demo_trajectory_checks_g_max(self, g_max):
+        demo = parse_demo(minimal_doc())
+        with pytest.raises(ValidationError, match="g_max must be positive and finite"):
+            replace(demo, g_max=g_max)
+
     def test_default_bounds_are_the_default_workspace_padded(self):
-        # written out in trajectory, which tasks imports, so it cannot read Workspace
         ws = Workspace()
         assert default_position_bounds() == (
             tuple(x - POSITION_MARGIN for x in (-ws.half, -ws.half, ws.pick_goal_z[0])),
@@ -183,7 +189,7 @@ def demo_strategy(draw):
     for count in counts:
         start = len(waypoints)
         for _ in range(count):
-            waypoints.append(Waypoint(time=t, position=point(),
+            waypoints.append(Waypoint(time=t, pos=point(),
                                       gripper=draw(st.floats(0.0, g_max))))
             t += draw(st.floats(1e-3, 1.0))
         segments.append(Segment(label=draw(st.text(max_size=8)), start=start,
@@ -256,8 +262,8 @@ class TestAugment:
         pair = AnchorPair(r_s=seg.anchor_start, r_g=seg.anchor_goal,
                           g_s=[0.0, 0.0, 0.02], g_g=[0.0, 0.1, 0.02])
         aug = augment_segmentwise(demo, [pair])
-        np.testing.assert_allclose(aug.waypoints[0].position, [0.0, 0.0, 0.02], atol=1e-9)
-        np.testing.assert_allclose(aug.waypoints[-1].position, [0.0, 0.1, 0.02], atol=1e-9)
+        np.testing.assert_allclose(aug.waypoints[0].pos, [0.0, 0.0, 0.02], atol=1e-9)
+        np.testing.assert_allclose(aug.waypoints[-1].pos, [0.0, 0.1, 0.02], atol=1e-9)
 
     def test_piecewise_boundary_uses_own_segment_transform(self):
         demo = two_segment_demo()
@@ -271,11 +277,11 @@ class TestAugment:
         tf_0 = transform_from_anchors(pairs[0].r_s, pairs[0].r_g, pairs[0].g_s, pairs[0].g_g)
         tf_1 = transform_from_anchors(pairs[1].r_s, pairs[1].r_g, pairs[1].g_s, pairs[1].g_g)
         boundary = demo.segments[0].stop - 1
-        np.testing.assert_allclose(aug.waypoints[boundary].position,
-                                   tf_0.apply(demo.waypoints[boundary].position), atol=1e-9)
+        np.testing.assert_allclose(aug.waypoints[boundary].pos,
+                                   tf_0.apply(demo.waypoints[boundary].pos), atol=1e-9)
         first_of_next = demo.segments[1].start
-        np.testing.assert_allclose(aug.waypoints[first_of_next].position,
-                                   tf_1.apply(demo.waypoints[first_of_next].position), atol=1e-9)
+        np.testing.assert_allclose(aug.waypoints[first_of_next].pos,
+                                   tf_1.apply(demo.waypoints[first_of_next].pos), atol=1e-9)
 
     def test_structure_preserved(self, stack_demo):
         pairs = [
@@ -344,6 +350,7 @@ RULE_FIELDS = [
     *[(f"AnchorPair.{name}", lambda v, name=name: AnchorPair(
         **{**ANCHORS, name: (v, *ANCHORS[name][1:])}), f"anchor {name}") for name in ANCHORS],
     ("parse_demo.g_max", lambda v: demo_with(None, "g_max", v), "g_max"),
+    ("DemoTrajectory.g_max", lambda v: replace(parse_demo(minimal_doc()), g_max=v), "g_max"),
     *[(f"parse_demo.{where}.{key}", lambda v, where=where, key=key: demo_with(where, key, v),
        f"{where[:-1]} 0 key {key!r}")
       for where, key in [("waypoints", "t"), ("waypoints", "g"), ("waypoints", "p"),
@@ -361,6 +368,7 @@ RULE_FIELDS = [
       for name in ("beta", "k_const", "k_cutoff", "chunk_len", "warmup_steps", "replay_n")],
     *[(f"DisturbanceConfig.{name}", lambda v, name=name: DisturbanceConfig(**{name: v}), name)
       for name in ("latency", "bimodal_period", "bimodal_gap", "noise")],
+    ("ScriptedPolicy.chunk_len", lambda v: ScriptedPolicy(reference_demo("push"), v), "chunk_len"),
     ("EnsembleState.g_max", lambda v: EnsembleState(EnsembleConfig(), v), "g_max"),
 ]
 
@@ -421,6 +429,11 @@ class TestInputRule:
 
     def test_action_has_no_instance_dict(self):
         assert not hasattr(Action((0.1, 0.2, 0.02), 0.04), "__dict__")
+
+    def test_waypoint_is_an_action_with_no_instance_dict(self):
+        w = Waypoint(pos=(0.1, 0.2, 0.02), gripper=0.04, time=0.5)
+        assert isinstance(w, Action) and not hasattr(w, "__dict__")
+        assert (w.pos, w.gripper, w.time) == ((0.1, 0.2, 0.02), 0.04, 0.5)
 
     def test_count_bounds(self):
         require_integer("n", sys.maxsize, 0)
