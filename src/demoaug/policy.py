@@ -51,7 +51,6 @@ Disturbance adapters then make the predictor imperfect in controlled ways:
 from __future__ import annotations
 
 import copy
-import math
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -62,6 +61,7 @@ import numpy as np
 
 from .ensemble import ActionChunk
 from .sim import ControllerConfig, advance, servo
+from .tasks import _distance
 from .trajectory import Action, DemoTrajectory, Waypoint, require_integer, require_real
 
 
@@ -126,8 +126,8 @@ class ScriptedPolicy:
 
     def _advance_cursor(self, obs: tuple[float, float, float]) -> None:
         if self._cursor is None:
-            positions = np.array([w.pos for w in self.reference.waypoints])
-            self._cursor = int(np.argmin(np.linalg.norm(positions - obs, axis=1)))
+            dists = [_distance(w.pos, obs) for w in self.reference.waypoints]
+            self._cursor = dists.index(min(dists))   # the first nearest waypoint
             return
         # timeout T + 1, not T: the cursor holds an unreached waypoint one
         # query longer than replay and rollout hold it, and the pinned
@@ -189,7 +189,5 @@ class ScriptedPolicy:
         """Cursor at the final waypoint with the end effector settled on it."""
         if self._cursor is None or self._cursor < self._last:
             return False
-        x, y, z = ee_pos
-        gx, gy, gz = self.reference.waypoints[self._last].pos
-        dx, dy, dz = x - gx, y - gy, z - gz
-        return math.sqrt(dx * dx + dy * dy + dz * dz) <= 2 * self.ctrl.waypoint_advance_radius
+        end = self.reference.waypoints[self._last].pos
+        return _distance(ee_pos, end) <= 2 * self.ctrl.waypoint_advance_radius

@@ -163,9 +163,6 @@ class DemoTrajectory:
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "g_max", require_real("g_max", self.g_max, "positive"))
-        self._check_structure()
-
-    def _check_structure(self):
         if not self.segments:
             raise ValidationError("trajectory has no segments")
         expected_start = 0
@@ -178,8 +175,9 @@ class DemoTrajectory:
         if expected_start != len(self.waypoints):
             raise ValidationError(
                 f"segments cover {expected_start} waypoints, trajectory has {len(self.waypoints)}")
-        for i in range(1, len(self.waypoints)):
-            if self.waypoints[i].time - self.waypoints[i - 1].time <= 0:
+        times = [require_real(f"waypoint {i} time", w.time) for i, w in enumerate(self.waypoints)]
+        for i in range(1, len(times)):
+            if not times[i] > times[i - 1]:
                 raise ValidationError(f"timestamps not strictly increasing at waypoint {i}")
 
 

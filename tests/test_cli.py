@@ -1,6 +1,7 @@
 import argparse
 import filecmp
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -280,6 +281,22 @@ class TestReplayCommand:
                      "--out", str(tmp_path / "ep.jsonl")])
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "ep.jsonl").exists()
+
+    @pytest.mark.parametrize("time", ["equal", "nan"])
+    def test_demo_whose_times_do_not_increase_is_refused(self, tmp_path, capsys, time):
+        # Python's json reads NaN; DemoTrajectory refuses it, naming the waypoint
+        doc = json.loads(Path(PUSH).read_text())
+        wps = doc["waypoints"]
+        wps[1]["t"] = wps[0]["t"] if time == "equal" else float("nan")
+        demo = tmp_path / "demo.json"
+        demo.write_text(json.dumps(doc))
+        code = main(["replay", "--demo", str(demo), "--task", "push",
+                     "--out", str(tmp_path / "ep.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
+        assert re.search(r"waypoint 1\b", err) and "Traceback" not in err
         assert not (tmp_path / "ep.jsonl").exists()
 
 

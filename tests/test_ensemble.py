@@ -601,6 +601,35 @@ class TestExactOracle:
         assert outputs[0] == outputs[1]
 
 
+class TestDerivedActions:
+    """The ensembler's output is, bit for bit, the Action the checking
+    constructor builds from the same fields."""
+
+    @pytest.mark.parametrize("pos, gripper", [([0.1, -0.2, 0.3], 0.0), ([-0.0, 0.2, 0.3], 0.05)],
+                             ids=["gripper_zero", "negative_zero_coordinate"])
+    def test_unanimous_step_builds_a_checked_action(self, pos, gripper):
+        shared = Action(pos=pos, gripper=gripper)
+        state = state_with(*(ActionChunk(e, (shared,) * L) for e in (0, 3)))
+        action = ensemble_action(state, 5)
+        expected = Action(pos=[x + 0.0 for x in pos], gripper=gripper)
+        assert action is not shared and action == expected
+        assert bits((*action.pos, action.gripper)) == bits((*expected.pos, expected.gripper))
+        assert type(action) is Action and not hasattr(action, "__dict__")
+        assert type(action.pos) is tuple and type(action.gripper) is float
+
+    def test_weighted_mean_builds_a_checked_action(self):
+        action = ensemble_action(state_with(const_chunk(0, 0.1), const_chunk(1, 0.3, 0.06)), 1)
+        assert type(action) is Action and not hasattr(action, "__dict__")
+        assert action == Action(pos=list(action.pos), gripper=action.gripper)
+        assert [type(v) for v in (*action.pos, action.gripper)] == [float] * 4
+
+    def test_weighted_mean_that_overflows_is_refused(self):
+        # finite candidates whose difference is not: x0 + w * (x1 - x0) is -inf
+        state = state_with(const_chunk(0, 1.7e308), const_chunk(1, -1.7e308))
+        with pytest.raises(ValueError, match="pos is not finite"):
+            ensemble_action(state, 1)
+
+
 class TestFixedWeightsMemo:
     @pytest.mark.parametrize("k", [K_CONST_DEFAULT, 0.0, 0.137, 1000.0])
     def test_equals_decay_weights(self, k):

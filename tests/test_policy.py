@@ -277,6 +277,36 @@ class TestNoise:
             assert np.all(np.abs(diffs) <= eta)
         assert np.any(diffs != 0)
 
+    def test_noisy_targets_are_checked_actions(self, push_demo):
+        policy = ScriptedPolicy(push_demo, disturbances=DisturbanceConfig(noise=0.01, seed=3))
+        for a in policy.predict(push_demo.waypoints[0].pos, 0).actions:
+            assert type(a) is Action and not hasattr(a, "__dict__") and type(a.pos) is tuple
+            assert [type(v) for v in (*a.pos, a.gripper)] == [float] * 4
+            assert a == Action(pos=list(a.pos), gripper=a.gripper)
+
+    def test_noisy_target_that_overflows_is_refused(self):
+        # a finite waypoint plus finite noise can leave the float range
+        wps = (Waypoint(time=0.0, pos=(1.7e308, 0.0, 0.05), gripper=0.08),
+               Waypoint(time=0.05, pos=(1.7e308, 0.1, 0.05), gripper=0.08))
+        seg = Segment(label="line", start=0, stop=2, anchor_start=wps[0].pos,
+                      anchor_goal=wps[1].pos)
+        demo = DemoTrajectory(waypoints=wps, segments=(seg,), task="push")
+        policy = ScriptedPolicy(demo, disturbances=DisturbanceConfig(noise=5e307, seed=1))
+        with pytest.raises(ValueError, match="pos is not finite: inf"):
+            policy.predict(wps[0].pos, 0)
+
+    @pytest.mark.parametrize("task", ["push", "pick_place", "stack"])
+    def test_first_cursor_is_the_first_nearest_waypoint(self, request, task):
+        demo = request.getfixturevalue(f"{task}_demo")
+        positions = np.array([w.pos for w in demo.waypoints])
+        rng = np.random.default_rng(11)
+        observations = [tuple(rng.uniform([-0.35, -0.35, 0.0], [0.35, 0.35, 0.3]).tolist())
+                        for _ in range(50)] + [w.pos for w in demo.waypoints]
+        for obs in observations:
+            policy = ScriptedPolicy(demo)
+            policy.predict(obs, 0)
+            assert policy.cursor == int(np.argmin(np.linalg.norm(positions - obs, axis=1)))
+
     def test_predict_emits_full_chunk(self):
         demo = line_demo(0.008)
         policy = ScriptedPolicy(demo)

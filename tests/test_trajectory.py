@@ -14,11 +14,12 @@ from demoaug.ensemble import Action, EnsembleConfig, EnsembleState
 from demoaug.geometry import transform_from_anchors
 from demoaug.policy import DisturbanceConfig, ScriptedPolicy
 from demoaug.sim import ControllerConfig
-from demoaug.tasks import Scene, SuccessSpec, Workspace, anchors_for_scene, recorded_scene
+from demoaug.tasks import (Scene, SuccessSpec, Workspace, anchors_for_scene, recorded_scene,
+                           sample_scene)
 from demoaug.trajectory import (
     AnchorPair, DemoTrajectory, ParseError, Segment, SegmentMismatch, ValidationError,
     POSITION_MARGIN, Waypoint, augment_segmentwise, default_position_bounds, demo_to_document,
-    parse_demo, require_integer, require_real, require_triple,
+    parse_demo, require_integer, require_real, require_triple, segment_transforms,
 )
 
 
@@ -74,6 +75,25 @@ def two_segment_demo():
     return parse_demo(doc)
 
 
+def demo_of_times(times):
+    """A one-segment demo built through the public constructors, one waypoint per time."""
+    wps = [Waypoint(pos=(0.1 * i, 0.0, 0.02), gripper=0.08, time=t) for i, t in enumerate(times)]
+    seg = Segment(label="move", start=0, stop=len(wps),
+                  anchor_start=wps[0].pos, anchor_goal=wps[-1].pos)
+    return DemoTrajectory(waypoints=wps, segments=[seg], task="push")
+
+
+def bits(values):
+    """float.hex of each value, which tells -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+def is_plain_waypoint(w) -> bool:
+    """Exactly a Waypoint, slotted, with a tuple position and float fields."""
+    return (type(w) is Waypoint and not hasattr(w, "__dict__") and type(w.pos) is tuple
+            and [type(v) for v in (*w.pos, w.gripper, w.time)] == [float] * 5)
+
+
 class TestParse:
     def test_minimal_document(self):
         demo = parse_demo(minimal_doc())
@@ -110,6 +130,18 @@ class TestParse:
         doc["waypoints"][1]["t"] = -1.0
         with pytest.raises(ValidationError, match="waypoint 1"):
             parse_demo(doc)
+
+    @pytest.mark.parametrize("times, index", [([0.0, math.nan, -5.0], 1),
+                                              ([0.0, 0.05, math.inf], 2)],
+                             ids=["nan_then_decreasing", "inf_last"])
+    def test_non_finite_time_names_the_index(self, times, index):
+        # nan > t is false whatever t is, so a NaN time would also hide the step after it
+        with pytest.raises(ValidationError, match=f"waypoint {index} time is not finite"):
+            demo_of_times(times)
+
+    def test_equal_times_name_the_index(self):
+        with pytest.raises(ValidationError, match="not strictly increasing at waypoint 2"):
+            demo_of_times([0.0, 0.05, 0.05])
 
     def test_gripper_out_of_range(self):
         doc = minimal_doc()
@@ -327,6 +359,58 @@ class TestAugment:
         object.__setattr__(bad[1], "r_g", bad[1].r_s)
         with pytest.raises(Exception, match="segment 1"):
             augment_segmentwise(demo, bad)
+
+
+class TestDerivedValues:
+    """What the package derives from checked values is, bit for bit, what the
+    checking constructors build from the same fields."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 1009])
+    @pytest.mark.parametrize("task", ["push", "pick_place", "stack"])
+    def test_warped_waypoints_equal_checked_ones(self, task, seed):
+        demo = reference_demo(task)
+        anchors = anchors_for_scene(task, demo, sample_scene(task, Workspace(), seed))
+        aug = augment_segmentwise(demo, anchors)
+        expected = []
+        for seg, tf in zip(demo.segments, segment_transforms(demo, anchors)):
+            recorded = demo.waypoints[seg.start:seg.stop]
+            rows = tf.apply([w.pos for w in recorded]).tolist()
+            expected += [Waypoint(pos=row, gripper=w.gripper, time=w.time)
+                         for w, row in zip(recorded, rows)]
+        assert aug.waypoints == tuple(expected)
+        for w, e in zip(aug.waypoints, expected):
+            assert is_plain_waypoint(w)
+            assert bits((*w.pos, w.gripper, w.time)) == bits((*e.pos, e.gripper, e.time))
+
+    @pytest.mark.parametrize("task", ["push", "pick_place", "stack"])
+    def test_warped_demo_equals_a_checked_one(self, task):
+        demo = reference_demo(task)
+        aug = augment_segmentwise(demo, anchors_for_scene(task, demo, sample_scene(task)))
+        checked = DemoTrajectory(waypoints=aug.waypoints, segments=aug.segments, task=aug.task,
+                                 source_id=aug.source_id, g_max=aug.g_max)
+        assert type(aug) is DemoTrajectory and aug == checked
+        assert type(aug.waypoints) is tuple and type(aug.segments) is tuple
+        assert all(map(is_plain_waypoint, aug.waypoints))
+
+    def test_parsed_waypoints_equal_checked_ones(self):
+        doc = minimal_doc()
+        doc["waypoints"][0].update(t=0, p=[0, 0, 0], g=0)
+        demo = parse_demo(doc)
+        for w, entry in zip(demo.waypoints, doc["waypoints"]):
+            assert is_plain_waypoint(w)
+            assert w == Waypoint(pos=entry["p"], gripper=entry["g"], time=entry["t"])
+
+    def test_warp_that_overflows_is_refused(self):
+        # every input is finite, but x = 1.5e308 warped at scale 2 is not
+        wps = (Waypoint(pos=(0.0, 0.0, 0.02), gripper=0.08, time=0.0),
+               Waypoint(pos=(1.5e308, 0.0, 0.02), gripper=0.08, time=0.05))
+        seg = Segment(label="move", start=0, stop=2,
+                      anchor_start=(0.0, 0.0, 0.02), anchor_goal=(0.1, 0.0, 0.02))
+        demo = DemoTrajectory(waypoints=wps, segments=(seg,), task="push")
+        pair = AnchorPair(r_s=(0.0, 0.0, 0.02), r_g=(0.1, 0.0, 0.02),
+                          g_s=(0.0, 0.0, 0.02), g_g=(0.2, 0.0, 0.02))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="pos is not finite: inf"):
+            augment_segmentwise(demo, [pair])
 
 
 ANCHORS = {"r_s": (0.0, 0.0, 0.02), "r_g": (0.1, 0.0, 0.02),
