@@ -13,7 +13,8 @@ disturbance config seeded from it.
 Lockstep.  Cells whose actions have had the same bits so far share predictor
 and simulator state, so a :class:`SeedRun` steps a seed's cells in groups, at
 first one per ``chunk_len``, each with one ``ScriptedPolicy`` and ``SimState``.
-Each step the policy predicts once and every member ensembles that chunk; the
+Each step the policy predicts once and every member ensembles that chunk (all
+suspended, they would drop it: the policy then makes an ``idle`` query); the
 members then split by action (identity, else ``==`` plus each zero's sign):
 the first part keeps the policy, others fork it, each steps the shared state.
 :func:`run_closed_loop_episode` is still called once per (cell, seed), cells
@@ -160,13 +161,16 @@ class SeedRun:
         es = members[0][1]
         while True:
             if action is None:
-                chunk = policy.predict(state.ee_pos, t)
-                es.submit(chunk)
+                if es.suspended is not None and all(m.suspended is not None for _, m in members):
+                    policy.idle(state.ee_pos)
+                else:
+                    chunk = policy.predict(state.ee_pos, t)
+                    for _, m in members:
+                        m.submit(chunk)
                 action = ensemble_action(es, t)
                 if len(members) > 1:
                     parts = [(action, [members[0]])]
                     for member in members[1:]:
-                        member[1].submit(chunk)
                         other = ensemble_action(member[1], t)
                         part = next((p for a, p in parts if _same_bits(a, other)), [])
                         if not part:

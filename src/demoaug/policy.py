@@ -7,13 +7,13 @@ observation and moved on by the replay controller's arrive-or-timeout rule
 (``sim.advance``), with one difference: the cursor holds a waypoint it has
 not reached for T + 1 queries, where replay and rollout hold it for T
 control steps (T = ``ControllerConfig.timeout_steps``).  Each query
-simulates the replay controller (``sim.servo`` and ``sim.advance``) for
-chunk_len control steps from the current (possibly stale) observation and
-emits the targets it would issue.  Rolling the controller forward, rather
-than slicing raw waypoints, keeps predictions made on consecutive steps
-time-consistent, so with no disturbances every chunk agrees exactly and the
-candidate spread is zero — the same property a well-fit policy trained on
-replay logs would have.
+rolls the replay controller forward chunk_len control steps from the
+current (possibly stale) observation with ``sim.track``, which is
+``sim.servo`` then ``sim.advance`` bit for bit, and emits the targets it
+would issue.  Rolling the controller forward, rather than slicing raw
+waypoints, keeps predictions made on consecutive steps time-consistent, so
+with no disturbances every chunk agrees exactly and the candidate spread is
+zero — the same property a well-fit policy trained on replay logs would have.
 
 The rollout is a pure function of its start state ``(v, k, steps_on)``:
 servo position as an (x, y, z) float triple, targeted waypoint and steps
@@ -29,13 +29,18 @@ coordinate as NumPy would make it.  When a query starts from exactly the
 trail's second state (tuple ``==``, which compares the three coordinates,
 both ints and the same waypoint), the new rollout is the old one shifted by a
 step, so the trail drops its head and runs one more step from its tail;
-otherwise it restarts from the query's state.  Either way the
-same loop extends the trail to chunk_len steps.  A hit is bit-exact: equal
-floats differ at most in the sign of a zero, which no distance the advance
-rule tests can see, and the emitted targets are waypoints picked by index.
+otherwise it restarts from the query's state.  Either way ``sim.track``
+extends the trail to chunk_len steps.  A hit is bit-exact: equal floats
+differ at most in the sign of a zero, which no distance the advance rule
+tests can see, and the emitted targets are waypoints picked by index.
 In a clean closed loop the executed action is the predicted one, so nearly
 every query hits and costs one servo step instead of chunk_len; stale
 observations (latency) mostly miss.
+
+Idle queries.  When every ensembler a query feeds is suspended, the closed
+loop calls :meth:`ScriptedPolicy.idle`, which is ``predict`` without the
+rollout.  The stale trail it may leave is safe: the trail is a memo of the
+rollout from its own head, so a later hit on it is still bit-exact.
 
 Disturbance adapters then make the predictor imperfect in controlled ways:
 
@@ -60,7 +65,7 @@ from operator import add, itemgetter
 import numpy as np
 
 from .ensemble import ActionChunk
-from .sim import ControllerConfig, advance, servo
+from .sim import ControllerConfig, advance, track
 from .tasks import _distance
 from .trajectory import Action, DemoTrajectory, Waypoint, require_integer, require_real
 
@@ -77,6 +82,7 @@ class DisturbanceConfig:
         for name in ("latency", "bimodal_period", "bimodal_gap"):
             require_integer(name, getattr(self, name), 0)
         require_real("noise", self.noise, "non-negative")
+        require_integer("seed", self.seed, 0)
 
 
 class ScriptedPolicy:
@@ -147,8 +153,7 @@ class ScriptedPolicy:
         ``start``, reusing the previous rollout's trail when this one starts
         from its second state; see the module docstring.
         """
-        ctrl, waypoints, last = self.ctrl, self.reference.waypoints, self._last
-        timeout_steps, radius = self._timeout_steps, ctrl.waypoint_advance_radius
+        waypoints = self.reference.waypoints
         trail = self._trail
         head = (obs, start, self._steps_on_cursor, waypoints[start])
         if len(trail) > 1 and trail[1] == head:
@@ -156,13 +161,19 @@ class ScriptedPolicy:
         else:
             trail.clear()
             trail.append(head)
-        v, k, s_on, _ = trail[-1]
-        for _ in range(self.chunk_len + 1 - len(trail)):
-            target = waypoints[k].pos
-            v = servo(v, target, ctrl)
-            k, s_on = advance(k, s_on, v, target, last, timeout_steps, radius)
-            trail.append((v, k, s_on, waypoints[k]))
+        track(trail, self.chunk_len + 1 - len(trail), waypoints, self._last,
+              self._timeout_steps, self.ctrl)
         return trail
+
+    def _query(self, ee_pos):
+        """Every query's opening: (observation, start waypoint, noise draw or None)."""
+        obs = self._effective_obs(ee_pos)
+        self._advance_cursor(obs)
+        start = min(self._cursor + self._hypothesis_offset(), self._last)
+        self._emissions += 1
+        noise = self.disturbances.noise
+        draw = self._rng.uniform(-noise, noise, size=(self.chunk_len, 3)) if noise > 0 else None
+        return obs, start, draw
 
     def predict(self, ee_pos, t: int) -> ActionChunk:
         """Predicted action chunk for control steps t, t+1, ...
@@ -170,20 +181,18 @@ class ScriptedPolicy:
         ``ee_pos`` is the observed end-effector position, an (x, y, z) float
         triple such as ``SimState.ee_pos``.
         """
-        obs = self._effective_obs(ee_pos)
-        self._advance_cursor(obs)
-        start = min(self._cursor + self._hypothesis_offset(), self._last)
-        self._emissions += 1
-
+        obs, start, draw = self._query(ee_pos)
         steps = islice(self._rollout(obs, start), self.chunk_len)
-        noise = self.disturbances.noise
-        if noise > 0:
-            draw = self._rng.uniform(-noise, noise, size=(self.chunk_len, 3)).tolist()
+        if draw is not None:
             actions = tuple(Action(tuple(map(add, a.pos, row)), a.gripper)
-                            for (_, _, _, a), row in zip(steps, draw))
+                            for (_, _, _, a), row in zip(steps, draw.tolist()))
         else:
             actions = tuple(map(itemgetter(3), steps))
         return ActionChunk(t, actions)
+
+    def idle(self, ee_pos) -> None:
+        """:meth:`predict` without the rollout; see Idle queries in the module docstring."""
+        self._query(ee_pos)
 
     def finished(self, ee_pos) -> bool:
         """Cursor at the final waypoint with the end effector settled on it."""

@@ -3,12 +3,13 @@
 No contact dynamics: the end effector is a velocity-clamped proportional
 servo (:func:`servo`) that tracks one waypoint at a time and moves past it
 by the arrive-or-timeout rule of :func:`advance`; the scripted predictor in
-``policy`` rolls the same two functions forward.  Grasping is an
-attach/detach rule keyed to the gripper width crossing the block width, and
-released blocks drop straight down onto the nearest support (table or
-another block).  This keeps the parts of the task that augmentation quality
-and ensembling actually influence — grasp timing and placement accuracy —
-while staying cheap enough to replay thousands of trajectories.
+``policy`` rolls the two forward fused, bit for bit, in :func:`track`.
+Grasping is an attach/detach rule keyed to the gripper width crossing the
+block width, and released blocks drop straight down onto the nearest support
+(table or another block).  This keeps the parts of the task that
+augmentation quality and ensembling actually influence — grasp timing and
+placement accuracy — while staying cheap enough to replay thousands of
+trajectories.
 
 State layout (:class:`SimState`): ``ee_pos``, an (x, y, z) triple of Python
 floats, ``gripper``, ``blocks``, a tuple of such triples (block centers in
@@ -198,6 +199,32 @@ def advance(k: int, steps_on: int, pos, target, last: int,
         if math.sqrt(dx * dx + dy * dy + dz * dz) <= radius:
             return k + 1, 0
     return k, steps_on
+
+
+def track(trail, steps: int, waypoints, last: int, timeout_steps: int,
+          ctrl: ControllerConfig) -> None:
+    """Extend ``trail``, whose entries are ``(pos, k, steps_on, waypoints[k])``,
+    by ``steps`` steps of :func:`servo` then :func:`advance` from its last entry:
+    the same float operations in the same order, so the same bits."""
+    gain, max_speed, dt, radius = ctrl.gain, ctrl.max_speed, ctrl.dt, ctrl.waypoint_advance_radius
+    (px, py, pz), k, steps_on, target = trail[-1]
+    tx, ty, tz = target.pos
+    append = trail.append
+    for _ in range(steps):
+        vx, vy, vz = gain * (tx - px), gain * (ty - py), gain * (tz - pz)
+        speed = math.sqrt(vx * vx + vy * vy + vz * vz)
+        if speed > max_speed:
+            scale = max_speed / speed
+            vx, vy, vz = vx * scale, vy * scale, vz * scale
+        px, py, pz = px + vx * dt, py + vy * dt, pz + vz * dt
+        steps_on += 1
+        if k < last:
+            dx, dy, dz = px - tx, py - ty, pz - tz
+            if steps_on >= timeout_steps or math.sqrt(dx * dx + dy * dy + dz * dz) <= radius:
+                k, steps_on = k + 1, 0
+                target = waypoints[k]
+                tx, ty, tz = target.pos
+        append(((px, py, pz), k, steps_on, target))
 
 
 def step(state: SimState, action: Action, cfg: ControllerConfig) -> SimState:

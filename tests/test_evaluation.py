@@ -252,6 +252,26 @@ class TestLockstep:
         assert lengths[:5] == lengths[5:]
         assert counts == {"policies": 5, "predict": sum(lengths[:5]), "step": sum(lengths[:5])}
 
+    @pytest.mark.parametrize("task", ["push", "pick_place", "stack"])
+    def test_idle_query_equals_a_dropped_prediction(self, request, monkeypatch, task):
+        # a group whose members are all suspended only observes; predicting
+        # and dropping the chunk instead must leave every episode as it is
+        demo = request.getfixturevalue(f"{task}_demo")
+        disturbances = DisturbanceConfig(latency=3, bimodal_period=2, noise=0.01)
+        matrix = default_matrix(betas=(1.0,))
+        seeds = [sim.scene_seed_for(0, i) for i in range(3)]
+        idled, real_idle = [], ScriptedPolicy.idle
+
+        def counting_idle(self, ee_pos):
+            idled.append(ee_pos)
+            real_idle(self, ee_pos)
+
+        monkeypatch.setattr(ScriptedPolicy, "idle", counting_idle)
+        with_idle = episodes_together(task, demo, matrix, seeds, disturbances, monkeypatch)
+        assert len(idled) > 10
+        monkeypatch.setattr(ScriptedPolicy, "idle", lambda self, ee_pos: self.predict(ee_pos, 0))
+        assert episodes_together(task, demo, matrix, seeds, disturbances, monkeypatch) == with_idle
+
     def test_cells_handed_over_in_any_order(self, stack_demo):
         matrix = cells(B, C, B, R)
         scene, aug, seeded = prepare_episode("stack", stack_demo, 7, disturbances=LATENCY_BIMODAL)

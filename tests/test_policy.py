@@ -9,7 +9,7 @@ from demoaug import policy as policy_module
 from demoaug.ensemble import Action, EnsembleConfig, EnsembleMode, compute_k
 from demoaug.evaluation import prepare_episode, run_closed_loop_episode
 from demoaug.policy import DisturbanceConfig, ScriptedPolicy
-from demoaug.sim import ControllerConfig, advance, replay, servo
+from demoaug.sim import ControllerConfig, advance, replay, servo, track
 from demoaug.tasks import Scene
 from demoaug.trajectory import DemoTrajectory, Segment, ValidationError, Waypoint
 
@@ -250,6 +250,7 @@ class TestDisturbanceConfig:
     @pytest.mark.parametrize("name, value", [
         ("latency", -1), ("bimodal_period", -1), ("bimodal_gap", -1),
         ("noise", -0.001), ("noise", math.nan), ("noise", math.inf),
+        ("seed", -1), ("seed", sys.maxsize + 1),
     ])
     def test_bad_value_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -257,6 +258,7 @@ class TestDisturbanceConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("latency", 1.5), ("bimodal_period", 1.5), ("bimodal_gap", 2.0), ("bimodal_gap", True),
+        ("seed", 1.5), ("seed", "x"), ("seed", True),
     ])
     def test_non_integer_count_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
@@ -340,10 +342,18 @@ def scratch_rollout(policy, obs, start, steps_on):
 def checked_chunks(monkeypatch):
     """Check every chunk ScriptedPolicy.predict emits against a scratch
     rollout from the start it asked ``_rollout`` for; returns the list of
-    checked steps.  A noise-free chunk must also hold the reference's own
-    Waypoint objects, which the ensembler's unanimity test relies on."""
-    real_rollout, real_predict = ScriptedPolicy._rollout, ScriptedPolicy.predict
-    starts, rngs, checked = [], {}, []
+    queries in call order, a predict's step or None for an idle query.  A
+    noise-free chunk must also hold the reference's own Waypoint objects,
+    which the ensembler's unanimity test relies on.  The scratch noise
+    stream draws once per query, an idle one too."""
+    real_rollout, real_predict, real_idle = (ScriptedPolicy._rollout, ScriptedPolicy.predict,
+                                             ScriptedPolicy.idle)
+    starts, rngs, queries = [], {}, []
+
+    def scratch_draw(self, shape):
+        noise = self.disturbances.noise
+        rng = rngs.setdefault(id(self), np.random.default_rng(self.disturbances.seed))
+        return rng.uniform(-noise, noise, size=shape)
 
     def spy_rollout(self, obs, start):
         starts.append((obs, start, self._steps_on_cursor))
@@ -355,20 +365,26 @@ def checked_chunks(monkeypatch):
         waypoints = [self.reference.waypoints[k] for k in idx]
         pos = np.array([w.pos for w in waypoints])
         grip = np.array([w.gripper for w in waypoints])
-        noise = self.disturbances.noise
-        if noise > 0:
-            rng = rngs.setdefault(id(self), np.random.default_rng(self.disturbances.seed))
-            pos = pos + rng.uniform(-noise, noise, size=pos.shape)
+        if self.disturbances.noise > 0:
+            pos = pos + scratch_draw(self, pos.shape)
         else:
             assert all(a is w for a, w in zip(chunk.actions, waypoints))
         assert np.array_equal(np.array([a.pos for a in chunk.actions]), pos)
         assert np.array_equal(np.array([a.gripper for a in chunk.actions]), grip)
-        checked.append(t)
+        queries.append(t)
         return chunk
+
+    def checked_idle(self, ee_pos):
+        real_idle(self, ee_pos)
+        assert not starts   # no rollout
+        if self.disturbances.noise > 0:
+            scratch_draw(self, (self.chunk_len, 3))
+        queries.append(None)
 
     monkeypatch.setattr(ScriptedPolicy, "_rollout", spy_rollout)
     monkeypatch.setattr(ScriptedPolicy, "predict", checked_predict)
-    return checked
+    monkeypatch.setattr(ScriptedPolicy, "idle", checked_idle)
+    return queries
 
 
 class TestIncrementalRollout:
@@ -382,9 +398,12 @@ class TestIncrementalRollout:
     ], ids=["clean", "latency_bimodal", "noise"])
     def test_chunks_equal_scratch_rollouts(self, request, checked_chunks, task, disturbances):
         demo = request.getfixturevalue(f"{task}_demo")
-        closed_loop(task, demo, 5, EnsembleConfig(), disturbances)
-        assert checked_chunks == list(range(len(checked_chunks)))
-        assert len(checked_chunks) > 100
+        _, stats = closed_loop(task, demo, 5, EnsembleConfig(), disturbances)
+        # one query per step, and a chunk on every step but the suspended ones
+        assert len(checked_chunks) == len(stats) > 100
+        assert all(t in (None, i) for i, t in enumerate(checked_chunks))
+        assert [i for i, t in enumerate(checked_chunks) if t is None] == \
+               [d.t for d in stats if d.mode_used == "suspended"]
 
     def test_same_start_with_other_step_count_misses(self, checked_chunks):
         # waypoints 1 m apart time out after T = 2 steps; with hypotheses one
@@ -400,23 +419,23 @@ class TestIncrementalRollout:
         assert len(checked_chunks) == 30
 
     def test_clean_episode_steps_the_servo_about_once_per_query(self, push_demo, monkeypatch):
-        # a fallback to full rollouts would make chunk_len = 20 servo calls per query
-        counts = {"servo": 0, "predict": 0}
+        # a fallback to full rollouts would make chunk_len = 20 kernel steps per query
+        counts = {"steps": 0, "predict": 0}
         real_predict = ScriptedPolicy.predict
 
-        def counting_servo(*args):
-            counts["servo"] += 1
-            return servo(*args)
+        def counting_track(trail, steps, *args):
+            counts["steps"] += steps
+            return track(trail, steps, *args)
 
         def counting_predict(self, ee_pos, t):
             counts["predict"] += 1
             return real_predict(self, ee_pos, t)
 
-        monkeypatch.setattr(policy_module, "servo", counting_servo)
+        monkeypatch.setattr(policy_module, "track", counting_track)
         monkeypatch.setattr(ScriptedPolicy, "predict", counting_predict)
         closed_loop("push", push_demo, 5, EnsembleConfig())
         assert counts["predict"] > 100
-        assert counts["servo"] < 2 * counts["predict"]
+        assert 0 < counts["steps"] < 2 * counts["predict"]
 
     def test_predicted_positions_are_read_only(self):
         demo = line_demo(0.008)

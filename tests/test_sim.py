@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demoaug import sim, trajectory
 from demoaug.dataset import episode_lines
 from demoaug.sim import (
     ControllerConfig, SimState,
-    advance, initial_state, replay, run_campaign, scene_seed_for, servo, step,
+    advance, initial_state, replay, run_campaign, scene_seed_for, servo, step, track,
 )
 from demoaug.tasks import (Scene, SuccessSpec, TaskKind, Workspace, anchors_for_scene,
                            recorded_scene, sample_scene)
@@ -210,6 +212,9 @@ class TestPortableNorm:
         for p, t in pairs:
             expected = servo_by_hand(p, t, CFG)
             assert servo(p, t, CFG) == expected
+            trail = [(p, 0, 0, Action(t, 0.08))]
+            track(trail, 1, [trail[0][3]], 0, 1, CFG)
+            assert trail[1][0] == tuple(expected)
             assert step(bare_state(ee=p), Action(t, 0.08), CFG).ee_pos == tuple(expected)
         # the kept pairs tell the two formulas apart
         assert any(servo_by_hand(p, t, CFG, fused_sum_of_squares) != servo_by_hand(p, t, CFG)
@@ -227,6 +232,72 @@ class TestPortableNorm:
             assert advance(0, 0, p, t, 1, 10**9, math.nextafter(r, 0.0)) == (0, 1)
         assert any(math.sqrt(fused_sum_of_squares(*offset(p, t)))
                    != math.sqrt(sum_of_squares(*offset(p, t))) for p, t in pairs)
+
+
+def stepped_trail(head, steps, waypoints, last, timeout_steps, ctrl):
+    """The reference for ``track``: one ``servo`` and one ``advance`` call per step."""
+    v, k, steps_on, _ = head
+    trail = [head]
+    for _ in range(steps):
+        target = waypoints[k].pos
+        v = servo(v, target, ctrl)
+        k, steps_on = advance(k, steps_on, v, target, last, timeout_steps,
+                              ctrl.waypoint_advance_radius)
+        trail.append((v, k, steps_on, waypoints[k]))
+    return trail
+
+
+def trail_bits(trail):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [(tuple(map(float.hex, v)), k, steps_on, w) for v, k, steps_on, w in trail]
+
+
+COORD = st.one_of(st.floats(-0.5, 0.5), st.sampled_from([0.0, -0.0]))
+TRIPLE = st.tuples(COORD, COORD, COORD)
+
+
+@st.composite
+def track_cases(draw):
+    """(case, (head, steps, waypoints, last, timeout_steps, ctrl)) for one kernel run.
+
+    ``case`` forces the edges: ``radius`` sets the advance radius to the exact
+    distance after the first step, ``timeout`` starts one step before the
+    timeout T, ``last`` starts on the final waypoint.
+    """
+    case = draw(st.sampled_from(["random", "radius", "timeout", "last"]))
+    waypoints = [Action(p, 0.08) for p in draw(st.lists(TRIPLE, min_size=1, max_size=6))]
+    last = len(waypoints) - 1
+    k = last if case == "last" else draw(st.integers(0, last))
+    timeout_steps = draw(st.integers(1, 8))
+    steps_on = timeout_steps - 1 if case == "timeout" else draw(st.integers(0, timeout_steps))
+    pos = draw(TRIPLE)
+    gain = draw(st.floats(0.5, 30.0))
+    max_speed = draw(st.floats(0.01, 2.0))
+    radius = draw(st.floats(1e-6, 0.2))
+    if case == "radius":
+        q = servo(pos, waypoints[k].pos, ControllerConfig(gain=gain, max_speed=max_speed))
+        # 0.0 (arrival on the target) is no valid radius; any positive one then arrives
+        radius = math.sqrt(sum_of_squares(*(a - b for a, b in zip(q, waypoints[k].pos)))) \
+            or radius
+    ctrl = ControllerConfig(gain=gain, max_speed=max_speed, waypoint_advance_radius=radius)
+    steps = draw(st.integers(1, 30))
+    return case, ((pos, k, steps_on, waypoints[k]), steps, waypoints, last, timeout_steps, ctrl)
+
+
+class TestTrack:
+    @settings(max_examples=400, deadline=None)
+    @given(track_cases())
+    def test_trail_equals_stepped_servo_and_advance(self, drawn):
+        case, (head, steps, waypoints, last, timeout_steps, ctrl) = drawn
+        trail = [head]
+        track(trail, steps, waypoints, last, timeout_steps, ctrl)
+        assert trail_bits(trail) == trail_bits(
+            stepped_trail(head, steps, waypoints, last, timeout_steps, ctrl))
+        k = head[1]
+        if case == "last":
+            assert all(entry[1] == last for entry in trail)
+        elif case != "random" and k < last:
+            assert trail[1][1:3] == (k + 1, 0)   # the edge moved past the waypoint
 
 
 class TestReplay:
