@@ -3,8 +3,11 @@
 Config precedence is defaults < --config file < flags.  Every run writes its
 fully resolved configuration (and the package version) into its output
 manifest, and any manifest can be re-executed with --from-manifest to
-reproduce the artifact byte for byte.  ``ensemble-eval`` sweeps a matrix of
-mode, beta and suspension cutoff (``--modes``, ``--betas``, ``--k-cutoffs``).
+reproduce the artifact byte for byte; only --out and --diagnostics may go with it.
+Reports of earlier versions hold the ensemble keys ``replay_n``, ``warmup_steps``
+and ``clear_after_suspend``, settings no longer: each reruns only at the value now
+fixed (``null``, ``5``, ``true``), and is echoed as read.  ``ensemble-eval`` sweeps a
+matrix of mode, beta and suspension cutoff (``--modes``, ``--betas``, ``--k-cutoffs``).
 Override flags are made from ``FLAGS`` and the names and defaults of the
 config fields, so a setting is written once, in its config dataclass.
 ``--out`` names the output path as given.  Before any work, a command exits 1
@@ -25,7 +28,7 @@ from pathlib import Path
 
 from . import __version__, sim, tasks
 from .dataset import DATASET_FORMAT_VERSION, canonical_json, episode_text, write_dataset
-from .ensemble import EnsembleConfig
+from .ensemble import WARMUP_STEPS, EnsembleConfig
 from .evaluation import (ABLATION_BETAS, ABLATION_MODES, EvalReport, closed_loop_eval,
                          default_matrix, format_report, report_to_dict)
 from .policy import DisturbanceConfig
@@ -43,11 +46,11 @@ SECTIONS = {
 }
 AUGMENT_SECTIONS = ("workspace", "controller", "success")
 # run-config section -> the fields that have override flags, None for all it holds
-FLAGS = {"workspace": ("side",), "controller": None,
-         "ensemble": ("k_const", "chunk_len", "replay_n", "warmup_steps", "clear_after_suspend"),
+FLAGS = {"workspace": ("side",), "controller": None, "ensemble": ("k_const", "chunk_len"),
          "disturbance": None}
-_FLAG_HELP = {"side": "workspace square side, m", "clear_after_suspend":
-              "keep the stale buffer after a suspension instead of re-warming"}
+_FLAG_HELP = {"side": "workspace square side, m"}
+# ensemble keys that earlier versions wrote for settings now fixed, each at its fixed value
+RETIRED = {"replay_n": None, "warmup_steps": WARMUP_STEPS, "clear_after_suspend": True}
 # each command's run-config keys besides its sections, at values of their JSON type
 RUN_KEYS = {
     "augment": {"count": 0, "attempt_cap": None},
@@ -122,6 +125,7 @@ def _check_type(value, like, name: str) -> None:
 
 def _run_config_template(command: str) -> dict:
     sections = _section_defaults()
+    sections["ensemble"].update(RETIRED)
     names = AUGMENT_SECTIONS if command == "augment" else tuple(SECTIONS)
     return {"command": "", "version": "", "demo": "", "task": "", "seed": 0,
             **RUN_KEYS[command], **{name: sections[name] for name in names}}
@@ -175,10 +179,10 @@ def _build_sections(args, names=tuple(SECTIONS)) -> dict:
 
 
 def _configs(rc: dict) -> dict:
-    """The config object of each section of a run config, keyed by section;
-    the ensemble section gives the base every matrix cell replaces fields of."""
+    """The config object of each section of a run config but its retired keys, keyed
+    by section; the ensemble section gives the base every matrix cell replaces fields of."""
     return {name: cls(**{k: tuple(v) if isinstance(v, list) else v
-                         for k, v in rc.get(name, {}).items()})
+                         for k, v in rc.get(name, {}).items() if k not in RETIRED})
             for name, (cls, _) in SECTIONS.items()}
 
 
@@ -191,8 +195,13 @@ def _load_demo_or_die(path):
         raise CliError(f"invalid demo file: {e}") from e
 
 
-def _run_config_from_manifest(path, command: str) -> dict:
-    manifest = _read_json(path, "manifest")
+def _run_config_from_manifest(args, command: str) -> dict:
+    given = [f"--{k.replace('_', '-')}" for k, v in vars(args).items()
+             if v is not None and k not in ("cmd", "func", "from_manifest", "out", "diagnostics")]
+    if given:
+        raise CliError(f"--from-manifest reruns the manifest's run_config and takes only "
+                       f"--out and --diagnostics, not {', '.join(given)}")
+    manifest = _read_json(args.from_manifest, "manifest")
     run_config = manifest.get("run_config") if isinstance(manifest, dict) else None
     if not isinstance(run_config, dict):
         raise CliError("manifest carries no run_config to re-execute")
@@ -204,12 +213,16 @@ def _run_config_from_manifest(path, command: str) -> dict:
     missing = [k for k, like in template.items() if like is not None and k not in run_config]
     if missing:
         raise CliError(f"manifest run_config lacks {', '.join(missing)}")
+    for key, value in run_config.get("ensemble", {}).items():
+        if key in RETIRED and value != RETIRED[key]:
+            raise CliError(f"manifest run_config.ensemble.{key} is {json.dumps(value)}; {key} is "
+                           f"no longer a setting, and only {json.dumps(RETIRED[key])} reruns")
     return run_config
 
 
 def cmd_augment(args) -> int:
     if args.from_manifest:
-        rc = _run_config_from_manifest(args.from_manifest, "augment")
+        rc = _run_config_from_manifest(args, "augment")
     else:
         if not args.demo or not args.task or args.count is None:
             raise CliError("augment requires --demo, --task, and --count")
@@ -219,7 +232,7 @@ def cmd_augment(args) -> int:
             "demo": str(args.demo),
             "task": str(tasks.as_task(args.task).value),
             "count": args.count,
-            "seed": args.seed,
+            "seed": 0 if args.seed is None else args.seed,
             "attempt_cap": args.attempt_cap,
             **_build_sections(args, AUGMENT_SECTIONS),
         }
@@ -279,7 +292,7 @@ def cmd_ensemble_eval(args) -> int:
     if args.diagnostics and not args.out:
         raise CliError("--diagnostics needs --out, the directory it writes under")
     if args.from_manifest:
-        rc = _run_config_from_manifest(args.from_manifest, "ensemble-eval")
+        rc = _run_config_from_manifest(args, "ensemble-eval")
         if not rc["matrix"]:
             raise CliError("manifest run_config.matrix lists no cell")
         for i, entry in enumerate(rc["matrix"]):
@@ -288,8 +301,8 @@ def cmd_ensemble_eval(args) -> int:
         if not args.demo or not args.task or args.episodes is None:
             raise CliError("ensemble-eval requires --demo, --task, and --episodes")
         sections = _build_sections(args)
-        modes = _sweep("--modes", args.modes, str)
-        betas = _sweep("--betas", args.betas, float)
+        modes = ABLATION_MODES if args.modes is None else _sweep("--modes", args.modes, str)
+        betas = ABLATION_BETAS if args.betas is None else _sweep("--betas", args.betas, float)
         k_cutoffs = (None if args.k_cutoffs is None
                      else _sweep("--k-cutoffs", args.k_cutoffs, float))
         cells = default_matrix(betas, modes, k_cutoffs, _configs(sections)["ensemble"])
@@ -299,7 +312,7 @@ def cmd_ensemble_eval(args) -> int:
             "demo": str(args.demo),
             "task": str(tasks.as_task(args.task).value),
             "episodes": args.episodes,
-            "seed": args.seed,
+            "seed": 0 if args.seed is None else args.seed,
             "matrix": [{"mode": c.mode.value, "beta": c.beta, "k_cutoff": c.k_cutoff}
                        for c in cells],
             **sections,
@@ -389,13 +402,8 @@ def _add_overrides(p: argparse.ArgumentParser, sections):
     for section in sections:
         g = p.add_argument_group(f"{section} overrides")
         for name, default in flags[section].items():
-            flag, help_ = name.replace("_", "-"), _FLAG_HELP.get(name)
-            if default is True:
-                g.add_argument(f"--no-{flag}", dest=name, action="store_false", default=None,
-                               help=help_)
-            else:
-                g.add_argument(f"--{flag}", dest=name, help=help_,
-                               type=float if isinstance(default, float) else int)
+            g.add_argument(f"--{name.replace('_', '-')}", dest=name, help=_FLAG_HELP.get(name),
+                           type=float if isinstance(default, float) else int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demo", help="demo JSON file")
     p.add_argument("--task", help="push | pick_place | stack")
     p.add_argument("--count", type=int, help="successful episodes to collect")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="default 0")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--attempt-cap", dest="attempt_cap", type=int,
                    help="max replay attempts (default 20x count)")
@@ -432,11 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demo", help="demo JSON file")
     p.add_argument("--task")
     p.add_argument("--episodes", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="default 0")
     p.add_argument("--out", help="directory for report.json")
-    p.add_argument("--modes", default=",".join(m.value for m in ABLATION_MODES))
-    p.add_argument("--betas", default=",".join(map(str, ABLATION_BETAS)),
-                   help="temperature scales swept for dynamic_k and combined")
+    p.add_argument("--modes", help="default: all four")
+    p.add_argument("--betas", help="temperature scales swept for dynamic_k and combined")
     p.add_argument("--k-cutoffs", dest="k_cutoffs",
                    help="suspension cutoffs swept for reset_only and combined "
                         "(default: the config's ensemble.k_cutoff)")

@@ -14,13 +14,16 @@ driven by the per-step standard deviation of the candidates:
 * dynamic temperature — k proportional to the candidate spread, so stale
   predictions fade exactly when the candidates stop agreeing;
 * suspension — when the spread-derived k crosses a cutoff, ensembling is
-  suspended and the newest chunk is executed verbatim for half a chunk
-  length, carrying the controller out of the contested state.
+  suspended, the newest chunk is executed verbatim for ``chunk_len // 2``
+  steps, carrying the controller out of the contested state, and then the
+  buffer is always cleared.
 
 Position and gripper width are separate modalities: each gets its own k
 (the position k uses the largest per-axis deviation) and its own weighted
 mean.  Because a standard deviation over a near-empty buffer is noise, the
-first five steps of every buffer epoch always use the fixed temperature.
+first ``WARMUP_STEPS`` (five) steps of every buffer epoch always use the
+fixed temperature.  Replay length, warm-up and the clear are the design, not
+settings.
 
 State.  One :class:`EnsembleState` holds all that an ensembling loop keeps,
 its config and its gripper clip (the demo's ``g_max``) included, so
@@ -102,6 +105,7 @@ class ActionChunk(NamedTuple):
 # a centimeter or so.
 K_CUTOFF_DEFAULT = 0.01
 K_CONST_DEFAULT = 0.01
+WARMUP_STEPS = 5   # fixed-temperature steps at the start of every buffer epoch
 
 
 @dataclass(frozen=True)
@@ -111,27 +115,16 @@ class EnsembleConfig:
     k_const: float = K_CONST_DEFAULT
     k_cutoff: float = K_CUTOFF_DEFAULT
     chunk_len: int = 20
-    replay_n: int | None = None          # defaults to chunk_len // 2
-    warmup_steps: int = 5
-    clear_after_suspend: bool = True
 
     def __post_init__(self):
         # a negative k_const (a temperature) would weigh older predictions more
         require_real("beta", self.beta, "non-negative")
         require_real("k_const", self.k_const, "non-negative")
         require_real("k_cutoff", self.k_cutoff, "positive")
-        require_integer("chunk_len", self.chunk_len, 1)
-        require_integer("warmup_steps", self.warmup_steps, 0)
-        n = self.effective_replay_n
-        require_integer("replay_n", n, 1)
-        if n > self.chunk_len:
-            raise ValueError(f"replay_n {n} outside [1, {self.chunk_len}]")
+        # a suspension replays chunk_len // 2 steps, at least one
+        require_integer("chunk_len", self.chunk_len, 2)
         if not isinstance(self.mode, EnsembleMode):
             object.__setattr__(self, "mode", EnsembleMode(self.mode))
-
-    @property
-    def effective_replay_n(self) -> int:
-        return self.chunk_len // 2 if self.replay_n is None else self.replay_n
 
 
 def candidates(state: EnsembleState, t: int) -> tuple[list[Action], list[int]]:
@@ -270,7 +263,7 @@ def ensemble_action(state: EnsembleState, t: int) -> Action:
 
     1. an active suspension replays its chunk verbatim; when it expires the
        buffer is cleared (stale predictions dropped) and warm-up restarts;
-    2. the first ``warmup_steps`` steps of a buffer epoch, and every step in
+    2. the first ``WARMUP_STEPS`` steps of a buffer epoch, and every step in
        baseline mode, use the fixed temperature for both modalities;
     3. otherwise the spread temperatures are computed; reset-capable modes
        trigger a suspension when either exceeds the cutoff, the trigger
@@ -291,7 +284,7 @@ def ensemble_action(state: EnsembleState, t: int) -> Action:
         # the predictor emits the demo's own waypoints, so agreement is mostly identity
         first = cands[0]
         unanimous = all(map(is_, cands, repeat(first)))
-        warm = state.epoch_step < cfg.warmup_steps
+        warm = state.epoch_step < WARMUP_STEPS
         if warm or cfg.mode is EnsembleMode.BASELINE:
             mode_used, k_p, k_g = ("warmup" if warm else "baseline"), cfg.k_const, cfg.k_const
         else:
@@ -307,7 +300,7 @@ def ensemble_action(state: EnsembleState, t: int) -> Action:
             offset = t - chunk.emitted_at
             if not 0 <= offset < cfg.chunk_len:
                 raise EmptyBuffer(f"newest chunk does not cover step {t}")
-            state.suspended, state.steps_remaining = chunk, cfg.effective_replay_n - 1
+            state.suspended, state.steps_remaining = chunk, cfg.chunk_len // 2 - 1
             action = chunk.actions[offset]
             diag = StepDiagnostics(t, "trigger", n, k_p, k_g, True, chunk.emitted_at)
         else:
@@ -325,8 +318,7 @@ def ensemble_action(state: EnsembleState, t: int) -> Action:
             state.epoch_step += 1
     if state.suspended is not None and state.steps_remaining <= 0:
         state.suspended = None
-        if cfg.clear_after_suspend:
-            state.chunks.clear()
-            state.epoch_step = 0
+        state.chunks.clear()
+        state.epoch_step = 0
     state.stats.append(diag)
     return action

@@ -62,13 +62,12 @@ class Workspace:
 
 @dataclass(frozen=True)
 class Scene:
-    """Randomized block start/goal layout, fully determined by its seed.
+    """Block start/goal layout, random (``sample_scene``) or recorded.
     Block ``i`` starts at ``block_starts[i]`` and belongs at ``block_goals[i]``;
     each row is stored as an (x, y, z) float triple."""
 
     block_starts: tuple[tuple[float, float, float], ...]
     block_goals: tuple[tuple[float, float, float], ...]
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("block_starts", "block_goals"):
@@ -134,7 +133,7 @@ def sample_scene(task, ws: Workspace = Workspace(), rng_seed: int = 0) -> Scene:
                     rest_z if task is TaskKind.PUSH else rng.uniform(*ws.pick_goal_z))
             if _distance(start, goal) < min_sep:
                 continue
-            return Scene(block_starts=(start,), block_goals=(goal,), seed=rng_seed)
+            return Scene(block_starts=(start,), block_goals=(goal,))
         # stack: two starts plus one goal column, lower then upper goal
         s1 = (*_xy(rng, ws), rest_z)
         s2 = (*_xy(rng, ws), rest_z)
@@ -144,7 +143,7 @@ def sample_scene(task, ws: Workspace = Workspace(), rng_seed: int = 0) -> Scene:
         if _distance(s1[:2], col) < min_sep or _distance(s2[:2], col) < min_sep:
             continue
         goals = ((*col, rest_z), (*col, rest_z + BLOCK_SIZE))
-        return Scene(block_starts=(s1, s2), block_goals=goals, seed=rng_seed)
+        return Scene(block_starts=(s1, s2), block_goals=goals)
     raise SamplingExhausted(
         f"no valid {task.value} scene in {MAX_REJECTS} draws; workspace too small?")
 
@@ -164,11 +163,10 @@ def anchors_for_scene(task, demo: DemoTrajectory, scene: Scene) -> list[AnchorPa
             for i, seg in enumerate(demo.segments)]
 
 
-def recorded_scene(demo: DemoTrajectory, seed: int = 0) -> Scene:
+def recorded_scene(demo: DemoTrajectory) -> Scene:
     """Scene matching the demo's own annotations (for identity replays)."""
     return Scene(block_starts=tuple(s.anchor_start for s in demo.segments),
-                 block_goals=tuple(s.anchor_goal for s in demo.segments),
-                 seed=seed)
+                 block_goals=tuple(s.anchor_goal for s in demo.segments))
 
 
 def success(task, final_state, scene: Scene, spec: SuccessSpec = SuccessSpec()) -> bool:

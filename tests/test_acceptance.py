@@ -15,7 +15,7 @@ import pytest
 from demoaug.cli import main as cli_main
 from demoaug.demos import reference_demo
 from demoaug.ensemble import (
-    Action, ActionChunk, EnsembleConfig, EnsembleMode, EnsembleState,
+    WARMUP_STEPS, Action, ActionChunk, EnsembleConfig, EnsembleMode, EnsembleState,
     compute_k, ensemble_action,
 )
 from demoaug.evaluation import closed_loop_eval
@@ -95,7 +95,7 @@ def test_criterion_2_hand_oracle_ensembling():
     # weights {e^-0.5, 1}, x = 1 / (1 + e^-0.5)
     cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0, k_cutoff=0.5)
     state = EnsembleState(cfg)
-    state.epoch_step = cfg.warmup_steps
+    state.epoch_step = WARMUP_STEPS
     state.submit(_chunk(0, [0.0, 0.0, 0.0], 0.04))
     state.submit(_chunk(1, [1.0, 0.0, 0.0], 0.04))
     action = ensemble_action(state, 1)
@@ -107,7 +107,7 @@ def test_criterion_2_hand_oracle_ensembling():
         mode = list(EnsembleMode)[trial % 4]
         cfg = EnsembleConfig(mode=mode, beta=float(rng.uniform(0, 2)), chunk_len=6)
         st = EnsembleState(cfg)
-        st.epoch_step = cfg.warmup_steps
+        st.epoch_step = WARMUP_STEPS
         if trial % 2 == 0:
             pos = rng.uniform(-0.5, 0.5, 3)
             grip = float(rng.uniform(0, 0.08))
@@ -178,8 +178,8 @@ def _stream(cfg, xs):
 def test_criterion_4_suspension_contract():
     for mode in (EnsembleMode.COMBINED, EnsembleMode.RESET_ONLY):
         cfg = EnsembleConfig(mode=mode, beta=1.0, k_cutoff=0.01)
-        n = cfg.effective_replay_n
-        assert n == cfg.chunk_len // 2
+        n = cfg.chunk_len // 2   # a suspension replays half a chunk
+        assert n == 10
         actions, diags = _stream(cfg, [0.0] * 5 + [1.0] * 30)
         assert len(diags) == len(actions)
         modes = [d.mode_used for d in diags]
@@ -187,7 +187,7 @@ def test_criterion_4_suspension_contract():
         assert modes[:5] == ["warmup"] * 5
         assert all(d.k_p == cfg.k_const for d in diags[:5])
         # trigger at the first post-warm-up disagreement, then exactly
-        # replay_n consecutive outputs verbatim from the chunk emitted then
+        # n consecutive outputs verbatim from the chunk emitted then
         assert modes[5] == "trigger" and diags[5].k_p > cfg.k_cutoff
         for t in range(5, 5 + n):
             assert actions[t].pos[0] == 1.0
@@ -197,7 +197,7 @@ def test_criterion_4_suspension_contract():
         assert modes[5 + n:10 + n] == ["warmup"] * 5
         assert all(d.k_p == cfg.k_const for d in diags[5 + n:10 + n])
     _report("criterion 4 (suspension contract)",
-            f"replay_n={n} verbatim actions, 5-step warm-up per epoch, both reset modes")
+            f"{n} verbatim actions, 5-step warm-up per epoch, both reset modes")
 
 
 def test_criterion_5_bimodality_separation():
@@ -206,7 +206,7 @@ def test_criterion_5_bimodality_separation():
 
     def clustered_state(cfg):
         st = EnsembleState(cfg)
-        st.epoch_step = cfg.warmup_steps
+        st.epoch_step = WARMUP_STEPS
         for t in range(10):
             st.submit(_chunk(t, [0.0 + jitter(), 0.0, 0.0], 0.04))
         for t in range(10, 20):

@@ -554,14 +554,114 @@ AUGMENT_RC = {"command": "augment", "version": "0.1.0", "demo": PUSH, "task": "p
               "workspace": {}, "controller": {}, "success": {}}
 
 
+# the ensemble keys every report of the version before replay length, warm-up and
+# the clear after a suspension were fixed holds, at the values it wrote by default
+RETIRED_KEYS = {"replay_n": None, "warmup_steps": 5, "clear_after_suspend": True}
+
+
+def stack_report(tmp_path, name="a") -> Path:
+    """A disturbed stack run, whose suspensions replay, clear and re-warm, with diagnostics."""
+    out = tmp_path / name
+    assert main(["ensemble-eval", "--demo", STACK, "--task", "stack", "--episodes", "2",
+                 "--latency", "3", "--bimodal-period", "2", "--modes", "baseline,combined",
+                 "--betas", "1.0", "--diagnostics", "--out", str(out)]) == 0
+    return out
+
+
+def with_ensemble_keys(report: Path, path: Path, keys: dict) -> Path:
+    """The report at ``report`` with ``keys`` added to its run_config.ensemble,
+    written to ``path`` as a report is written."""
+    doc = json.loads(report.read_text())
+    doc["run_config"]["ensemble"].update(keys)
+    path.write_text(canonical_json(doc) + "\n", encoding="utf-8")
+    return path
+
+
+class TestRerunRules:
+    def test_report_with_retired_keys_reruns_byte_identical(self, tmp_path):
+        fresh = stack_report(tmp_path)
+        assert not set(RETIRED_KEYS) & set(
+            json.loads((fresh / "report.json").read_text())["run_config"]["ensemble"])
+        old = with_ensemble_keys(fresh / "report.json", tmp_path / "old.json", RETIRED_KEYS)
+        assert main(["ensemble-eval", "--from-manifest", str(old), "--diagnostics",
+                     "--out", str(tmp_path / "rerun")]) == 0
+        # run_config is echoed as read, and the run is the fresh one
+        assert (tmp_path / "rerun" / "report.json").read_bytes() == old.read_bytes()
+        assert_trees_identical(fresh / "diagnostics", tmp_path / "rerun" / "diagnostics")
+
+    @pytest.mark.parametrize("key, value", [
+        ("replay_n", 6), ("replay_n", 10), ("warmup_steps", 3), ("warmup_steps", True),
+        ("clear_after_suspend", False), ("clear_after_suspend", 1),
+    ])
+    def test_retired_key_at_another_value_refused_before_any_episode(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        fresh = stack_report(tmp_path)
+        old = with_ensemble_keys(fresh / "report.json", tmp_path / "old.json",
+                                 {**RETIRED_KEYS, key: value})
+        capsys.readouterr()
+        forbid_episodes(monkeypatch)
+        assert main(["ensemble-eval", "--from-manifest", str(old),
+                     "--out", str(tmp_path / "rerun")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and f"ensemble.{key}" in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not captured.out and not (tmp_path / "rerun").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--replay-n", "6"], ["--warmup-steps", "3"], ["--no-clear-after-suspend"],
+    ], ids=["replay_n", "warmup_steps", "clear_after_suspend"])
+    def test_retired_flag_does_not_parse(self, capsys, flags):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["ensemble-eval", "--demo", PUSH, "--task", "push",
+                                       "--episodes", "1", *flags])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_chunk_len_below_two_rejected_before_any_episode(self, tmp_path, capsys,
+                                                             monkeypatch):
+        forbid_episodes(monkeypatch)
+        assert main(["ensemble-eval", "--demo", PUSH, "--task", "push", "--episodes", "1",
+                     "--chunk-len", "1", "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: chunk_len ") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("cmd, flags", [
+        ("ensemble-eval", ["--episodes", "1", "--latency", "0", "--modes", "baseline"]),
+        ("ensemble-eval", ["--seed", "0"]),
+        ("ensemble-eval", ["--demo", PUSH, "--task", "push"]),
+        ("ensemble-eval", ["--betas", "1.0", "--k-cutoffs", "0.5"]),
+        ("ensemble-eval", ["--chunk-len", "16", "--config", "c.json"]),
+        ("augment", ["--count", "2"]),
+        ("augment", ["--seed", "0", "--attempt-cap", "3"]),
+        ("augment", ["--config", "c.json", "--gain", "4"]),
+    ], ids=["episodes_latency_modes", "seed", "demo_task", "sweeps", "chunk_len_config",
+            "count", "seed_attempt_cap", "config_gain"])
+    def test_run_flag_with_manifest_rejected_before_any_work(self, tmp_path, capsys,
+                                                             monkeypatch, cmd, flags):
+        if cmd == "augment":
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps({"run_config": AUGMENT_RC}))
+        else:
+            manifest = stack_report(tmp_path) / "report.json"
+            capsys.readouterr()
+        forbid_replays(monkeypatch)
+        assert main([cmd, "--from-manifest", str(manifest), *flags,
+                     "--out", str(tmp_path / "rerun")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert all(f in captured.err for f in flags if f.startswith("--"))
+        assert not captured.out and not (tmp_path / "rerun").exists()
+
+
 @pytest.mark.parametrize("cmd, source, doc, key", [
     ("ensemble-eval", "--from-manifest", {"run_config": AUGMENT_RC}, "command"),
     ("ensemble-eval", "--config", {"controller": {"gian": 3}}, "controller.gian"),
     ("ensemble-eval", "--config", {"controller": 5}, "controller"),
     ("augment", "--config", {"workspace": {"pick_goal_z": 3}}, "workspace.pick_goal_z"),
     ("augment", "--from-manifest", {"run_config": {**AUGMENT_RC, "count": "3"}}, "count"),
+    ("ensemble-eval", "--config", {"ensemble": {"replay_n": None}}, "ensemble.replay_n"),
 ], ids=["wrong_command", "unknown_key", "section_not_object", "pair_not_list",
-        "count_not_integer"])
+        "count_not_integer", "retired_key_in_config"])
 def test_malformed_run_config_rejected(tmp_path, capsys, cmd, source, doc, key):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
@@ -684,8 +784,7 @@ OVERRIDE_OPTIONS = {
     "--waypoint-timeout": float, "--settle-time": float,
 }
 EVAL_OVERRIDE_OPTIONS = {
-    "--k-const": float, "--chunk-len": int, "--replay-n": int, "--warmup-steps": int,
-    "--no-clear-after-suspend": None, "--latency": int, "--bimodal-period": int,
+    "--k-const": float, "--chunk-len": int, "--latency": int, "--bimodal-period": int,
     "--bimodal-gap": int, "--noise": float,
 }
 OPTIONS = {
@@ -711,9 +810,6 @@ OVERRIDES = [
     ("--settle-time", "0.25", "controller", "settle_time", 0.25),
     ("--k-const", "0.02", "ensemble", "k_const", 0.02),
     ("--chunk-len", "16", "ensemble", "chunk_len", 16),
-    ("--replay-n", "6", "ensemble", "replay_n", 6),
-    ("--warmup-steps", "3", "ensemble", "warmup_steps", 3),
-    ("--no-clear-after-suspend", None, "ensemble", "clear_after_suspend", False),
     ("--latency", "3", "disturbance", "latency", 3),
     ("--bimodal-period", "2", "disturbance", "bimodal_period", 2),
     ("--bimodal-gap", "4", "disturbance", "bimodal_gap", 4),
@@ -745,7 +841,7 @@ class TestOverrideFlags:
         required = ["--demo", PUSH, "--task", "push", "--out", "o"]
         parse = build_parser().parse_args
         defaults = cli._build_sections(parse([cmd, *required]), names)
-        args = parse([cmd, *required, flag, *([text] if text is not None else [])])
+        args = parse([cmd, *required, flag, text])
         sections = cli._build_sections(args, names)
         assert sections == {**defaults, section: {**defaults[section], field: value}}
         assert type(sections[section][field]) is type(value)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 from fractions import Fraction
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demoaug.ensemble import (
-    K_CONST_DEFAULT, Action, ActionChunk, EmptyBuffer, EnsembleConfig, EnsembleMode,
-    EnsembleState, InsufficientCandidates, _fixed_weights, candidates, compute_k,
+    K_CONST_DEFAULT, WARMUP_STEPS, Action, ActionChunk, EmptyBuffer, EnsembleConfig,
+    EnsembleMode, EnsembleState, InsufficientCandidates, _fixed_weights, candidates, compute_k,
     decay_weights, ensemble_action,
 )
 from demoaug.evaluation import prepare_episode, run_closed_loop_episode
@@ -165,7 +166,7 @@ class TestComputeK:
 class TestEnsembleAction:
     def worked_case_state(self, cfg):
         state = EnsembleState(cfg)
-        state.epoch_step = cfg.warmup_steps  # past warm-up
+        state.epoch_step = WARMUP_STEPS  # past warm-up
         state.submit(const_chunk(0, 0.0))
         state.submit(const_chunk(1, 1.0))
         return state
@@ -186,8 +187,8 @@ class TestEnsembleAction:
         action = ensemble_action(state, 1)
         assert state.stats[-1].triggered
         assert action.pos[0] == 1.0  # newest chunk, verbatim
-        # the next replay_n - 1 outputs replay the same chunk
-        for t in range(2, 2 + cfg.effective_replay_n - 1):
+        # the next chunk_len // 2 - 1 outputs replay the same chunk
+        for t in range(2, 2 + cfg.chunk_len // 2 - 1):
             state.submit(const_chunk(t, 5.0))  # discarded while suspended
             out = ensemble_action(state, t)
             assert state.stats[-1].mode_used == "suspended"
@@ -206,7 +207,7 @@ class TestEnsembleAction:
         for mode in EnsembleMode:
             cfg = EnsembleConfig(mode=mode, beta=1.0)
             state = EnsembleState(cfg)
-            state.epoch_step = cfg.warmup_steps
+            state.epoch_step = WARMUP_STEPS
             for t in range(4):
                 state.submit(const_chunk(t, 0.125, gripper=0.0625))
             action = ensemble_action(state, 3)
@@ -217,7 +218,7 @@ class TestEnsembleAction:
         for mode in EnsembleMode:
             cfg = EnsembleConfig(mode=mode, beta=1.0)
             state = EnsembleState(cfg)
-            state.epoch_step = cfg.warmup_steps
+            state.epoch_step = WARMUP_STEPS
             state.submit(chunk_from_rows(0, [[0.3, -0.2, 0.7]] * L, [0.017] * L))
             action = ensemble_action(state, 0)
             assert tuple(action.pos) == (0.3, -0.2, 0.7)
@@ -243,28 +244,18 @@ class TestEnsembleAction:
         state, actions = run_stream(cfg, xs)
         diags = state.stats
         modes = [d.mode_used for d in diags]
-        n = cfg.effective_replay_n
-        assert n == L // 2
+        n = L // 2   # a suspension replays half a chunk
         assert modes[:5] == ["warmup"] * 5
         assert modes[5] == "trigger"
         assert diags[5].triggered
         assert diags[5].k_p > cfg.k_cutoff
         assert modes[6:5 + n] == ["suspended"] * (n - 1)
-        # exactly replay_n outputs come verbatim from the chunk emitted at 5
+        # exactly n outputs come verbatim from the chunk emitted at 5
         for t in range(5, 5 + n):
             assert actions[t].pos[0] == 1.0
             assert diags[t].suspended_from == 5
         # new buffer epoch re-warms for 5 steps
         assert modes[5 + n:10 + n] == ["warmup"] * 5
-
-    def test_no_clear_keeps_buffer(self):
-        cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0, k_cutoff=0.01,
-                             clear_after_suspend=False)
-        xs = [0.0] * 5 + [1.0] * 25
-        state, _ = run_stream(cfg, xs)
-        modes = [d.mode_used for d in state.stats]
-        first_after = modes[5 + cfg.effective_replay_n]
-        assert first_after != "warmup"  # stale buffer retained, no new epoch
 
     def test_reset_only_uses_fixed_temperature_for_means(self):
         cfg = EnsembleConfig(mode=EnsembleMode.RESET_ONLY, beta=1.0, k_cutoff=10.0)
@@ -329,16 +320,21 @@ class TestConfig:
             EnsembleConfig(**{name: value})
 
     @pytest.mark.parametrize("name, value", [
-        ("chunk_len", 2.5), ("chunk_len", True), ("chunk_len", None), ("warmup_steps", 2.5),
-        ("replay_n", 2.0), ("replay_n", False),
+        ("chunk_len", 2.5), ("chunk_len", True), ("chunk_len", None),
+        ("chunk_len", 1), ("chunk_len", 0),
     ])
     def test_non_integer_count_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             EnsembleConfig(**{name: value})
 
     def test_numpy_integer_counts_accepted(self):
-        cfg = EnsembleConfig(chunk_len=np.int64(8), replay_n=np.int32(3), warmup_steps=np.int8(2))
-        assert (cfg.chunk_len, cfg.effective_replay_n, cfg.warmup_steps) == (8, 3, 2)
+        assert EnsembleConfig(chunk_len=np.int64(8)).chunk_len == 8
+
+    def test_fields_are_the_five_settings(self):
+        # replay length, warm-up and the clear after a suspension are fixed
+        assert [f.name for f in dataclasses.fields(EnsembleConfig)] == \
+               ["mode", "beta", "k_const", "k_cutoff", "chunk_len"]
+        assert WARMUP_STEPS == 5
 
     @pytest.mark.parametrize("g_max", [0.0, -1.0, math.nan, math.inf])
     def test_bad_gripper_clip_rejected(self, g_max):
@@ -371,7 +367,7 @@ class TestWeights:
         assert decay_weights([3, 2], 1000.0) == [0.0, 1.0]
         cfg = EnsembleConfig(mode="baseline", k_const=1000.0)
         state = EnsembleState(cfg)
-        state.epoch_step = cfg.warmup_steps
+        state.epoch_step = WARMUP_STEPS
         state.submit(const_chunk(0, 0.0))
         state.submit(const_chunk(1, 1.0))
         action = ensemble_action(state, 3)
@@ -384,7 +380,7 @@ class TestBimodality:
         """Half the buffer around x=0, half around x=1, tiny intra-cluster spread."""
         rng = np.random.default_rng(jitter_seed)
         state = EnsembleState(cfg)
-        state.epoch_step = cfg.warmup_steps
+        state.epoch_step = WARMUP_STEPS
         for t in range(10):
             state.submit(const_chunk(t, 0.0 + rng.uniform(-0.005, 0.005)))
         for t in range(10, 20):
@@ -411,7 +407,7 @@ def test_convex_hull_containment(n_chunks, seed, beta):
     rng = np.random.default_rng(seed)
     cfg = EnsembleConfig(mode=EnsembleMode.DYNAMIC_K, beta=beta)
     state = EnsembleState(cfg)
-    state.epoch_step = cfg.warmup_steps
+    state.epoch_step = WARMUP_STEPS
     rows_by_chunk = []
     for t in range(n_chunks):
         rows = rng.uniform(-0.5, 0.5, size=(L, 3))
@@ -487,7 +483,7 @@ def random_candidate_state(rng, cfg, n):
     emitted = sorted(rng.choice(L, size=n, replace=False).tolist())
     centres = rng.uniform(-0.5, 0.5, size=(2, 1)) + [[0.0, 0.0, 0.0], [1e-3, -2e-3, 5e-4]]
     state = EnsembleState(cfg)
-    state.epoch_step = cfg.warmup_steps
+    state.epoch_step = WARMUP_STEPS
     made = []
     for e in emitted:
         roll = rng.random()
@@ -557,7 +553,7 @@ class TestExactOracle:
 
         cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=0.5, k_cutoff=0.0125)
         state = EnsembleState(cfg)
-        state.epoch_step = cfg.warmup_steps
+        state.epoch_step = WARMUP_STEPS
         for e, g in enumerate(widths):
             state.submit(const_chunk(L - n + e, 0.1, gripper=g))
         ensemble_action(state, L - 1)
@@ -584,7 +580,7 @@ class TestExactOracle:
         outputs = []
         for same_object in (True, False):
             state = EnsembleState(cfg)
-            state.epoch_step = 0 if warm else cfg.warmup_steps
+            state.epoch_step = 0 if warm else WARMUP_STEPS
             submitted = [shared if same_object else Action(pos=list(pos), gripper=gripper)
                          for _ in range(4)]
             for e, action in zip((0, 3, 4, 9), submitted):
@@ -640,7 +636,7 @@ class TestFixedWeightsMemo:
     def test_relative_ages_key_gives_the_absolute_weights(self):
         cfg = EnsembleConfig(mode=EnsembleMode.BASELINE)
         state = EnsembleState(cfg)
-        state.epoch_step = cfg.warmup_steps
+        state.epoch_step = WARMUP_STEPS
         xs = [0.0, 0.25, 0.5]
         for e, x in zip((0, 2, 3), xs):
             state.submit(const_chunk(e, x))
@@ -661,5 +657,5 @@ class TestFixedWeightsMemo:
         assert len(dynamic) > 100
         assert len({(s.k_p, s.k_g) for s in dynamic}) > 50
         warm = [s for s in stats if s.mode_used == "warmup"]
-        assert len(warm) == cfg.warmup_steps
+        assert len(warm) == WARMUP_STEPS
         assert _fixed_weights.cache_info().currsize <= len(warm)

@@ -338,30 +338,64 @@ def scratch_rollout(policy, obs, start, steps_on):
     return idx
 
 
+class ScratchQueries:
+    """A policy's query schedule modelled apart from it: each query's rollout
+    start ``(obs, start, steps_on)``.  The observation is the one ``latency``
+    queries old, the cursor the first nearest waypoint and then ``advance`` with
+    T + 1, and the start the cursor plus the bimodal offset of the queries made
+    so far, idle ones counted."""
+
+    def __init__(self, policy):
+        self.targets = [w.pos for w in policy.reference.waypoints]
+        self.observations = []
+        self.cursor = None
+        self.steps_on = 0
+
+    def query(self, policy, ee_pos):
+        d, ctrl, last = policy.disturbances, policy.ctrl, len(self.targets) - 1
+        self.observations.append(tuple(ee_pos))
+        obs = self.observations[max(0, len(self.observations) - 1 - d.latency)]
+        if self.cursor is None:
+            self.cursor = int(np.argmin(np.linalg.norm(np.array(self.targets) - obs, axis=1)))
+        else:
+            self.cursor, self.steps_on = advance(
+                self.cursor, self.steps_on, obs, self.targets[self.cursor],
+                last, ctrl.timeout_steps + 1, ctrl.waypoint_advance_radius)
+        queries_before = len(self.observations) - 1
+        flipped = d.bimodal_period > 0 and (queries_before // d.bimodal_period) % 2
+        start = min(self.cursor + (d.bimodal_gap if flipped else 0), last)
+        return obs, start, self.steps_on
+
+
 @pytest.fixture
 def checked_chunks(monkeypatch):
     """Check every chunk ScriptedPolicy.predict emits against a scratch
-    rollout from the start it asked ``_rollout`` for; returns the list of
-    queries in call order, a predict's step or None for an idle query.  A
-    noise-free chunk must also hold the reference's own Waypoint objects,
-    which the ensembler's unanimity test relies on.  The scratch noise
-    stream draws once per query, an idle one too."""
+    rollout from the start a :class:`ScratchQueries` model of the policy
+    expects; returns the list of queries in call order, a predict's step or
+    None for an idle query.  A noise-free chunk must also hold the reference's
+    own Waypoint objects, which the ensembler's unanimity test relies on.  The
+    scratch noise stream draws once per query, an idle one too."""
     real_rollout, real_predict, real_idle = (ScriptedPolicy._rollout, ScriptedPolicy.predict,
                                              ScriptedPolicy.idle)
-    starts, rngs, queries = [], {}, []
+    rollouts, rngs, models, queries = [], {}, {}, []
 
     def scratch_draw(self, shape):
         noise = self.disturbances.noise
         rng = rngs.setdefault(id(self), np.random.default_rng(self.disturbances.seed))
         return rng.uniform(-noise, noise, size=shape)
 
+    def expected_start(self, ee_pos):
+        return models.setdefault(id(self), ScratchQueries(self)).query(self, ee_pos)
+
     def spy_rollout(self, obs, start):
-        starts.append((obs, start, self._steps_on_cursor))
+        rollouts.append(start)
         return real_rollout(self, obs, start)
 
     def checked_predict(self, ee_pos, t):
         chunk = real_predict(self, ee_pos, t)
-        idx = scratch_rollout(self, *starts.pop())
+        assert len(rollouts) == 1
+        rollouts.clear()
+        idx = scratch_rollout(self, *expected_start(self, ee_pos))
         waypoints = [self.reference.waypoints[k] for k in idx]
         pos = np.array([w.pos for w in waypoints])
         grip = np.array([w.gripper for w in waypoints])
@@ -376,7 +410,8 @@ def checked_chunks(monkeypatch):
 
     def checked_idle(self, ee_pos):
         real_idle(self, ee_pos)
-        assert not starts   # no rollout
+        assert not rollouts   # no rollout
+        expected_start(self, ee_pos)
         if self.disturbances.noise > 0:
             scratch_draw(self, (self.chunk_len, 3))
         queries.append(None)

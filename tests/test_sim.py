@@ -312,7 +312,7 @@ class TestReplay:
         demo = pick_place_demo
         scene = recorded_scene(demo)
         shifted = Scene(block_starts=(np.add(scene.block_starts[0], [0.10, 0, 0]),),
-                        block_goals=scene.block_goals, seed=0)
+                        block_goals=scene.block_goals)
         aug = augment_segmentwise(demo, anchors_for_scene(demo.task, demo, scene))
         ep = replay(aug, shifted)
         assert not ep.success

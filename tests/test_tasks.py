@@ -121,7 +121,7 @@ class TestAnchors:
 
     def test_degenerate_scene_rejected(self, pick_place_demo):
         block = (0.1, 0.1, 0.02)
-        scene = Scene(block_starts=(block,), block_goals=(block,), seed=0)
+        scene = Scene(block_starts=(block,), block_goals=(block,))
         with pytest.raises(ValidationError):
             anchors_for_scene(TaskKind.PICK_PLACE, pick_place_demo, scene)
 
@@ -133,12 +133,12 @@ class TestAnchors:
 
 class TestSuccess:
     def test_exact_hit(self):
-        scene = Scene(block_starts=([0, 0, 0.02],), block_goals=([0.1, 0.1, 0.02],), seed=0)
+        scene = Scene(block_starts=([0, 0, 0.02],), block_goals=([0.1, 0.1, 0.02],))
         assert success(TaskKind.PUSH, state_with_blocks([[0.1, 0.1, 0.02]]), scene)
 
     def test_cutoff_is_five_centimeters(self):
         goal = (0.0, 0.0, 0.02)
-        scene = Scene(block_starts=([0.2, 0, 0.02],), block_goals=(goal,), seed=0)
+        scene = Scene(block_starts=([0.2, 0, 0.02],), block_goals=(goal,))
         just_inside = state_with_blocks([np.add(goal, [0.05, 0, 0])])
         just_outside = state_with_blocks([np.add(goal, [0.051, 0, 0])])
         assert success(TaskKind.PICK_PLACE, just_inside, scene)
@@ -147,7 +147,7 @@ class TestSuccess:
     def test_stack_requires_both_blocks(self):
         goals = (np.array([0.0, 0.0, 0.02]), np.array([0.0, 0.0, 0.06]))
         scene = Scene(block_starts=([0.1, 0, 0.02], [0.2, 0, 0.02]),
-                      block_goals=goals, seed=0)
+                      block_goals=goals)
         ok = state_with_blocks([goals[0] + [0.03, 0, 0], goals[1] + [0.039, 0, 0]])
         bad = state_with_blocks([goals[0] + [0.03, 0, 0], goals[1] + [0.05, 0, 0]])
         assert success(TaskKind.STACK, ok, scene)
@@ -158,7 +158,7 @@ class TestSuccess:
         rng = np.random.default_rng(3)
         goals = (np.array([0.0, 0.0, 0.02]), np.array([0.0, 0.0, 0.06]))
         scene = Scene(block_starts=([0.1, 0, 0.02], [0.2, 0, 0.02]),
-                      block_goals=goals, seed=0)
+                      block_goals=goals)
         for _ in range(200):
             offsets = rng.uniform(-0.08, 0.08, size=(2, 3))
             far = state_with_blocks([g + o for g, o in zip(goals, offsets)])
@@ -184,7 +184,7 @@ class TestSuccess:
                 continue
             checked += 1
             d = math.sqrt(x * x + y * y + z * z)
-            scene = Scene(block_starts=([0.3, 0.3, 0.02],), block_goals=(goal,), seed=0)
+            scene = Scene(block_starts=([0.3, 0.3, 0.02],), block_goals=(goal,))
             state = state_with_blocks([block])
             assert success(TaskKind.PUSH, state, scene, SuccessSpec(push=d))
             assert not success(TaskKind.PUSH, state, scene,
@@ -192,7 +192,7 @@ class TestSuccess:
         assert checked > 100
 
     def test_custom_spec_threshold(self):
-        scene = Scene(block_starts=([0, 0, 0.02],), block_goals=([0.1, 0.0, 0.02],), seed=0)
+        scene = Scene(block_starts=([0, 0, 0.02],), block_goals=([0.1, 0.0, 0.02],))
         state = state_with_blocks([[0.13, 0.0, 0.02]])
         assert not success(TaskKind.PUSH, state, scene, SuccessSpec(push=0.02))
         assert success(TaskKind.PUSH, state, scene, SuccessSpec(push=0.04))

@@ -449,7 +449,7 @@ RULE_FIELDS = [
     *[(f"SuccessSpec.{name}", lambda v, name=name: SuccessSpec(**{name: v}),
        f"success cutoff {name}") for name in ("push", "pick_place", "stack")],
     *[(f"EnsembleConfig.{name}", lambda v, name=name: EnsembleConfig(**{name: v}), name)
-      for name in ("beta", "k_const", "k_cutoff", "chunk_len", "warmup_steps", "replay_n")],
+      for name in ("beta", "k_const", "k_cutoff", "chunk_len")],
     *[(f"DisturbanceConfig.{name}", lambda v, name=name: DisturbanceConfig(**{name: v}), name)
       for name in ("latency", "bimodal_period", "bimodal_gap", "noise")],
     ("ScriptedPolicy.chunk_len", lambda v: ScriptedPolicy(reference_demo("push"), v), "chunk_len"),
