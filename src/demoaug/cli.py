@@ -236,6 +236,7 @@ def cmd_augment(args) -> int:
             "attempt_cap": args.attempt_cap,
             **_build_sections(args, AUGMENT_SECTIONS),
         }
+    require_integer("seed", rc["seed"], 0)   # as scene_seed_for does, but before any attempt
     configs = _configs(rc)
     demo = _load_demo_or_die(rc["demo"])
     out = Path(args.out)
@@ -318,6 +319,7 @@ def cmd_ensemble_eval(args) -> int:
             **sections,
         }
     require_integer("episodes", rc["episodes"], 0)
+    require_integer("seed", rc["seed"], 0)   # also when no episode asks scene_seed_for
     configs = _configs(rc)
     # a matrix entry written before k_cutoff was an axis keeps the base's cutoff
     cells = [dataclasses.replace(configs["ensemble"], **entry) for entry in rc["matrix"]]

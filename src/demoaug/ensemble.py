@@ -46,11 +46,11 @@ CPU; on AVX-512 it rounds two of the nineteen default-temperature weights
 
 Unanimous steps.  The scripted predictor emits the warped demo's own
 waypoints, so in a clean closed loop the candidates are mostly one object,
-which is tested by identity.  Such a step forms no spread and no sums (each is
-exactly zero) and outputs what the weighted mean gives, ``x0 + 0.0`` per
-coordinate and the clipped ``g0 + 0.0``: the shared waypoint itself when
-those are its own bits (no coordinate is +-0.0, and ``0 < g0 <= g_max``),
-else a new one.
+which is tested by identity.  Such a step forms no spread (it is exactly
+zero), and its weighted mean is ``x0 + 0.0`` per coordinate and the clipped
+``g0 + 0.0``.  When those are the shared waypoint's own bits (no coordinate
+is +-0.0, and ``0 < g0 <= g_max``) the step returns the waypoint itself and
+forms no sums; else it takes the weighted mean, each difference 0.0.
 
 Memo.  Fixed-temperature weights (warm-up, ``baseline``, ``fixed_k``) repeat
 step after step and are memoized on the temperature and the ages relative to
@@ -183,15 +183,6 @@ def _fixed_weights(k: float, relative_ages: tuple[int, ...]) -> tuple[float, ...
     return tuple(decay_weights(relative_ages, k))
 
 
-def _unanimous_action(action: Action, g_max: float) -> Action:
-    # the weighted mean of candidates that are all this Action; see the module docstring
-    x0, y0, z0 = action.pos
-    g0 = action.gripper
-    if x0 and y0 and z0 and 0.0 < g0 <= g_max:
-        return action
-    return Action((x0 + 0.0, y0 + 0.0, z0 + 0.0), min(max(g0 + 0.0, 0.0), g_max))
-
-
 def _weighted_action(cands: list[Action], wp, wg, g_max: float) -> Action:
     # Means are anchored at the first candidate, each x0 + fsum(w * (x - x0)),
     # so unanimous candidates reproduce their action exactly, free of
@@ -304,8 +295,8 @@ def ensemble_action(state: EnsembleState, t: int) -> Action:
             action = chunk.actions[offset]
             diag = StepDiagnostics(t, "trigger", n, k_p, k_g, True, chunk.emitted_at)
         else:
-            if unanimous:
-                action = _unanimous_action(first, state.g_max)
+            if unanimous and all(first.pos) and 0.0 < first.gripper <= state.g_max:
+                action = first   # the weighted mean's own bits; see the module docstring
             elif mode_used == "dynamic_k":
                 wp = decay_weights(ages, k_p)
                 wg = wp if k_g == k_p else decay_weights(ages, k_g)

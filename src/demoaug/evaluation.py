@@ -8,7 +8,7 @@ disturbance streams for a given seed.
 
 What a seed determines is made once, by :func:`prepare_episode`, and shared
 by every cell: the sampled scene, the demo warped to it and the predictor's
-disturbance config seeded from it.
+disturbance config seeded from it.  A :class:`SeedRun` makes it for its seed.
 
 Lockstep.  Cells whose actions have had the same bits so far share predictor
 and simulator state, so a :class:`SeedRun` steps a seed's cells in groups, at
@@ -18,7 +18,8 @@ suspended, they would drop it: the policy then makes an ``idle`` query); the
 members then split by action (identity, else ``==`` plus each zero's sign):
 the first part keeps the policy, others fork it, each steps the shared state.
 :func:`run_closed_loop_episode` is still called once per (cell, seed), cells
-outer and seeds inner, and steps only the group holding its cell; others park.
+outer and seeds inner, and hands a cell over by its index.  It steps only the
+group holding the cell (cell-major, its first member); the other groups park.
 """
 
 from __future__ import annotations
@@ -117,9 +118,10 @@ def prepare_episode(task, demo: DemoTrajectory, seed: int,
     """The part of a seed's episode that no cell changes: (scene, warped demo,
     the predictor's disturbances seeded for this seed)."""
     task = tasks.as_task(task)
+    seeded = replace(disturbances, seed=sim.scene_seed_for(seed, 1))   # checks the seed
     scene = tasks.sample_scene(task, ws, seed)
     aug = augment_segmentwise(demo, tasks.anchors_for_scene(task, demo, scene))
-    return scene, aug, replace(disturbances, seed=sim.scene_seed_for(seed, 1))
+    return scene, aug, seeded
 
 
 def _same_bits(a: Action, b: Action) -> bool:
@@ -131,28 +133,31 @@ def _same_bits(a: Action, b: Action) -> bool:
 
 
 class SeedRun:
-    """Every cell's episode on one prepared seed, in lockstep groups."""
+    """Every cell's episode on a seed it prepares itself, in lockstep groups; a
+    cell is handed over once, by its index, stepping only the group holding it."""
 
-    def __init__(self, task, scene, aug: DemoTrajectory, cfgs, ctrl, disturbances, spec):
+    def __init__(self, task, demo: DemoTrajectory, seed: int, cfgs, ws=tasks.Workspace(),
+                 ctrl=sim.ControllerConfig(), disturbances=DisturbanceConfig(),
+                 spec=tasks.SuccessSpec()):
+        scene, aug, seeded = prepare_episode(task, demo, seed, ws, disturbances)
         self.task, self.scene, self.ctrl, self.spec = task, scene, ctrl, spec
         self.horizon = STEPS_PER_WAYPOINT * len(aug.waypoints) + HORIZON_SLACK
-        self._undelivered = list(cfgs)
         by_len: dict[int, list] = {}
-        for cell, cfg in enumerate(self._undelivered):
+        for cell, cfg in enumerate(cfgs):
             by_len.setdefault(cfg.chunk_len, []).append((cell, EnsembleState(cfg, aug.g_max)))
         # (policy, state, step, settled, [(cell, EnsembleState)], its ensembled action or None)
-        self._parked = [(ScriptedPolicy(aug, n, disturbances, ctrl), sim.initial_state(aug, scene),
+        self._parked = [(ScriptedPolicy(aug, n, seeded, ctrl), sim.initial_state(aug, scene),
                          0, 0, members, None) for n, members in by_len.items()]
         self._results: dict[int, tuple] = {}
 
-    def result(self, cfg: EnsembleConfig):
-        """(success, diagnostics) of the next undelivered cell of ``cfg``."""
-        cell = self._undelivered.index(cfg)
-        self._undelivered[cell] = None
-        if cell not in self._results:
-            group = next(g for g in self._parked if any(i == cell for i, _ in g[4]))
+    def result(self, cell: int):
+        """(success, diagnostics) of cell ``cell``; ValueError if not left to hand over."""
+        while cell not in self._results:
+            group = next((g for g in self._parked if any(i == cell for i, _ in g[4])), None)
+            if group is None:
+                raise ValueError(f"cell {cell} is not left to hand over")
             self._parked.remove(group)
-            self._run(*group[:4], sorted(group[4], key=lambda m: m[0] != cell), group[5])
+            self._run(*group)
         return self._results.pop(cell)
 
     def _run(self, policy, state, t, settled, members, action) -> None:
@@ -190,16 +195,9 @@ class SeedRun:
                 return
 
 
-def run_closed_loop_episode(task, scene: tasks.Scene, aug: DemoTrajectory, cfg: EnsembleConfig,
-                            ctrl: sim.ControllerConfig = sim.ControllerConfig(),
-                            disturbances: DisturbanceConfig = DisturbanceConfig(),
-                            spec: tasks.SuccessSpec = tasks.SuccessSpec(),
-                            lockstep: SeedRun | None = None):
-    """One episode of a scene and warped demo from :func:`prepare_episode`, taken
-    from ``lockstep`` if given; returns (success, per-step diagnostics)."""
-    if lockstep is None:
-        lockstep = SeedRun(task, scene, aug, [cfg], ctrl, disturbances, spec)
-    return lockstep.result(cfg)
+def run_closed_loop_episode(run: SeedRun, cell: int):
+    """Cell ``cell``'s episode of ``run``: (success, per-step diagnostics)."""
+    return run.result(cell)
 
 
 def closed_loop_eval(task, demo: DemoTrajectory, cfg_matrix, n_episodes: int, seeds=None,
@@ -217,19 +215,20 @@ def closed_loop_eval(task, demo: DemoTrajectory, cfg_matrix, n_episodes: int, se
     task = tasks.as_task(task)
     if seeds is None:
         seeds = [sim.scene_seed_for(0, i) for i in range(n_episodes)]
-    seeds = tuple(int(s) for s in seeds)[:n_episodes]
+    seeds = tuple(seeds)[:n_episodes]
     if len(seeds) < n_episodes:
         raise ValueError(f"{len(seeds)} seeds for {n_episodes} episodes")
-    episodes = [prepare_episode(task, demo, seed, ws, disturbances) for seed in seeds]
+    for seed in seeds:
+        require_integer("seed", seed, 0)
+    seeds = tuple(map(int, seeds))   # a NumPy integer is recorded as an int
     cfg_matrix = list(cfg_matrix)
-    runs = [SeedRun(task, scene, aug, cfg_matrix, ctrl, seeded, spec)
-            for scene, aug, seeded in episodes]
+    runs = [SeedRun(task, demo, seed, cfg_matrix, ws, ctrl, disturbances, spec) for seed in seeds]
 
     cells = []
-    for cfg in cfg_matrix:
+    for cell, cfg in enumerate(cfg_matrix):
         successes = 0
-        for i, (seed, (scene, aug, seeded), run) in enumerate(zip(seeds, episodes, runs)):
-            ok, stats = run_closed_loop_episode(task, scene, aug, cfg, ctrl, seeded, spec, run)
+        for i, (seed, run) in enumerate(zip(seeds, runs)):
+            ok, stats = run_closed_loop_episode(run, cell)
             successes += int(ok)
             if diagnostics_sink is not None:
                 diagnostics_sink(cfg, i, seed, stats)

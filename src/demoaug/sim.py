@@ -315,6 +315,7 @@ def replay(aug: DemoTrajectory, scene: Scene, cfg: ControllerConfig = Controller
 
 def scene_seed_for(root_seed: int, attempt: int) -> int:
     """Well-mixed per-attempt scene seed, stable across platforms."""
+    require_integer("seed", root_seed, 0)
     return int(np.random.SeedSequence([int(root_seed), int(attempt)]).generate_state(1)[0])
 
 

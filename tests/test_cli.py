@@ -745,7 +745,10 @@ OVERSIZED = 10 ** 400
     ("augment", {"workspace": {"pick_goal_z": [0.0, OVERSIZED]}}, [], "pick_goal_z"),
     ("ensemble-eval", None, ["--latency", "100000000000000000000"], "latency"),
     ("ensemble-eval", None, ["--chunk-len", "1000000000000000000000"], "chunk_len"),
-], ids=["config_gain", "config_pick_goal_z", "latency_flag", "chunk_len_flag"])
+    ("augment", None, ["--seed", "-1"], "seed"),
+    ("ensemble-eval", None, ["--seed", "-1"], "seed"),
+], ids=["config_gain", "config_pick_goal_z", "latency_flag", "chunk_len_flag",
+        "augment_negative_seed", "ensemble_eval_negative_seed"])
 def test_oversized_number_rejected_before_any_work(tmp_path, capsys, monkeypatch, cmd, config,
                                                    flags, field):
     forbid_replays(monkeypatch)
@@ -759,6 +762,15 @@ def test_oversized_number_rejected_before_any_work(tmp_path, capsys, monkeypatch
     assert captured.err.startswith(f"error: {field} ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not captured.out and not (tmp_path / "out").exists()
+
+
+def test_negative_seed_rejected_when_no_episode_runs(tmp_path, capsys):
+    # no scene seed is drawn for zero episodes, so the report would record the seed
+    argv = ["ensemble-eval", "--demo", PUSH, "--task", "push", "--episodes", "0",
+            "--seed", "-1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be an integer from 0 ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cmd", ["augment", "ensemble-eval"])

@@ -13,7 +13,7 @@ from demoaug.ensemble import (
     EnsembleMode, EnsembleState, InsufficientCandidates, _fixed_weights, candidates, compute_k,
     decay_weights, ensemble_action,
 )
-from demoaug.evaluation import prepare_episode, run_closed_loop_episode
+from demoaug.evaluation import SeedRun
 from demoaug.policy import DisturbanceConfig
 from demoaug.trajectory import G_MAX_DEFAULT
 
@@ -650,9 +650,8 @@ class TestFixedWeightsMemo:
         # a dynamic_k episode reads the memo only in its warm-up steps
         _fixed_weights.cache_clear()
         cfg = EnsembleConfig(mode=EnsembleMode.DYNAMIC_K, beta=1.0)
-        scene, aug, seeded = prepare_episode(
-            "stack", stack_demo, 5, disturbances=DisturbanceConfig(latency=3, bimodal_period=2))
-        _, stats = run_closed_loop_episode("stack", scene, aug, cfg, disturbances=seeded)
+        _, stats = SeedRun("stack", stack_demo, 5, [cfg],
+                           disturbances=DisturbanceConfig(latency=3, bimodal_period=2)).result(0)
         dynamic = [s for s in stats if s.mode_used == "dynamic_k"]
         assert len(dynamic) > 100
         assert len({(s.k_p, s.k_g) for s in dynamic}) > 50

@@ -2,12 +2,13 @@ import ast
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from demoaug import evaluation, sim, tasks
 from demoaug.ensemble import Action, EnsembleConfig, EnsembleMode
 from demoaug.evaluation import (
-    SeedRun, closed_loop_eval, default_matrix, format_report, prepare_episode, report_to_dict,
+    SeedRun, closed_loop_eval, default_matrix, format_report, report_to_dict,
     run_closed_loop_episode, wilson_interval,
 )
 from demoaug.policy import DisturbanceConfig, ScriptedPolicy
@@ -115,6 +116,19 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match="^2 seeds for 3 episodes$"):
             closed_loop_eval("push", push_demo, [EnsembleConfig()], 3, seeds=[1, 2])
 
+    @pytest.mark.parametrize("seed", [1.5, True, "7", -1, 10 ** 23])
+    def test_seed_must_be_a_seed(self, push_demo, monkeypatch, seed):
+        def forbidden(*args):
+            pytest.fail("a seed was prepared")
+
+        monkeypatch.setattr(evaluation, "prepare_episode", forbidden)
+        with pytest.raises(ValidationError, match="^seed must be an integer from 0 to "):
+            closed_loop_eval("push", push_demo, [EnsembleConfig()], 2, seeds=[3, seed])
+
+    def test_numpy_seed_recorded_as_an_int(self, push_demo):
+        report = closed_loop_eval("push", push_demo, [EnsembleConfig()], 1, seeds=[np.uint32(3)])
+        assert report.seeds == (3,) and type(report.seeds[0]) is int
+
     def test_paired_seeds_across_cells(self, push_demo):
         matrix = [EnsembleConfig(mode=EnsembleMode.BASELINE),
                   EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0)]
@@ -168,8 +182,7 @@ class TestClosedLoop:
             return real_step(state, action, cfg)
 
         monkeypatch.setattr(sim, "step", recording_step)
-        scene, aug, seeded = prepare_episode(TaskKind.PUSH, demo, 5)
-        run_closed_loop_episode(TaskKind.PUSH, scene, aug, EnsembleConfig(), disturbances=seeded)
+        SeedRun(TaskKind.PUSH, demo, 5, [EnsembleConfig()]).result(0)
         assert widths[:5] == [0.1] * 5
         assert max(widths) == 0.1
 
@@ -180,8 +193,7 @@ def episodes_alone(task, demo, matrix, seeds, disturbances):
     out = []
     for cfg in matrix:
         for seed in seeds:
-            scene, aug, seeded = prepare_episode(task, demo, seed, disturbances=disturbances)
-            ok, stats = run_closed_loop_episode(task, scene, aug, cfg, disturbances=seeded)
+            ok, stats = SeedRun(task, demo, seed, [cfg], disturbances=disturbances).result(0)
             out.append((ok, repr(stats)))
     return out
 
@@ -273,17 +285,31 @@ class TestLockstep:
         assert episodes_together(task, demo, matrix, seeds, disturbances, monkeypatch) == with_idle
 
     def test_cells_handed_over_in_any_order(self, stack_demo):
-        matrix = cells(B, C, B, R)
-        scene, aug, seeded = prepare_episode("stack", stack_demo, 7, disturbances=LATENCY_BIMODAL)
-        run = SeedRun("stack", scene, aug, matrix, sim.ControllerConfig(), seeded,
-                      tasks.SuccessSpec())
+        matrix = cells(B, C, B, R)   # the baseline cell twice, at 0 and 2
+        run = SeedRun("stack", stack_demo, 7, matrix, disturbances=LATENCY_BIMODAL)
         order = (3, 1, 0, 2)
-        got = [run.result(matrix[i]) for i in order]
-        alone = [run_closed_loop_episode("stack", scene, aug, matrix[i], disturbances=seeded)
-                 for i in order]
+        got = [run_closed_loop_episode(run, i) for i in order]
+        alone = [SeedRun("stack", stack_demo, 7, [matrix[i]], disturbances=LATENCY_BIMODAL)
+                 .result(0) for i in order]
         assert repr(got) == repr(alone)
-        with pytest.raises(ValueError):
-            run.result(matrix[0])   # every cell has been handed over
+        for cell in range(len(matrix)):
+            with pytest.raises(ValueError, match=f"^cell {cell} is not left to hand over$"):
+                run.result(cell)   # every cell has been handed over
+
+    def test_hand_over_steps_only_the_group_holding_the_cell(self, stack_demo, monkeypatch):
+        # cell 1's part is parked, not run, until it is asked for
+        steps, real_step = [0], sim.step
+
+        def counting_step(*args):
+            steps[0] += 1
+            return real_step(*args)
+
+        monkeypatch.setattr(sim, "step", counting_step)
+        run = SeedRun("stack", stack_demo, 7, cells(B, C), disturbances=LATENCY_BIMODAL)
+        _, first = run.result(0)
+        assert steps[0] == len(first)
+        _, second = run.result(1)
+        assert 0 < steps[0] - len(first) < len(second)
 
     def test_actions_compared_by_their_bits(self):
         a = Action((0.0, 0.1, 0.2), 0.05)
@@ -326,8 +352,7 @@ class TestPositionFormat:
                                  scene).states)
         for disturbances in (DisturbanceConfig(),
                              DisturbanceConfig(latency=3, bimodal_period=2, noise=0.01)):
-            scene, aug, seeded = prepare_episode(task, demo, 5, disturbances=disturbances)
-            run_closed_loop_episode(task, scene, aug, EnsembleConfig(), disturbances=seeded)
+            SeedRun(task, demo, 5, [EnsembleConfig()], disturbances=disturbances).result(0)
 
         triples = [a.pos for a in actions]
         for s in states:

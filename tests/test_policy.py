@@ -7,7 +7,7 @@ import pytest
 
 from demoaug import policy as policy_module
 from demoaug.ensemble import Action, EnsembleConfig, EnsembleMode, compute_k
-from demoaug.evaluation import prepare_episode, run_closed_loop_episode
+from demoaug.evaluation import SeedRun, prepare_episode
 from demoaug.policy import DisturbanceConfig, ScriptedPolicy
 from demoaug.sim import ControllerConfig, advance, replay, servo, track
 from demoaug.tasks import Scene
@@ -16,8 +16,7 @@ from demoaug.trajectory import DemoTrajectory, Segment, ValidationError, Waypoin
 
 def closed_loop(task, demo, seed, cfg, disturbances=DisturbanceConfig()):
     """One closed-loop episode of ``demo`` warped to the scene of ``seed``."""
-    scene, aug, seeded = prepare_episode(task, demo, seed, disturbances=disturbances)
-    return run_closed_loop_episode(task, scene, aug, cfg, disturbances=seeded)
+    return SeedRun(task, demo, seed, [cfg], disturbances=disturbances).result(0)
 
 
 def line_demo(spacing, n=60, gripper=0.08):

@@ -367,6 +367,13 @@ class TestCampaign:
         with pytest.raises(ValueError):
             run_campaign(push_demo, TaskKind.PUSH, count=0, rng_seed=0)
 
+    @pytest.mark.parametrize("root_seed", [-1, 2 ** 63, 10 ** 23, 1.5, True, "7"])
+    def test_root_seed_must_be_a_seed(self, push_demo, root_seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer from 0 to \d+, got "):
+            scene_seed_for(root_seed, 0)
+        with pytest.raises(ValueError, match="^seed must be an integer from 0"):
+            run_campaign(push_demo, TaskKind.PUSH, count=1, rng_seed=root_seed)
+
     def test_attempt_cap_validation(self, push_demo):
         with pytest.raises(ValueError, match="attempt_cap"):
             run_campaign(push_demo, TaskKind.PUSH, count=1, rng_seed=0, attempt_cap=0)
