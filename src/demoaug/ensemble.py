@@ -52,6 +52,14 @@ zero), and its weighted mean is ``x0 + 0.0`` per coordinate and the clipped
 is +-0.0, and ``0 < g0 <= g_max``) the step returns the waypoint itself and
 forms no sums; else it takes the weighted mean, each difference 0.0.
 
+Chains.  In a clean closed loop each chunk is the one before it shifted by a
+step: emitted one step later, its action ``a`` is the older chunk's action
+``a + 1`` itself.  :meth:`EnsembleState.submit` counts such chunks in
+``chain``, the number of newest buffered chunks each of which shifts the one
+before it.  When the ring holds no more chunks than the chain and all of them
+cover step t, every candidate is one object, the newest chunk's, and the step
+reads it in O(1) instead of gathering the candidates and testing them.
+
 Memo.  Fixed-temperature weights (warm-up, ``baseline``, ``fixed_k``) repeat
 step after step and are memoized on the temperature and the ages relative to
 the youngest.  A spread temperature is a new float nearly every step and is
@@ -212,17 +220,22 @@ class EnsembleState:
 
     ``cfg`` and the gripper clip ``g_max`` (the demo's) are fixed for the
     loop.  ``chunks`` is the ring of the most recent chunks, at most
-    ``cfg.chunk_len``, one per emission step, oldest first.  ``suspended`` is
-    the chunk a suspension replays verbatim, or None, and ``steps_remaining``
-    its replayed steps still to come.  ``epoch_step`` counts the ensembled
-    steps since the ring was last cleared (for warm-up), and ``stats`` holds
-    every step's :class:`StepDiagnostics`.
+    ``cfg.chunk_len``, one per emission step, oldest first.  ``chain`` counts
+    the newest buffered chunks each of which is the one before it shifted by a
+    step (see Chains in the module docstring): a shift adds one, any other
+    buffered chunk sets it to 1, the clear after a suspension to 0, and a
+    chunk dropped while suspended leaves it as it is.  ``suspended`` is the
+    chunk a suspension replays verbatim, or None, and ``steps_remaining`` its
+    replayed steps still to come.  ``epoch_step`` counts the ensembled steps
+    since the ring was last cleared (for warm-up), and ``stats`` holds every
+    step's :class:`StepDiagnostics`.
     """
 
     def __init__(self, cfg: EnsembleConfig, g_max: float = G_MAX_DEFAULT):
         self.cfg = cfg
         self.g_max = require_real("g_max", g_max, "positive")
         self.chunks: deque[ActionChunk] = deque(maxlen=cfg.chunk_len)
+        self.chain = 0
         self.suspended: ActionChunk | None = None
         self.steps_remaining = 0
         self.epoch_step = 0
@@ -235,13 +248,20 @@ class EnsembleState:
         """
         if self.suspended is not None:
             return False
+        emitted_at, new = chunk
+        if type(emitted_at) is not int or emitted_at < 0:
+            require_integer("emitted_at", emitted_at, 0)
         chunks = self.chunks
-        if chunks and chunk.emitted_at <= chunks[-1].emitted_at:
-            raise ValueError(
-                f"chunk emitted_at {chunk.emitted_at} not after {chunks[-1].emitted_at}")
-        if len(chunk.actions) != self.cfg.chunk_len:
-            raise ValueError(
-                f"chunk length {len(chunk.actions)} != chunk_len {self.cfg.chunk_len}")
+        if chunks and emitted_at <= chunks[-1].emitted_at:
+            raise ValueError(f"chunk emitted_at {emitted_at} not after {chunks[-1].emitted_at}")
+        if len(new) != self.cfg.chunk_len:
+            raise ValueError(f"chunk length {len(new)} != chunk_len {self.cfg.chunk_len}")
+        if chunks and emitted_at == chunks[-1].emitted_at + 1:
+            old = chunks[-1].actions
+            shifted = new[0] is old[1] and all(map(is_, new[1:-1], old[2:]))
+        else:
+            shifted = False
+        self.chain = self.chain + 1 if shifted else 1
         chunks.append(chunk)
         return True
 
@@ -270,11 +290,21 @@ def ensemble_action(state: EnsembleState, t: int) -> Action:
         action = chunk.actions[t - chunk.emitted_at]
         diag = StepDiagnostics(t, "suspended", 0, math.nan, math.nan, False, chunk.emitted_at)
     else:
-        cands, ages = candidates(state, t)
-        n = len(cands)
-        # the predictor emits the demo's own waypoints, so agreement is mostly identity
-        first = cands[0]
-        unanimous = all(map(is_, cands, repeat(first)))
+        chunks = state.chunks
+        n = len(chunks)
+        if 0 < n <= state.chain and t - chunks[0].emitted_at < cfg.chunk_len \
+                and t >= chunks[-1].emitted_at:
+            # one shifted chain covers t: every candidate is the newest chunk's
+            age = t - chunks[-1].emitted_at
+            first = chunks[-1].actions[age]
+            unanimous = True
+            cands, ages = [first] * n, range(age + n - 1, age - 1, -1)
+        else:
+            cands, ages = candidates(state, t)
+            n = len(cands)
+            # the predictor emits the demo's own waypoints, so agreement is mostly identity
+            first = cands[0]
+            unanimous = all(map(is_, cands, repeat(first)))
         warm = state.epoch_step < WARMUP_STEPS
         if warm or cfg.mode is EnsembleMode.BASELINE:
             mode_used, k_p, k_g = ("warmup" if warm else "baseline"), cfg.k_const, cfg.k_const
@@ -310,6 +340,6 @@ def ensemble_action(state: EnsembleState, t: int) -> Action:
     if state.suspended is not None and state.steps_remaining <= 0:
         state.suspended = None
         state.chunks.clear()
-        state.epoch_step = 0
+        state.chain = state.epoch_step = 0
     state.stats.append(diag)
     return action

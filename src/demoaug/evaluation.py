@@ -17,6 +17,8 @@ Each step the policy predicts once and every member ensembles that chunk (all
 suspended, they would drop it: the policy then makes an ``idle`` query); the
 members then split by action (identity, else ``==`` plus each zero's sign):
 the first part keeps the policy, others fork it, each steps the shared state.
+A member whose action is the first member's own object joins the first part
+at once, without scanning the parts; in a clean loop that is every member.
 :func:`run_closed_loop_episode` is still called once per (cell, seed), cells
 outer and seeds inner, and hands a cell over by its index.  It steps only the
 group holding the cell (cell-major, its first member); the other groups park.
@@ -174,16 +176,18 @@ class SeedRun:
                         m.submit(chunk)
                 action = ensemble_action(es, t)
                 if len(members) > 1:
-                    parts = [(action, [members[0]])]
+                    kept = [members[0]]
+                    parts = [(action, kept)]
                     for member in members[1:]:
                         other = ensemble_action(member[1], t)
-                        part = next((p for a, p in parts if _same_bits(a, other)), [])
+                        part = kept if other is action else \
+                            next((p for a, p in parts if _same_bits(a, other)), [])
                         if not part:
                             parts.append((other, part))
                         part.append(member)
                     for other, part in parts[1:]:
                         self._parked.append((policy.fork(), state, t, settled, part, other))
-                    members = parts[0][1]
+                    members = kept
             state = sim.step(state, action, ctrl)
             action = None
             t += 1

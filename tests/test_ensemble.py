@@ -2,6 +2,7 @@ import dataclasses
 import math
 import statistics
 from fractions import Fraction
+from operator import is_
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from demoaug.ensemble import (
 )
 from demoaug.evaluation import SeedRun
 from demoaug.policy import DisturbanceConfig
-from demoaug.trajectory import G_MAX_DEFAULT
+from demoaug.trajectory import G_MAX_DEFAULT, ValidationError
 
 L = 20
 
@@ -105,6 +106,20 @@ class TestSubmit:
             with pytest.raises(ValueError, match="not after 3"):
                 state.submit(const_chunk(emitted_at, 1.0))
         assert [c.emitted_at for c in state.chunks] == [3]
+
+    @pytest.mark.parametrize("emitted_at", [1.5, 1.0, True, "3", None, -1],
+                             ids=["fraction", "integral_float", "bool", "str", "none", "negative"])
+    def test_emitted_at_must_be_a_step(self, emitted_at):
+        # refused where the chunk enters, not in the next ensemble_action
+        for state in (EnsembleState(EnsembleConfig()), state_with(const_chunk(0, 0.0))):
+            before = list(state.chunks), state.chain
+            with pytest.raises(ValidationError, match="^emitted_at must be an integer"):
+                state.submit(ActionChunk(emitted_at, const_chunk(0, 1.0).actions))
+            assert (list(state.chunks), state.chain) == before
+
+    def test_numpy_emitted_at_accepted(self):
+        state = state_with(const_chunk(np.int64(0), 0.25), const_chunk(np.int64(1), 0.25))
+        assert ensemble_action(state, 1).pos[0] == 0.25
 
     @pytest.mark.parametrize("length", [L - 1, L + 1])
     def test_chunk_length_must_be_chunk_len(self, length):
@@ -658,3 +673,113 @@ class TestFixedWeightsMemo:
         warm = [s for s in stats if s.mode_used == "warmup"]
         assert len(warm) == WARMUP_STEPS
         assert _fixed_weights.cache_info().currsize <= len(warm)
+
+
+def action_values():
+    """Actions on a coarse grid, so pools repeat values: signed zeros, a
+    closed gripper and one past the default g_max among them."""
+    coordinate = st.sampled_from([0.0, -0.0, 0.1, -0.2, 0.35])
+    return st.builds(lambda x, y, z, g: Action((x, y, z), g), coordinate, coordinate, coordinate,
+                     st.sampled_from([0.0, 0.03, 0.08, 0.1]))
+
+
+@st.composite
+def chunk_streams(draw):
+    """(cfg, events): each event is ("submit", chunk) or ("step", t).
+
+    Chunks come as runs of shifts (the previous chunk's actions from the
+    second on, then one new), broken shifts (one action swapped for another
+    object, perhaps with equal bits) and fresh chunks, with gaps between
+    emissions.  Steps fall before, at and after the newest emission; with
+    scattered actions the suspending modes trigger, drop chunks and clear.
+    """
+    chunk_len = draw(st.sampled_from([2, L]))
+    modes = [*EnsembleMode, EnsembleMode.RESET_ONLY, EnsembleMode.COMBINED]
+    cfg = EnsembleConfig(mode=draw(st.sampled_from(modes)), beta=draw(st.sampled_from([0.5, 1.0])),
+                         k_cutoff=draw(st.sampled_from([0.01, 0.01, 10.0])), chunk_len=chunk_len)
+    pool = draw(st.lists(action_values(), min_size=2, max_size=4))
+    pick = st.sampled_from(pool)
+    events, emitted, actions = [], -1, None
+    for _ in range(draw(st.integers(10, 80))):
+        kind = draw(st.sampled_from(["shift"] * 6 + ["broken", "fresh", "idle"]))
+        if kind != "idle":
+            emitted += draw(st.sampled_from([1, 1, 1, 1, 2, 3]))
+            if kind == "fresh" or actions is None:
+                actions = tuple(draw(pick) for _ in range(chunk_len))
+            else:
+                actions = actions[1:] + (draw(pick),)
+                if kind == "broken":
+                    i = draw(st.integers(0, chunk_len - 2))
+                    swapped = draw(st.one_of(pick, st.just(Action(actions[i].pos,
+                                                                  actions[i].gripper))))
+                    actions = actions[:i] + (swapped,) + actions[i + 1:]
+            events.append(("submit", ActionChunk(emitted, actions)))
+        offset = draw(st.sampled_from([0, 0, 0, 1, -1, chunk_len - 1, chunk_len]))
+        events.append(("step", max(emitted + offset, 0)))
+    return cfg, events
+
+
+def is_shift(old: ActionChunk, new: ActionChunk) -> bool:
+    return new.emitted_at == old.emitted_at + 1 and all(map(is_, new.actions[:-1],
+                                                             old.actions[1:]))
+
+
+def chain_of(buffered: list[ActionChunk]) -> int:
+    """The newest buffered chunks that each shift the one before them."""
+    n = min(len(buffered), 1)
+    while n < len(buffered) and is_shift(buffered[-n - 1], buffered[-n]):
+        n += 1
+    return n
+
+
+def run_events(cfg, events, chained=True):
+    """(state, each event's outcome): submit's flag, the step's action or its
+    error.  With ``chained``, the chain is checked after every event against
+    the chunks buffered since the last clear."""
+    state = EnsembleState(cfg)
+    buffered, out = [], []
+    for kind, arg in events:
+        if kind == "submit":
+            out.append(state.submit(arg))
+            if out[-1]:
+                buffered.append(arg)
+        else:
+            try:
+                out.append(ensemble_action(state, arg))
+            except (EmptyBuffer, IndexError) as error:
+                out.append(repr(error))
+            if not state.chunks:   # cleared after a suspension
+                buffered = []
+        if chained:
+            assert state.chain == chain_of(buffered)
+    return state, out
+
+
+def diag_bits(diag):
+    return tuple(v.hex() if type(v) is float else v for v in diag)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chunk_streams())
+def test_chain_reads_what_the_gathered_candidates_give(stream):
+    # the oracle runs the same stream with the chain held at 0, so every step
+    # gathers its candidates and tests them one by one
+    cfg, events = stream
+    state, got = run_events(cfg, events)
+    real_submit = EnsembleState.submit
+
+    def unchained(self, chunk):
+        try:
+            return real_submit(self, chunk)
+        finally:
+            self.chain = 0
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(EnsembleState, "submit", unchained)
+        oracle, want = run_events(cfg, events, chained=False)
+    assert [diag_bits(d) for d in state.stats] == [diag_bits(d) for d in oracle.stats]
+    stored = {id(a) for kind, chunk in events if kind == "submit" for a in chunk.actions}
+    assert [bits((*o.pos, o.gripper)) if isinstance(o, Action) else o for o in got] == \
+           [bits((*o.pos, o.gripper)) if isinstance(o, Action) else o for o in want]
+    # a step that returns a stored action returns that very object either way
+    assert all(g is w for g, w in zip(got, want) if id(w) in stored)

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demoaug import evaluation, sim, tasks
-from demoaug.ensemble import Action, EnsembleConfig, EnsembleMode
+from demoaug import ensemble, evaluation, sim, tasks
+from demoaug.ensemble import Action, EnsembleConfig, EnsembleMode, EnsembleState
 from demoaug.evaluation import (
     SeedRun, closed_loop_eval, default_matrix, format_report, report_to_dict,
     run_closed_loop_episode, wilson_interval,
@@ -317,6 +317,55 @@ class TestLockstep:
         assert evaluation._same_bits(a, Action((0.0, 0.1, 0.2), 0.05))
         assert not evaluation._same_bits(a, Action((-0.0, 0.1, 0.2), 0.05))
         assert not evaluation._same_bits(a, Action((0.0, 0.1, 0.2), 0.06))
+
+
+def hold_chain_at_zero(monkeypatch):
+    """Every ensembler gathers its candidates: ``submit`` leaves ``chain`` at 0."""
+    real_submit = EnsembleState.submit
+
+    def unchained(self, chunk):
+        try:
+            return real_submit(self, chunk)
+        finally:
+            self.chain = 0
+
+    monkeypatch.setattr(EnsembleState, "submit", unchained)
+
+
+class TestChain:
+    """A step whose chunks form one shifted chain reads its candidate in O(1)."""
+
+    @pytest.mark.parametrize("disturbances", [
+        DisturbanceConfig(), DisturbanceConfig(noise=0.01), LATENCY_BIMODAL,
+    ], ids=["clean", "noise", "latency_bimodal"])
+    @pytest.mark.parametrize("task", ["push", "pick_place", "stack"])
+    def test_chain_held_at_zero_changes_nothing(self, request, monkeypatch, task, disturbances):
+        demo = request.getfixturevalue(f"{task}_demo")
+        matrix = default_matrix(betas=(1.0,))
+        seeds = [sim.scene_seed_for(0, i) for i in range(2)]
+        chained = episodes_together(task, demo, matrix, seeds, disturbances, monkeypatch)
+        with monkeypatch.context() as m:
+            hold_chain_at_zero(m)
+            assert episodes_together(task, demo, matrix, seeds, disturbances, m) == chained
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_candidates_gathered_only_off_the_chain(self, push_demo, monkeypatch, noise):
+        # clean, every chunk shifts the one before it and no step gathers; with
+        # noise no chunk does, and every step with more than one chunk gathers
+        calls, real_candidates, stats = [0], ensemble.candidates, []
+
+        def counting(*args):
+            calls[0] += 1
+            return real_candidates(*args)
+
+        monkeypatch.setattr(ensemble, "candidates", counting)
+        closed_loop_eval("push", push_demo, default_matrix(), 4,
+                         disturbances=DisturbanceConfig(noise=noise),
+                         diagnostics_sink=lambda *episode: stats.extend(episode[3]))
+        ensembled = [d for d in stats if d.mode_used != "suspended"]
+        gathered = [d for d in ensembled if d.candidate_count > 1]
+        assert len(gathered) > 0.9 * len(ensembled) > 1000
+        assert calls[0] == (0 if noise == 0.0 else len(gathered))
 
 
 class TestPositionFormat:
