@@ -226,9 +226,10 @@ class EnsembleState:
     buffered chunk sets it to 1, the clear after a suspension to 0, and a
     chunk dropped while suspended leaves it as it is.  ``suspended`` is the
     chunk a suspension replays verbatim, or None, and ``steps_remaining`` its
-    replayed steps still to come.  ``epoch_step`` counts the ensembled steps
-    since the ring was last cleared (for warm-up), and ``stats`` holds every
-    step's :class:`StepDiagnostics`.
+    replayed steps still to come (0 when none is); each replayed step, the
+    trigger's included, reads that chunk through one check.  ``epoch_step``
+    counts the ensembled steps since the ring was last cleared (for warm-up),
+    and ``stats`` holds every step's :class:`StepDiagnostics`.
     """
 
     def __init__(self, cfg: EnsembleConfig, g_max: float = G_MAX_DEFAULT):
@@ -272,22 +273,23 @@ def ensemble_action(state: EnsembleState, t: int) -> Action:
 
     Control flow per step:
 
-    1. an active suspension replays its chunk verbatim; when it expires the
-       buffer is cleared (stale predictions dropped) and warm-up restarts;
+    1. an active suspension replays its chunk (step 5);
     2. the first ``WARMUP_STEPS`` steps of a buffer epoch, and every step in
        baseline mode, use the fixed temperature for both modalities;
     3. otherwise the spread temperatures are computed; reset-capable modes
-       trigger a suspension when either exceeds the cutoff, the trigger
-       step itself emitting the first verbatim action;
+       suspend, replaying the newest chunk from this step on (step 5), when
+       either exceeds the cutoff;
     4. the surviving candidates are combined by age-decayed weighted mean,
        with the dynamic temperatures in dynamic modes and the fixed one in
-       reset-only mode.
+       reset-only mode;
+    5. every replayed step is one checked read of the chunk: one that does
+       not cover t raises :class:`EmptyBuffer` and changes no state.  The
+       last replayed step clears the buffer and restarts warm-up.
     """
     cfg = state.cfg
     chunk = state.suspended
     if chunk is not None:
-        state.steps_remaining -= 1
-        action = chunk.actions[t - chunk.emitted_at]
+        remaining = state.steps_remaining
         diag = StepDiagnostics(t, "suspended", 0, math.nan, math.nan, False, chunk.emitted_at)
     else:
         chunks = state.chunks
@@ -312,19 +314,11 @@ def ensemble_action(state: EnsembleState, t: int) -> Action:
             # compute_k of unanimous candidates is exactly (0.0, 0.0)
             k_p, k_g = (0.0, 0.0) if unanimous else compute_k(cands, cfg.beta)
             if cfg.mode in SUSPENDING_MODES and (k_p > cfg.k_cutoff or k_g > cfg.k_cutoff):
-                mode_used = "trigger"
+                chunk, remaining = chunks[-1], cfg.chunk_len // 2
+                diag = StepDiagnostics(t, "trigger", n, k_p, k_g, True, chunk.emitted_at)
             else:
                 mode_used = "fixed_k" if cfg.mode is EnsembleMode.RESET_ONLY else "dynamic_k"
-        if mode_used == "trigger":
-            # replay the newest chunk, which a chunk emitted after t does not cover
-            chunk = state.chunks[-1]
-            offset = t - chunk.emitted_at
-            if not 0 <= offset < cfg.chunk_len:
-                raise EmptyBuffer(f"newest chunk does not cover step {t}")
-            state.suspended, state.steps_remaining = chunk, cfg.chunk_len // 2 - 1
-            action = chunk.actions[offset]
-            diag = StepDiagnostics(t, "trigger", n, k_p, k_g, True, chunk.emitted_at)
-        else:
+        if chunk is None:
             if unanimous and all(first.pos) and 0.0 < first.gripper <= state.g_max:
                 action = first   # the weighted mean's own bits; see the module docstring
             elif mode_used == "dynamic_k":
@@ -335,11 +329,19 @@ def ensemble_action(state: EnsembleState, t: int) -> Action:
                 youngest = ages[-1]   # candidates come oldest first
                 wp = _fixed_weights(cfg.k_const, tuple([a - youngest for a in ages]))
                 action = _weighted_action(cands, wp, wp, state.g_max)
-            diag = StepDiagnostics(t, mode_used, n, k_p, k_g)
             state.epoch_step += 1
-    if state.suspended is not None and state.steps_remaining <= 0:
-        state.suspended = None
+            state.stats.append(StepDiagnostics(t, mode_used, n, k_p, k_g))
+            return action
+    # the one read of a replayed chunk, checked before any state changes
+    offset = t - chunk.emitted_at
+    if not 0 <= offset < cfg.chunk_len:
+        raise EmptyBuffer(f"replayed chunk from step {chunk.emitted_at} does not cover step {t}")
+    remaining -= 1
+    if remaining > 0:
+        state.suspended, state.steps_remaining = chunk, remaining
+    else:   # the last replayed step: drop the stale predictions and warm up again
+        state.suspended, state.steps_remaining = None, 0
         state.chunks.clear()
         state.chain = state.epoch_step = 0
     state.stats.append(diag)
-    return action
+    return chunk.actions[offset]

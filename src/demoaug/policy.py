@@ -126,28 +126,6 @@ class ScriptedPolicy:
     def cursor(self) -> int:
         return 0 if self._cursor is None else self._cursor
 
-    def _effective_obs(self, ee_pos) -> tuple[float, float, float]:
-        self._obs_history.append(tuple(ee_pos))
-        return self._obs_history[0]
-
-    def _advance_cursor(self, obs: tuple[float, float, float]) -> None:
-        if self._cursor is None:
-            dists = [_distance(w.pos, obs) for w in self.reference.waypoints]
-            self._cursor = dists.index(min(dists))   # the first nearest waypoint
-            return
-        # timeout T + 1, not T: the cursor holds an unreached waypoint one
-        # query longer than replay and rollout hold it, and the pinned
-        # closed-loop outcomes depend on that schedule
-        self._cursor, self._steps_on_cursor = advance(
-            self._cursor, self._steps_on_cursor, obs, self.reference.waypoints[self._cursor].pos,
-            self._last, self._timeout_steps + 1, self.ctrl.waypoint_advance_radius)
-
-    def _hypothesis_offset(self) -> int:
-        d = self.disturbances
-        if d.bimodal_period <= 0:
-            return 0
-        return d.bimodal_gap if (self._emissions // d.bimodal_period) % 2 else 0
-
     def _rollout(self, obs: tuple[float, float, float], start: int) -> deque:
         """The trail of a chunk_len-step servo rollout from ``obs`` on waypoint
         ``start``, reusing the previous rollout's trail when this one starts
@@ -167,11 +145,24 @@ class ScriptedPolicy:
 
     def _query(self, ee_pos):
         """Every query's opening: (observation, start waypoint, noise draw or None)."""
-        obs = self._effective_obs(ee_pos)
-        self._advance_cursor(obs)
-        start = min(self._cursor + self._hypothesis_offset(), self._last)
+        self._obs_history.append(tuple(ee_pos))
+        obs = self._obs_history[0]
+        if self._cursor is None:
+            dists = [_distance(w.pos, obs) for w in self.reference.waypoints]
+            self._cursor = dists.index(min(dists))   # the first nearest waypoint
+        else:
+            # timeout T + 1, not T: the cursor holds an unreached waypoint one
+            # query longer than replay and rollout hold it, and the pinned
+            # closed-loop outcomes depend on that schedule
+            self._cursor, self._steps_on_cursor = advance(
+                self._cursor, self._steps_on_cursor, obs,
+                self.reference.waypoints[self._cursor].pos, self._last,
+                self._timeout_steps + 1, self.ctrl.waypoint_advance_radius)
+        d = self.disturbances
+        flipped = d.bimodal_period > 0 and (self._emissions // d.bimodal_period) % 2
+        start = min(self._cursor + (d.bimodal_gap if flipped else 0), self._last)
         self._emissions += 1
-        noise = self.disturbances.noise
+        noise = d.noise
         draw = self._rng.uniform(-noise, noise, size=(self.chunk_len, 3)) if noise > 0 else None
         return obs, start, draw
 

@@ -53,7 +53,7 @@ class Workspace:
             raise ValidationError(f"pick_goal_z must be two reals, got {self.pick_goal_z!r}")
         lo, hi = (require_real("pick_goal_z", z) for z in self.pick_goal_z)
         if hi < lo:
-            raise ValueError("pick goal z range is inverted")
+            raise ValidationError(f"pick_goal_z is inverted: lower end {lo} above upper end {hi}")
 
     @property
     def half(self) -> float:

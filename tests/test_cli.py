@@ -742,7 +742,7 @@ OVERSIZED = 10 ** 400
 
 @pytest.mark.parametrize("cmd, config, flags, field", [
     ("augment", {"controller": {"gain": OVERSIZED}}, [], "gain"),
-    ("augment", {"workspace": {"pick_goal_z": [0.0, OVERSIZED]}}, [], "pick_goal_z"),
+    ("augment", {"workspace": {"pick_goal_z": [0.02, OVERSIZED]}}, [], "pick_goal_z"),
     ("ensemble-eval", None, ["--latency", "100000000000000000000"], "latency"),
     ("ensemble-eval", None, ["--chunk-len", "1000000000000000000000"], "chunk_len"),
     ("augment", None, ["--seed", "-1"], "seed"),

@@ -209,14 +209,36 @@ class TestEnsembleAction:
             assert state.stats[-1].mode_used == "suspended"
             assert out.pos[0] == 1.0
 
+    @staticmethod
+    def snapshot(state):
+        return (state.suspended, state.steps_remaining, list(state.chunks), state.chain,
+                state.epoch_step, len(state.stats))
+
     def test_trigger_needs_a_newest_chunk_that_covers_t(self):
         # the chunk emitted at 5 is buffered but does not cover t = 1: no
-        # verbatim action is its actions[-4]
+        # verbatim action is its actions[-4], and the refused trigger
+        # changes no state
         cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0, k_cutoff=0.4)
         state = self.worked_case_state(cfg)
         state.submit(const_chunk(5, 7.0))
-        with pytest.raises(EmptyBuffer, match="newest chunk does not cover step 1"):
+        before = self.snapshot(state)
+        with pytest.raises(EmptyBuffer, match="replayed chunk from step 5 does not cover step 1"):
             ensemble_action(state, 1)
+        assert self.snapshot(state) == before
+
+    @pytest.mark.parametrize("t", [0, 1 + L], ids=["before_emission", "past_last_action"])
+    def test_suspended_step_needs_the_replayed_chunk_to_cover_t(self, t):
+        # the trigger at 1 replays the chunk emitted at 1, which covers steps
+        # 1 to L only; a step outside them is refused and changes no state
+        cfg = EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0, k_cutoff=0.4)
+        state = self.worked_case_state(cfg)
+        ensemble_action(state, 1)
+        assert state.suspended is not None
+        before = self.snapshot(state)
+        with pytest.raises(EmptyBuffer, match=f"chunk from step 1 does not cover step {t}$"):
+            ensemble_action(state, t)
+        assert self.snapshot(state) == before
+        assert ensemble_action(state, 2).pos[0] == 1.0   # the replay goes on
 
     def test_identical_candidates_exact_in_every_mode(self):
         for mode in EnsembleMode:
@@ -746,7 +768,7 @@ def run_events(cfg, events, chained=True):
         else:
             try:
                 out.append(ensemble_action(state, arg))
-            except (EmptyBuffer, IndexError) as error:
+            except EmptyBuffer as error:
                 out.append(repr(error))
             if not state.chunks:   # cleared after a suspension
                 buffered = []

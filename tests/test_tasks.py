@@ -20,11 +20,11 @@ def state_with_blocks(positions):
 class TestConfig:
     @pytest.mark.parametrize("kwargs, field", [
         ({"side": math.nan}, "side"), ({"side": math.inf}, "side"),
-        ({"side": 0.0}, "side"), ({"pick_goal_z": (0.0, math.nan)}, "pick_goal_z"),
-        ({"pick_goal_z": (0.2, 0.0)}, "pick goal z"),
+        ({"side": 0.0}, "side"), ({"pick_goal_z": (0.02, math.nan)}, "pick_goal_z"),
+        ({"pick_goal_z": (0.2, 0.0)}, "pick_goal_z is inverted"),
     ])
     def test_bad_workspace_rejected(self, kwargs, field):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValidationError, match=field):
             Workspace(**kwargs)
 
     @pytest.mark.parametrize("name", ["push", "pick_place", "stack"])

@@ -445,7 +445,7 @@ RULE_FIELDS = [
       for name in ("gain", "max_speed", "max_gripper_speed", "dt", "waypoint_advance_radius",
                    "waypoint_timeout", "settle_time")],
     ("Workspace.side", lambda v: Workspace(side=v), "workspace side"),
-    ("Workspace.pick_goal_z", lambda v: Workspace(pick_goal_z=(0.0, v)), "pick_goal_z"),
+    ("Workspace.pick_goal_z", lambda v: Workspace(pick_goal_z=(0.02, v)), "pick_goal_z"),
     *[(f"SuccessSpec.{name}", lambda v, name=name: SuccessSpec(**{name: v}),
        f"success cutoff {name}") for name in ("push", "pick_place", "stack")],
     *[(f"EnsembleConfig.{name}", lambda v, name=name: EnsembleConfig(**{name: v}), name)

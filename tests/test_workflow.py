@@ -1,4 +1,6 @@
+import ast
 import importlib.util
+import re
 import subprocess
 from pathlib import Path
 
@@ -42,3 +44,14 @@ def test_reference_matrix_expands_every_combination():
     assert scripts[0] == ("python3 bench/run.py --workload campaign_pick_place --seed 0 "
                           "--seconds 10 --trace 1")
     assert tool.expand("v${{ matrix.python-version }}", {"python-version": "3.12"}) == "v3.12"
+
+
+def test_every_python_file_parses_under_the_oldest_supported_python():
+    # read with a regex: tomllib is new in 3.11, and the floor may be older
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                      (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    version = (int(floor[1]), int(floor[2]))
+    paths = sorted(p for d in ("src", "tests", "bench", "tools") for p in (ROOT / d).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
