@@ -131,16 +131,6 @@ def _run_config_template(command: str) -> dict:
             **RUN_KEYS[command], **{name: sections[name] for name in names}}
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        elif value is not None:
-            out[key] = value
-    return out
-
-
 def _require(doc, template: dict, where: str) -> None:
     """Raise CliError naming the key unless the JSON object ``doc`` holds every
     key of ``template``, each at a value of its template value's JSON type."""
@@ -165,17 +155,28 @@ def _refuse_used(target: Path, file: bool = False) -> None:
         raise CliError(f"{target} already holds files of an earlier run")
 
 
-def _build_sections(args, names=tuple(SECTIONS)) -> dict:
-    """The named sections of a run config: defaults < --config file < flags."""
+def _build_sections(args, names) -> dict:
+    """The named sections of a run config, each its defaults, then the --config
+    file's section, then the flags given."""
     defaults = _section_defaults()
-    overrides = {name: {k: getattr(args, k, None) for k in fields}
-                 for name, fields in _flag_defaults().items()}
+    flags = _flag_defaults()
     config_file = _read_json(args.config, "config file") if args.config else {}
     if not isinstance(config_file, dict):
         raise CliError("config file must hold a JSON object")
     _conform(config_file, defaults)
-    merged = _deep_merge(_deep_merge(defaults, config_file), overrides)
-    return {name: merged[name] for name in names}
+    return {name: {**defaults[name], **config_file.get(name, {}),
+                   **{k: v for k in flags.get(name, ()) if (v := getattr(args, k)) is not None}}
+            for name in names}
+
+
+def _fresh_run_config(args, command: str, count: str, names) -> dict:
+    """A fresh ``command`` run's config but for the keys only that command has:
+    the demo, the task, the seed, the ``count`` flag's value and the named sections."""
+    if not args.demo or not args.task or getattr(args, count) is None:
+        raise CliError(f"{command} requires --demo, --task, and --{count}")
+    return {"command": command, "version": __version__, "demo": str(args.demo),
+            "task": str(tasks.as_task(args.task).value), count: getattr(args, count),
+            "seed": 0 if args.seed is None else args.seed, **_build_sections(args, names)}
 
 
 def _configs(rc: dict) -> dict:
@@ -224,18 +225,8 @@ def cmd_augment(args) -> int:
     if args.from_manifest:
         rc = _run_config_from_manifest(args, "augment")
     else:
-        if not args.demo or not args.task or args.count is None:
-            raise CliError("augment requires --demo, --task, and --count")
-        rc = {
-            "command": "augment",
-            "version": __version__,
-            "demo": str(args.demo),
-            "task": str(tasks.as_task(args.task).value),
-            "count": args.count,
-            "seed": 0 if args.seed is None else args.seed,
-            "attempt_cap": args.attempt_cap,
-            **_build_sections(args, AUGMENT_SECTIONS),
-        }
+        rc = _fresh_run_config(args, "augment", "count", AUGMENT_SECTIONS)
+        rc["attempt_cap"] = args.attempt_cap
     require_integer("seed", rc["seed"], 0)   # as scene_seed_for does, but before any attempt
     configs = _configs(rc)
     demo = _load_demo_or_die(rc["demo"])
@@ -299,25 +290,14 @@ def cmd_ensemble_eval(args) -> int:
         for i, entry in enumerate(rc["matrix"]):
             _require(entry, {"mode": "", "beta": 0.0}, f"manifest run_config.matrix.{i}")
     else:
-        if not args.demo or not args.task or args.episodes is None:
-            raise CliError("ensemble-eval requires --demo, --task, and --episodes")
-        sections = _build_sections(args)
+        rc = _fresh_run_config(args, "ensemble-eval", "episodes", SECTIONS)
         modes = ABLATION_MODES if args.modes is None else _sweep("--modes", args.modes, str)
         betas = ABLATION_BETAS if args.betas is None else _sweep("--betas", args.betas, float)
         k_cutoffs = (None if args.k_cutoffs is None
                      else _sweep("--k-cutoffs", args.k_cutoffs, float))
-        cells = default_matrix(betas, modes, k_cutoffs, _configs(sections)["ensemble"])
-        rc = {
-            "command": "ensemble-eval",
-            "version": __version__,
-            "demo": str(args.demo),
-            "task": str(tasks.as_task(args.task).value),
-            "episodes": args.episodes,
-            "seed": 0 if args.seed is None else args.seed,
-            "matrix": [{"mode": c.mode.value, "beta": c.beta, "k_cutoff": c.k_cutoff}
-                       for c in cells],
-            **sections,
-        }
+        cells = default_matrix(betas, modes, k_cutoffs, _configs(rc)["ensemble"])
+        rc["matrix"] = [{"mode": c.mode.value, "beta": c.beta, "k_cutoff": c.k_cutoff}
+                        for c in cells]
     require_integer("episodes", rc["episodes"], 0)
     require_integer("seed", rc["seed"], 0)   # also when no episode asks scene_seed_for
     configs = _configs(rc)
@@ -401,7 +381,7 @@ def _add_overrides(p: argparse.ArgumentParser, sections):
     """--config and the override flag of every field ``FLAGS`` names in ``sections``."""
     p.add_argument("--config", help="JSON config file (defaults < file < flags)")
     flags = _flag_defaults()
-    for section in sections:
+    for section in (name for name in sections if name in flags):
         g = p.add_argument_group(f"{section} overrides")
         for name, default in flags[section].items():
             g.add_argument(f"--{name.replace('_', '-')}", dest=name, help=_FLAG_HELP.get(name),
@@ -427,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max replay attempts (default 20x count)")
     p.add_argument("--from-manifest", dest="from_manifest",
                    help="re-execute the run_config stored in a dataset manifest")
-    _add_overrides(p, ("workspace", "controller"))
+    _add_overrides(p, AUGMENT_SECTIONS)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("replay", help="debug a single augmented replay")
@@ -435,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the episode as JSON lines")
-    _add_overrides(p, ("workspace", "controller"))
+    _add_overrides(p, AUGMENT_SECTIONS)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("ensemble-eval", help="closed-loop mode/beta/k_cutoff ablation table")
@@ -453,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write per-step ensembler diagnostics next to the report")
     p.add_argument("--from-manifest", dest="from_manifest",
                    help="re-execute the run_config stored in a report")
-    _add_overrides(p, FLAGS)
+    _add_overrides(p, SECTIONS)
     p.set_defaults(func=cmd_ensemble_eval)
 
     p = sub.add_parser("stats", help="summarize a dataset directory or report file")

@@ -1,15 +1,14 @@
 """Bundled reference demonstrations, one per task.
 
 The fixtures were generated once by tools/make_fixtures.py with hand-chosen
-geometry and committed; manifest.json pins their shapes.  Each segment
-begins with an approach (hover above the pickup, then descend) and holds a
-dwell while the gripper closes or opens, which is what a teleoperated
-recording of these tasks looks like at 20 Hz.
+geometry and committed.  Each segment begins with an approach (hover above
+the pickup, then descend) and holds a dwell while the gripper closes or
+opens, which is what a teleoperated recording of these tasks looks like at
+20 Hz.
 """
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
 from ..tasks import as_task
@@ -24,6 +23,3 @@ def reference_demo(task) -> DemoTrajectory:
     """Load the bundled demo for a task."""
     return parse_demo(_read(f"{as_task(task).value}.json"))
 
-
-def fixture_manifest() -> dict:
-    return json.loads(_read("manifest.json"))

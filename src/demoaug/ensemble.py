@@ -285,7 +285,12 @@ def ensemble_action(state: EnsembleState, t: int) -> Action:
     5. every replayed step is one checked read of the chunk: one that does
        not cover t raises :class:`EmptyBuffer` and changes no state.  The
        last replayed step clears the buffer and restarts warm-up.
+
+    A ``t`` that is not an integer, a bool included, raises ValidationError
+    before any state changes; a negative one raises EmptyBuffer, as no chunk covers it.
     """
+    if type(t) is not int:
+        require_integer("t", t, 0)
     cfg = state.cfg
     chunk = state.suspended
     if chunk is not None:

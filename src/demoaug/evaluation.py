@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 from . import sim, tasks
 from .ensemble import (SPREAD_MODES, SUSPENDING_MODES, Action, EnsembleConfig, EnsembleMode,
                        EnsembleState, ensemble_action)
 from .policy import DisturbanceConfig, ScriptedPolicy
-from .trajectory import DemoTrajectory, augment_segmentwise, require_integer
+from .trajectory import DemoTrajectory, ValidationError, augment_segmentwise, require_integer
 
 HORIZON_SLACK = 120   # extra control steps past the paced waypoint budget
 STEPS_PER_WAYPOINT = 6  # horizon budget; covers the slowest (largest-scale) warps
@@ -66,7 +67,9 @@ class EvalReport:
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (95% by default).
 
-    Defined for ``0 <= successes <= n``; other counts raise ``ValueError``.
+    Defined for integer counts ``0 <= successes <= n``: a bool or a
+    non-integral count raises ``ValidationError``, and an integer count out
+    of that range ``ValueError``.
     With no trials (``n == 0``) the interval is the whole of ``(0.0, 1.0)``.
     At 0/n and n/n the interval is returned in closed form,
     ``(0, z²/(n+z²))`` and ``(n/(n+z²), 1)`` (Brown, Cai & DasGupta,
@@ -74,6 +77,9 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
     the endpoint at the observed extreme is exactly 0.0 or 1.0 rather than
     ``center ± half`` rounded to a neighbouring float.
     """
+    for name, count in (("successes", successes), ("n", n)):
+        if isinstance(count, bool) or not isinstance(count, Integral):
+            raise ValidationError(f"wilson_interval {name} must be an integer, got {count!r}")
     if not 0 <= successes <= n:
         raise ValueError(f"wilson_interval needs 0 <= successes <= n, "
                          f"got successes={successes}, n={n}")

@@ -223,7 +223,7 @@ def parse_demo(document) -> DemoTrajectory:
         raise ParseError(f"unknown format_version {version} (supported: {DEMO_FORMAT_VERSION})")
     task = _require(document, "task", str)
     g_max = _require(document, "g_max", float)
-    source_id = document.get("source_id", "unnamed")
+    source_id = _require(document, "source_id", str) if "source_id" in document else "unnamed"
 
     raw_waypoints = _require(document, "waypoints", list)
     waypoints = []

@@ -266,6 +266,22 @@ class TestEnsembleAction:
         with pytest.raises(EmptyBuffer):
             ensemble_action(EnsembleState(cfg), 0)
 
+    @pytest.mark.parametrize("t", [True, 1.5])
+    def test_step_must_be_an_integer(self, t):
+        # True would run as step 1, and 1.5 would index a chunk's actions
+        state = self.worked_case_state(EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0))
+        before = self.snapshot(state)
+        with pytest.raises(ValidationError, match="t must be an integer"):
+            ensemble_action(state, t)
+        assert self.snapshot(state) == before
+
+    def test_negative_step_covered_by_no_chunk(self):
+        state = self.worked_case_state(EnsembleConfig(mode=EnsembleMode.COMBINED, beta=1.0))
+        before = self.snapshot(state)
+        with pytest.raises(EmptyBuffer):
+            ensemble_action(state, -1)
+        assert self.snapshot(state) == before
+
     def test_warmup_uses_fixed_temperature_all_modes(self):
         for mode in EnsembleMode:
             cfg = EnsembleConfig(mode=mode, beta=1.0, k_cutoff=1e-9)

@@ -48,6 +48,12 @@ class TestWilson:
         with pytest.raises(ValueError, match=f"successes={successes}, n={n}"):
             wilson_interval(successes, n)
 
+    @pytest.mark.parametrize("successes, n, name",
+                             [(0.5, 1, "successes"), (True, 2, "successes"), (1, 2.5, "n")])
+    def test_bool_or_non_integral_count_rejected(self, successes, n, name):
+        with pytest.raises(ValidationError, match=f"wilson_interval {name} must be an integer"):
+            wilson_interval(successes, n)
+
 
 class TestMatrix:
     def test_default_matrix_shape(self):

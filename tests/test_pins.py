@@ -1,95 +1,63 @@
-"""Pinned outputs: closed-loop outcomes and step counts, campaign and replay bytes.
+"""Pinned outputs: closed-loop outcomes and step counts, campaign and replay
+bytes, and the shapes of the bundled demos.
 
-The closed-loop values and the pick-and-place digest were recorded before
-the servo and its arrive-or-timeout rule were folded into one kernel
-(``sim.servo`` and ``sim.advance``); the stack and push digests and the
-replay output before ``SimState`` became array-backed.  A change that alters
-the simulated trajectory, the predictor's chunks or the serialised records
+The recorded values are in ``pins.json``.  ``tools/regenerate_golden.py``
+computes them with the functions these tests call and lists every value that
+changed.  The pins guard the simulated trajectory, the predictor's chunks,
+the ensembler's actions and the serialised records: a change to any of them
 by even one step or one float shows up here.
 """
 
-import hashlib
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from demoaug.cli import main
-from demoaug.dataset import episode_lines
-from demoaug.demos import reference_demo
-from demoaug.ensemble import EnsembleConfig, EnsembleMode
-from demoaug.evaluation import closed_loop_eval
-from demoaug.policy import DisturbanceConfig
-from demoaug.sim import run_campaign, scene_seed_for
-
-# Root seed 10 gives both outcomes in both cells, and its first baseline
-# episode changes length if the predictor's cursor holds a waypoint T rather
-# than T + 1 steps.
-STACK_SEEDS = [scene_seed_for(10, i) for i in range(6)]
-STACK_DISTURBANCES = DisturbanceConfig(latency=3, bimodal_period=2)
-STACK_OUTCOMES = {
-    EnsembleMode.BASELINE: [1, 0, 0, 0, 0, 0],
-    EnsembleMode.COMBINED: [1, 0, 1, 1, 1, 1],
-}
-STACK_STEPS = {
-    EnsembleMode.BASELINE: [548, 1032, 1032, 1032, 1032, 1032],
-    EnsembleMode.COMBINED: [305, 1032, 374, 653, 615, 622],
-}
-CAMPAIGN_SEED = 3
-CAMPAIGN_SHA256 = {
-    "pick_place": "e83464af48c8a534b788ee467d63fc1c21927c610bb0f189c04128caf5ac120a",
-    "stack": "359969964e2bdaad45425e7820abf8c4cb98b5c46d44e756029a42d8a17d22ce",
-    "push": "9af16b60af5ecc8b647b062755fda254cc9cc201d4dd4be2ca36860a099fc395",
-}
-STACK_JSON = Path(__file__).resolve().parents[1] / "src" / "demoaug" / "demos" / "stack.json"
-REPLAY_STDOUT = ("success=True steps=335 final_blocks=[[0.03384877715899504, "
-                 "-0.20445985754849044, 0.02], [0.034066094620798106, "
-                 "-0.20467890285110207, 0.06]]")
-REPLAY_SHA256 = "5382608cd65fde013363bee907bdf2a77ad6c6dce7d27a565982de9e8dd8db6a"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_stack_disturbed_outcomes_and_steps(stack_demo):
-    cells = [EnsembleConfig(mode=mode, beta=1.0) for mode in STACK_OUTCOMES]
-    outcomes = {mode: [] for mode in STACK_OUTCOMES}
-    steps = {mode: [] for mode in STACK_OUTCOMES}
-
-    def sink(cfg, episode_index, seed, stats):
-        steps[cfg.mode].append(len(stats))
-
-    # one single-episode evaluation per seed: each cell's count is that
-    # episode's outcome
-    for seed in STACK_SEEDS:
-        report = closed_loop_eval("stack", stack_demo, cells, 1, [seed],
-                                  disturbances=STACK_DISTURBANCES, diagnostics_sink=sink)
-        for cell in report.cells:
-            outcomes[cell.mode].append(cell.successes)
-    assert outcomes == STACK_OUTCOMES
-    assert steps == STACK_STEPS
+def load_tool():
+    path = ROOT / "tools" / "regenerate_golden.py"
+    spec = importlib.util.spec_from_file_location("regenerate_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def campaign_digest(task: str) -> tuple[int, str]:
-    """Attempts and sha256 over the serialised steps of a 3-episode campaign."""
-    ds = run_campaign(reference_demo(task), task, count=3, rng_seed=CAMPAIGN_SEED)
-    digest = hashlib.sha256()
-    for ep in ds.episodes:
-        for line in episode_lines(ep):
-            digest.update(line.encode() + b"\n")
-    return ds.attempts, digest.hexdigest()
+TOOL = load_tool()
+PINS = json.loads(TOOL.PINS.read_text(encoding="utf-8"))
+
+
+def test_stack_disturbed_outcomes_and_steps():
+    outcomes, steps = TOOL.stack_outcomes_and_steps()
+    assert outcomes == PINS["stack_outcomes"]
+    assert steps == PINS["stack_steps"]
 
 
 def test_pick_place_campaign_bytes():
-    assert campaign_digest("pick_place") == (3, CAMPAIGN_SHA256["pick_place"])
+    assert TOOL.campaign_digest("pick_place") == (3, PINS["campaign_sha256"]["pick_place"])
 
 
 # two-block settling and the held flags show only in stack and push records
 @pytest.mark.parametrize("task", ["stack", "push"])
 def test_campaign_bytes(task):
-    assert campaign_digest(task) == (3, CAMPAIGN_SHA256[task])
+    assert TOOL.campaign_digest(task) == (3, PINS["campaign_sha256"][task])
 
 
-def test_replay_command_output(tmp_path, capsys):
-    out = tmp_path / "episode.jsonl"
-    code = main(["replay", "--demo", str(STACK_JSON), "--task", "stack", "--seed", "4",
-                 "--out", str(out)])
-    assert code == 0
-    assert capsys.readouterr().out.splitlines()[0] == REPLAY_STDOUT
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPLAY_SHA256
+def test_replay_command_output():
+    assert TOOL.replay_output() == (PINS["replay_stdout"], PINS["replay_sha256"])
+
+
+@pytest.mark.parametrize("task", ["push", "pick_place", "stack"])
+def test_fixture_shapes(task):
+    assert TOOL.fixture_shape(task) == PINS["fixture_shapes"][task]
+
+
+def test_regenerate_golden_lists_each_flipped_pin():
+    pins = TOOL.current_pins()
+    assert TOOL.pin_flips(PINS, pins) == []
+    doctored = json.loads(json.dumps(PINS))
+    doctored["campaign_sha256"]["push"] = "0" * 64
+    assert TOOL.pin_flips(doctored, pins) == [
+        f'campaign_sha256.push: "{"0" * 64}" -> "{PINS["campaign_sha256"]["push"]}"']

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demoaug.demos import fixture_manifest, reference_demo
+from demoaug.demos import reference_demo
 from demoaug.ensemble import Action, EnsembleConfig, EnsembleState
 from demoaug.geometry import transform_from_anchors
 from demoaug.policy import DisturbanceConfig, ScriptedPolicy
@@ -114,6 +114,16 @@ class TestParse:
         del doc["g_max"]
         with pytest.raises(ParseError, match="g_max"):
             parse_demo(doc)
+
+    @pytest.mark.parametrize("source_id", [5, None, [1, 2], {"a": 1}],
+                             ids=["int", "null", "list", "object"])
+    def test_non_string_source_id_rejected(self, source_id):
+        # a list or object would make the demo unhashable
+        with pytest.raises(ParseError, match="'source_id'"):
+            parse_demo(minimal_doc(source_id=source_id))
+
+    def test_absent_source_id_is_unnamed(self):
+        assert parse_demo(minimal_doc()).source_id == "unnamed"
 
     @pytest.mark.parametrize("text", ["Infinity", "1e400", "NaN", "-Infinity", "0"])
     def test_non_finite_or_non_positive_g_max_rejected(self, text):
@@ -242,14 +252,6 @@ def test_document_round_trip_property(demo):
 
 
 class TestFixtures:
-    @pytest.mark.parametrize("task", ["push", "pick_place", "stack"])
-    def test_fixture_matches_manifest(self, task):
-        demo = reference_demo(task)
-        pinned = fixture_manifest()[task]
-        assert len(demo.waypoints) == pinned["waypoints"]
-        assert len(demo.segments) == pinned["segments"]
-        assert [s.stop - s.start for s in demo.segments] == pinned["segment_counts"]
-
     def test_pick_place_single_segment(self):
         demo = reference_demo("pick_place")
         assert len(demo.segments) == 1

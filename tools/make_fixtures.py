@@ -120,7 +120,6 @@ def to_document(meta, pts, grips):
 
 def main():
     out_dir = Path(__file__).resolve().parents[1] / "src" / "demoaug" / "demos"
-    manifest = {}
     for builder in (build_push, build_pick_place, build_stack):
         meta, pts, grips = builder()
         doc = to_document(meta, pts, grips)
@@ -128,16 +127,8 @@ def main():
         assert demo_to_document(demo)["waypoints"] == doc["waypoints"]
         path = out_dir / f"{meta['task']}.json"
         path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-        manifest[meta["task"]] = {
-            "file": path.name,
-            "waypoints": len(demo.waypoints),
-            "segments": len(demo.segments),
-            "segment_counts": [s.stop - s.start for s in demo.segments],
-        }
         print(f"{meta['task']}: {len(demo.waypoints)} waypoints, "
               f"{len(demo.segments)} segment(s)")
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
-                                           encoding="utf-8")
 
 
 if __name__ == "__main__":
