@@ -182,8 +182,7 @@ def _fresh_run_config(args, command: str, count: str, names) -> dict:
 def _configs(rc: dict) -> dict:
     """The config object of each section of a run config but its retired keys, keyed
     by section; the ensemble section gives the base every matrix cell replaces fields of."""
-    return {name: cls(**{k: tuple(v) if isinstance(v, list) else v
-                         for k, v in rc.get(name, {}).items() if k not in RETIRED})
+    return {name: cls(**{k: v for k, v in rc.get(name, {}).items() if k not in RETIRED})
             for name, (cls, _) in SECTIONS.items()}
 
 

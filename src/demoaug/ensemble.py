@@ -126,11 +126,11 @@ class EnsembleConfig:
 
     def __post_init__(self):
         # a negative k_const (a temperature) would weigh older predictions more
-        require_real("beta", self.beta, "non-negative")
-        require_real("k_const", self.k_const, "non-negative")
-        require_real("k_cutoff", self.k_cutoff, "positive")
+        for name, sign in (("beta", "non-negative"), ("k_const", "non-negative"),
+                           ("k_cutoff", "positive")):
+            object.__setattr__(self, name, require_real(name, getattr(self, name), sign))
         # a suspension replays chunk_len // 2 steps, at least one
-        require_integer("chunk_len", self.chunk_len, 2)
+        object.__setattr__(self, "chunk_len", require_integer("chunk_len", self.chunk_len, 2))
         if not isinstance(self.mode, EnsembleMode):
             object.__setattr__(self, "mode", EnsembleMode(self.mode))
 

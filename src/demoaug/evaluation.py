@@ -38,6 +38,7 @@ from .trajectory import DemoTrajectory, ValidationError, augment_segmentwise, re
 
 HORIZON_SLACK = 120   # extra control steps past the paced waypoint budget
 STEPS_PER_WAYPOINT = 6  # horizon budget; covers the slowest (largest-scale) warps
+Z95 = 1.959963984540054  # standard normal quantile of a two-sided 95% interval
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,8 @@ class EvalReport:
     cells: tuple[CellResult, ...]
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default).
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at 95% (``Z95``).
 
     Defined for integer counts ``0 <= successes <= n``: a bool or a
     non-integral count raises ``ValidationError``, and an integer count out
@@ -85,7 +86,7 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
                          f"got successes={successes}, n={n}")
     if n == 0:
         return (0.0, 1.0)
-    z2 = z * z
+    z2 = Z95 * Z95
     if successes == 0:
         return (0.0, z2 / (n + z2))
     if successes == n:
@@ -93,7 +94,7 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
     p = successes / n
     denom = 1.0 + z2 / n
     center = (p + z2 / (2 * n)) / denom
-    half = z * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / denom
+    half = Z95 * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 
@@ -228,9 +229,7 @@ def closed_loop_eval(task, demo: DemoTrajectory, cfg_matrix, n_episodes: int, se
     seeds = tuple(seeds)[:n_episodes]
     if len(seeds) < n_episodes:
         raise ValueError(f"{len(seeds)} seeds for {n_episodes} episodes")
-    for seed in seeds:
-        require_integer("seed", seed, 0)
-    seeds = tuple(map(int, seeds))   # a NumPy integer is recorded as an int
+    seeds = tuple(require_integer("seed", seed, 0) for seed in seeds)
     cfg_matrix = list(cfg_matrix)
     runs = [SeedRun(task, demo, seed, cfg_matrix, ws, ctrl, disturbances, spec) for seed in seeds]
 

@@ -68,14 +68,14 @@ def frame_with_up(v, *, up: np.ndarray = Z_AXIS) -> np.ndarray:
     return np.column_stack([vhat, u, np.cross(vhat, u)])
 
 
-def is_rotation(matrix: np.ndarray, tol: float = ROT_TOL) -> bool:
-    """True if ``matrix`` is orthonormal with determinant +1 within ``tol``."""
+def is_rotation(matrix: np.ndarray) -> bool:
+    """True if ``matrix`` is orthonormal with determinant +1 within ``ROT_TOL``."""
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3) or not np.all(np.isfinite(m)):
         return False
-    if np.max(np.abs(m.T @ m - np.eye(3))) > tol:
+    if np.max(np.abs(m.T @ m - np.eye(3))) > ROT_TOL:
         return False
-    return abs(float(np.linalg.det(m)) - 1.0) <= tol
+    return abs(float(np.linalg.det(m)) - 1.0) <= ROT_TOL
 
 
 @dataclass(frozen=True)

@@ -80,9 +80,9 @@ class DisturbanceConfig:
 
     def __post_init__(self):
         for name in ("latency", "bimodal_period", "bimodal_gap"):
-            require_integer(name, getattr(self, name), 0)
-        require_real("noise", self.noise, "non-negative")
-        require_integer("seed", self.seed, 0)
+            object.__setattr__(self, name, require_integer(name, getattr(self, name), 0))
+        object.__setattr__(self, "noise", require_real("noise", self.noise, "non-negative"))
+        object.__setattr__(self, "seed", require_integer("seed", self.seed, 0))
 
 
 class ScriptedPolicy:
@@ -94,12 +94,11 @@ class ScriptedPolicy:
                  "_steps_on_cursor", "_rng")
 
     def __init__(self, reference: DemoTrajectory, chunk_len: int = 20,
-                 disturbances: DisturbanceConfig | None = None,
+                 disturbances: DisturbanceConfig = DisturbanceConfig(),
                  ctrl: ControllerConfig = ControllerConfig()):
-        require_integer("chunk_len", chunk_len, 1)
         self.reference = reference
-        self.chunk_len = chunk_len
-        self.disturbances = disturbances or DisturbanceConfig()
+        self.chunk_len = require_integer("chunk_len", chunk_len, 1)
+        self.disturbances = disturbances
         self.ctrl = ctrl
         self._trail: deque[tuple[tuple[float, float, float], int, int, Waypoint]] = deque()
         self._last = len(reference.waypoints) - 1

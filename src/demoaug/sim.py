@@ -66,7 +66,8 @@ class ControllerConfig:
 
     def __post_init__(self):
         for f in fields(self):  # every field is a positive real
-            require_real(f.name, getattr(self, f.name), "positive")
+            object.__setattr__(self, f.name,
+                               require_real(f.name, getattr(self, f.name), "positive"))
         if self.gain * self.dt >= 2.0:
             raise ValueError(f"gain*dt = {self.gain * self.dt} >= 2 is unstable")
 
@@ -315,8 +316,8 @@ def replay(aug: DemoTrajectory, scene: Scene, cfg: ControllerConfig = Controller
 
 def scene_seed_for(root_seed: int, attempt: int) -> int:
     """Well-mixed per-attempt scene seed, stable across platforms."""
-    require_integer("seed", root_seed, 0)
-    return int(np.random.SeedSequence([int(root_seed), int(attempt)]).generate_state(1)[0])
+    root_seed = require_integer("seed", root_seed, 0)
+    return int(np.random.SeedSequence([root_seed, int(attempt)]).generate_state(1)[0])
 
 
 def attempt_episode(demo, task, ws, cfg, spec, root_seed, attempt):
@@ -352,10 +353,10 @@ def run_campaign(demo: DemoTrajectory, task, count: int,
     20x ``count`` — stopped the campaign first, in which case its attempts
     equal the cap.
     """
-    require_integer("count", count, 1)
-    cap = attempt_cap if attempt_cap is not None else 20 * count
-    require_integer("attempt_cap", cap, 1)
+    count = require_integer("count", count, 1)   # the dataset's complete flag compares it
+    cap = require_integer("attempt_cap", attempt_cap if attempt_cap is not None else 20 * count, 1)
     task = as_task(task)
+    rng_seed = require_integer("seed", rng_seed, 0)   # the dataset records it
 
     episodes: list[EpisodeRecord] = []
     attempts = 0

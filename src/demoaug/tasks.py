@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sized
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -42,18 +42,20 @@ def as_task(value) -> TaskKind:
 
 @dataclass(frozen=True)
 class Workspace:
-    """Square x/y extent centered at the origin; pick goals span a z band."""
+    """Square x/y extent centered at the origin; pick goals span a z band,
+    stored as a (lo, hi) float pair."""
 
     side: float = WORKSPACE_SIDE
     pick_goal_z: tuple[float, float] = PICK_GOAL_Z
 
     def __post_init__(self):
-        require_real("workspace side", self.side, "positive")
+        object.__setattr__(self, "side", require_real("workspace side", self.side, "positive"))
         if not (isinstance(self.pick_goal_z, Sized) and len(self.pick_goal_z) == 2):
             raise ValidationError(f"pick_goal_z must be two reals, got {self.pick_goal_z!r}")
         lo, hi = (require_real("pick_goal_z", z) for z in self.pick_goal_z)
         if hi < lo:
             raise ValidationError(f"pick_goal_z is inverted: lower end {lo} above upper end {hi}")
+        object.__setattr__(self, "pick_goal_z", (lo, hi))
 
     @property
     def half(self) -> float:
@@ -88,13 +90,12 @@ class SuccessSpec:
     stack: float = 0.04
 
     def __post_init__(self):
-        for name in ("push", "pick_place", "stack"):
-            require_real(f"success cutoff {name}", getattr(self, name), "positive")
+        for f in fields(self):  # one positive cutoff per task, named by its value
+            object.__setattr__(self, f.name, require_real(
+                f"success cutoff {f.name}", getattr(self, f.name), "positive"))
 
     def threshold(self, task) -> float:
-        return {TaskKind.PUSH: self.push,
-                TaskKind.PICK_PLACE: self.pick_place,
-                TaskKind.STACK: self.stack}[as_task(task)]
+        return getattr(self, as_task(task).value)
 
 
 def _distance(p, q) -> float:
@@ -150,7 +151,8 @@ def sample_scene(task, ws: Workspace = Workspace(), rng_seed: int = 0) -> Scene:
 
 def anchors_for_scene(task, demo: DemoTrajectory, scene: Scene) -> list[AnchorPair]:
     """Pair each segment's recorded endpoints with the scene's start/goal
-    for the block that segment manipulates (segment i moves block i)."""
+    for the block that segment manipulates (segment i moves block i).
+    A demo recorded for another task raises ValidationError."""
     task = as_task(task)
     if len(demo.segments) != task.n_blocks:
         raise SegmentMismatch(
@@ -158,6 +160,8 @@ def anchors_for_scene(task, demo: DemoTrajectory, scene: Scene) -> list[AnchorPa
     if len(scene.block_starts) != task.n_blocks:
         raise SegmentMismatch(
             f"{task.value} expects {task.n_blocks} block(s), scene has {len(scene.block_starts)}")
+    if demo.task != task.value:
+        raise ValidationError(f"demo task is {demo.task!r}, not {task.value!r}")
     return [AnchorPair(r_s=seg.anchor_start, r_g=seg.anchor_goal,
                        g_s=scene.block_starts[i], g_g=scene.block_goals[i])
             for i, seg in enumerate(demo.segments)]

@@ -21,6 +21,9 @@ naming the field.  :func:`require_real`: a ``numbers.Real``, NumPy's included,
 not a ``bool``, finite as a float.  :func:`require_integer`: a count, an
 integer from a lower bound to ``sys.maxsize``.  :func:`require_triple`: a
 position, exactly three reals, as an (x, y, z) float triple, not a copy of one.
+Each returns what it accepted as a Python ``float``, ``int`` or float triple,
+and every config stores what its checks return, so a NumPy scalar goes no
+further than the boundary it came in at.
 """
 
 from __future__ import annotations
@@ -72,10 +75,11 @@ def require_real(name: str, value, sign: str = "") -> float:
     return value
 
 
-def require_integer(name: str, value, low: int) -> None:
-    """Raise ValidationError naming ``name`` unless ``value`` is a count from ``low``."""
+def require_integer(name: str, value, low: int) -> int:
+    """``value`` as an int, or ValidationError naming ``name`` unless a count from ``low``."""
     if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value <= sys.maxsize:
         raise ValidationError(f"{name} must be an integer from {low} to {sys.maxsize}, got {value!r}")
+    return int(value)
 
 
 def require_triple(name: str, value) -> Vec3:
@@ -151,7 +155,8 @@ class AnchorPair:
 
 @dataclass(frozen=True)
 class DemoTrajectory:
-    """Immutable demonstration: waypoints, segments, and recording metadata."""
+    """Immutable demonstration: waypoints, segments, and recording metadata.
+    Every gripper width lies in [0, ``g_max``]."""
 
     waypoints: tuple[Waypoint, ...]
     segments: tuple[Segment, ...]
@@ -179,6 +184,9 @@ class DemoTrajectory:
         for i in range(1, len(times)):
             if not times[i] > times[i - 1]:
                 raise ValidationError(f"timestamps not strictly increasing at waypoint {i}")
+        for i, w in enumerate(self.waypoints):
+            if not (0.0 <= w.gripper <= self.g_max):
+                raise ValidationError(f"waypoint {i} gripper {w.gripper} outside [0, {self.g_max}]")
 
 
 def _require(doc: dict, key, kind, where: str = "document"):
@@ -253,8 +261,6 @@ def parse_demo(document) -> DemoTrajectory:
 
     lo, hi = default_position_bounds()
     for i, w in enumerate(demo.waypoints):
-        if not (0.0 <= w.gripper <= demo.g_max):
-            raise ValidationError(f"waypoint {i} gripper {w.gripper} outside [0, {demo.g_max}]")
         if not all(l <= x <= h for x, l, h in zip(w.pos, lo, hi)):
             raise ValidationError(f"waypoint {i} position {list(w.pos)} outside bounds")
     return demo

@@ -16,6 +16,7 @@ from demoaug.trajectory import Action, ValidationError
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "src" / "demoaug" / "demos"
 PUSH = str(DEMO_DIR / "push.json")
+PICK_PLACE = str(DEMO_DIR / "pick_place.json")
 STACK = str(DEMO_DIR / "stack.json")
 MISSING = object()  # a key deleted from a document
 DIRECTORY = object()  # a document path that is a directory
@@ -777,7 +778,8 @@ def test_negative_seed_rejected_when_no_episode_runs(tmp_path, capsys):
 @pytest.mark.parametrize("args, problem", [
     (["--demo", STACK], "push expects 1 segment(s), demo has 2"),
     (["--demo", PUSH, "--side", "0.05"], "no valid push scene"),
-], ids=["segment_mismatch", "sampling_exhausted"])
+    (["--demo", PICK_PLACE], "demo task is 'pick_place', not 'push'"),
+], ids=["segment_mismatch", "sampling_exhausted", "task_mismatch"])
 def test_input_error_raised_in_library_exits_1(tmp_path, capsys, cmd, args, problem):
     argv = [cmd, *args, "--task", "push", "--count" if cmd == "augment" else "--episodes",
             "2", "--out", str(tmp_path / "out")]
@@ -786,6 +788,14 @@ def test_input_error_raised_in_library_exits_1(tmp_path, capsys, cmd, args, prob
     assert err.startswith("error: ") and problem in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_replay_of_a_demo_of_another_task_exits_1(tmp_path, capsys):
+    out = tmp_path / "episode.jsonl"
+    assert main(["replay", "--demo", PICK_PLACE, "--task", "push", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: demo task is 'pick_place', not 'push'\n"
+    assert not captured.out and not out.exists()
 
 
 # every subcommand's options and the type each parses its value with, as the

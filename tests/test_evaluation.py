@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from demoaug import ensemble, evaluation, sim, tasks
+from demoaug.dataset import canonical_json
 from demoaug.ensemble import Action, EnsembleConfig, EnsembleMode, EnsembleState
 from demoaug.evaluation import (
     SeedRun, closed_loop_eval, default_matrix, format_report, report_to_dict,
@@ -134,6 +135,27 @@ class TestClosedLoop:
     def test_numpy_seed_recorded_as_an_int(self, push_demo):
         report = closed_loop_eval("push", push_demo, [EnsembleConfig()], 1, seeds=[np.uint32(3)])
         assert report.seeds == (3,) and type(report.seeds[0]) is int
+
+    @pytest.mark.parametrize("numpy_run, python_run", [
+        ((EnsembleConfig(), DisturbanceConfig(latency=np.int64(3))),
+         (EnsembleConfig(), DisturbanceConfig(latency=3))),
+        ((EnsembleConfig(chunk_len=np.int64(10)), DisturbanceConfig()),
+         (EnsembleConfig(chunk_len=10), DisturbanceConfig())),
+        ((EnsembleConfig(beta=np.float32(0.5)), DisturbanceConfig(latency=3, bimodal_period=2)),
+         (EnsembleConfig(beta=0.5), DisturbanceConfig(latency=3, bimodal_period=2))),
+    ], ids=["latency", "chunk_len", "beta"])
+    def test_numpy_setting_runs_as_its_python_twin(self, push_demo, numpy_run, python_run):
+        def run(cfg, disturbances):
+            seen = []
+            report = closed_loop_eval("push", push_demo, [cfg], 2, disturbances=disturbances,
+                                      diagnostics_sink=lambda *args: seen.append(repr(args)))
+            return canonical_json(report_to_dict(report)), seen
+
+        assert run(*numpy_run) == run(*python_run)
+
+    def test_demo_of_another_task_rejected(self, pick_place_demo):
+        with pytest.raises(ValidationError, match="^demo task is 'pick_place', not 'push'$"):
+            closed_loop_eval("push", pick_place_demo, [EnsembleConfig()], 1)
 
     def test_paired_seeds_across_cells(self, push_demo):
         matrix = [EnsembleConfig(mode=EnsembleMode.BASELINE),

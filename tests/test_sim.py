@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demoaug import sim, trajectory
-from demoaug.dataset import episode_lines
+from demoaug.dataset import episode_lines, write_dataset
 from demoaug.sim import (
     ControllerConfig, SimState,
     advance, initial_state, replay, run_campaign, scene_seed_for, servo, step, track,
 )
 from demoaug.tasks import (Scene, SuccessSpec, TaskKind, Workspace, anchors_for_scene,
                            recorded_scene, sample_scene)
-from demoaug.trajectory import Action, augment_segmentwise
+from demoaug.trajectory import Action, ValidationError, augment_segmentwise
 
 CFG = ControllerConfig()
 
@@ -362,6 +362,20 @@ class TestCampaign:
         a = run_campaign(pick_place_demo, TaskKind.PICK_PLACE, count=1, rng_seed=42)
         b = run_campaign(pick_place_demo, TaskKind.PICK_PLACE, count=1, rng_seed=42)
         assert episode_lines(a.episodes[0]) == episode_lines(b.episodes[0])
+
+    def test_numpy_settings_write_the_default_bytes(self, push_demo, tmp_path):
+        for name, count, cfg, seed in (
+                ("python", 1, ControllerConfig(), 0),
+                ("numpy", np.int64(1), ControllerConfig(gain=np.int64(5)), np.int64(0))):
+            write_dataset(run_campaign(push_demo, "push", count, cfg=cfg, rng_seed=seed),
+                          tmp_path / name)
+        trees = [{p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+                  if p.is_file()} for root in (tmp_path / "python", tmp_path / "numpy")]
+        assert trees[0] and trees[0] == trees[1]
+
+    def test_demo_of_another_task_rejected(self, pick_place_demo):
+        with pytest.raises(ValidationError, match="^demo task is 'pick_place', not 'push'$"):
+            run_campaign(pick_place_demo, TaskKind.PUSH, count=1)
 
     def test_count_validation(self, push_demo):
         with pytest.raises(ValueError):

@@ -27,6 +27,17 @@ class TestConfig:
         with pytest.raises(ValidationError, match=field):
             Workspace(**kwargs)
 
+    @pytest.mark.parametrize("band", [[0.02, 0.2], np.array([0.02, 0.2]),
+                                      (np.float32(0.5), np.int64(1))],
+                             ids=["list", "ndarray", "numpy_scalars"])
+    def test_pick_goal_z_stored_as_a_float_pair(self, band):
+        ws = Workspace(pick_goal_z=band)
+        twin = Workspace(pick_goal_z=tuple(map(float, band)))
+        assert ws == twin and hash(ws) == hash(twin)
+        assert type(ws.pick_goal_z) is tuple and [type(z) for z in ws.pick_goal_z] == [float] * 2
+        assert sample_scene(TaskKind.PICK_PLACE, ws, 7) == sample_scene(TaskKind.PICK_PLACE,
+                                                                         twin, 7)
+
     @pytest.mark.parametrize("name", ["push", "pick_place", "stack"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.05])
     def test_bad_success_cutoff_rejected(self, name, value):
@@ -118,6 +129,11 @@ class TestAnchors:
         scene = sample_scene(TaskKind.PUSH, Workspace(), 5)
         with pytest.raises(SegmentMismatch):
             anchors_for_scene(TaskKind.PUSH, stack_demo, scene)
+
+    def test_demo_of_another_task_rejected(self, pick_place_demo):
+        scene = sample_scene(TaskKind.PUSH, Workspace(), 5)
+        with pytest.raises(ValidationError, match="^demo task is 'pick_place', not 'push'$"):
+            anchors_for_scene(TaskKind.PUSH, pick_place_demo, scene)
 
     def test_degenerate_scene_rejected(self, pick_place_demo):
         block = (0.1, 0.1, 0.02)

@@ -2,7 +2,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -158,6 +158,16 @@ class TestParse:
         doc["waypoints"][0]["g"] = 0.09
         with pytest.raises(ValidationError, match="gripper"):
             parse_demo(doc)
+
+    @pytest.mark.parametrize("width", [0.1, -0.01])
+    def test_demo_trajectory_checks_gripper_widths(self, width):
+        # so replay, which commands the widths, and the closed loop, which clips
+        # them to g_max, cannot disagree on a demo built without parse_demo
+        demo = reference_demo("push")
+        widths = [replace(w, gripper=width) for w in demo.waypoints]
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"waypoint 0 gripper {width} outside [0, 0.08]")):
+            replace(demo, waypoints=widths)
 
     @pytest.mark.parametrize("g_max", [math.nan, math.inf, -1.0, 0.0])
     def test_demo_trajectory_checks_g_max(self, g_max):
@@ -521,9 +531,20 @@ class TestInputRule:
         assert isinstance(w, Action) and not hasattr(w, "__dict__")
         assert (w.pos, w.gripper, w.time) == ((0.1, 0.2, 0.02), 0.04, 0.5)
 
+    @pytest.mark.parametrize("cls", [ControllerConfig, SuccessSpec, Workspace, EnsembleConfig,
+                                     DisturbanceConfig])
+    def test_configs_store_the_numbers_their_checks_return(self, cls):
+        for f in fields(cls):
+            if type(f.default) in (int, float):
+                as_numpy = (np.int64 if type(f.default) is int else np.float64)(f.default)
+                cfg = cls(**{f.name: as_numpy})
+                assert cfg == cls() and type(getattr(cfg, f.name)) is type(f.default), f.name
+
     def test_count_bounds(self):
         require_integer("n", sys.maxsize, 0)
-        require_integer("n", np.int64(0), 0)
+        for value in (np.int64(3), np.uint8(3)):   # a count comes back as an int
+            count = require_integer("n", value, 0)
+            assert count == 3 and type(count) is int
         for value in (sys.maxsize + 1, -1, 2.0, np.float64(1.0), False):
             with pytest.raises(ValidationError, match="n must be an integer from 0 to"):
                 require_integer("n", value, 0)

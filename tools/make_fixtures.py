@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from demoaug.trajectory import demo_to_document, parse_demo
+from demoaug.trajectory import DemoTrajectory, Segment, Waypoint, demo_to_document, parse_demo
 
 SPACING = 0.012   # m between interpolated waypoints
 DT = 0.05         # s between waypoints
@@ -99,35 +99,31 @@ def build_stack():
                          ("move-block-2", b2, g2, len(pts2))]}, pts + pts2, grips + grips2
 
 
-def to_document(meta, pts, grips):
-    return {
-        "format_version": 1,
-        "task": meta["task"],
-        "source_id": meta["source_id"],
-        "g_max": OPEN,
-        "segments": [
-            {"label": label, "count": count,
-             "anchor_start": [round(x, 6) for x in start],
-             "anchor_goal": [round(x, 6) for x in goal]}
-            for label, start, goal, count in meta["segments"]
-        ],
-        "waypoints": [
-            {"t": round(i * DT, 6), "p": [round(float(x), 6) for x in p], "g": g}
-            for i, (p, g) in enumerate(zip(pts, grips))
-        ],
-    }
+def rounded(point):
+    return tuple(round(float(x), 6) for x in point)
+
+
+def to_demo(meta, pts, grips) -> DemoTrajectory:
+    """The fixture as a demo, every coordinate and time rounded to 1e-6."""
+    segments, start = [], 0
+    for label, anchor_start, anchor_goal, count in meta["segments"]:
+        segments.append(Segment(label, start, start + count, rounded(anchor_start),
+                                rounded(anchor_goal)))
+        start += count
+    waypoints = [Waypoint(pos=rounded(p), gripper=g, time=round(i * DT, 6))
+                 for i, (p, g) in enumerate(zip(pts, grips))]
+    return DemoTrajectory(waypoints, segments, meta["task"], meta["source_id"], OPEN)
 
 
 def main():
     out_dir = Path(__file__).resolve().parents[1] / "src" / "demoaug" / "demos"
     for builder in (build_push, build_pick_place, build_stack):
-        meta, pts, grips = builder()
-        doc = to_document(meta, pts, grips)
-        demo = parse_demo(json.dumps(doc))  # validate before writing
-        assert demo_to_document(demo)["waypoints"] == doc["waypoints"]
-        path = out_dir / f"{meta['task']}.json"
+        demo = to_demo(*builder())
+        doc = demo_to_document(demo)
+        parse_demo(doc)  # validate before writing
+        path = out_dir / f"{demo.task}.json"
         path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-        print(f"{meta['task']}: {len(demo.waypoints)} waypoints, "
+        print(f"{demo.task}: {len(demo.waypoints)} waypoints, "
               f"{len(demo.segments)} segment(s)")
 
 
